@@ -526,7 +526,7 @@ let run_whatif_bench nets =
       (fun (n : Rd_study.Population.network) ->
         ( n,
           Rd_study.Population.generate_one n.spec,
-          Rd_study.Experiments.default_scenarios n ))
+          Rd_study.Experiments.scenarios_of_analysis n.analysis ))
       nets
   in
   let scenario_count =

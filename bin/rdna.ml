@@ -49,16 +49,82 @@ let load_dir dir =
 
 let analyze_dir dir = Rd_core.Analysis.analyze ~name:(Filename.basename dir) (load_dir dir)
 
-(* --- deadlines, cancellation, checkpoint plumbing ----------------------- *)
+(* --- shared flag groups --------------------------------------------------- *)
+
+(* Each group of flags that several subcommands accept is declared once
+   here, next to the one helper its flags need; a subcommand composes
+   only the groups it takes. *)
+
+(* [--seed --only]: which networks of the study population to build. *)
+type population = { seed : int; only : int list option }
+
+let population_term =
+  let seed =
+    Arg.(value & opt int 2004
+         & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed of the study population.")
+  in
+  let only =
+    Arg.(value & opt (list int) []
+         & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated net ids (default: all 31).")
+  in
+  Term.(
+    const (fun seed only -> { seed; only = (match only with [] -> None | ids -> Some ids) })
+    $ seed $ only)
+
+(* [DIR | --study --seed --only]: one directory of configurations, or the
+   study population.  Giving both, or neither, is a usage error. *)
+type target = Dir of string | Study of population
+
+let target_term ~study_doc =
+  let dir =
+    Arg.(value & pos 0 (some string) None
+         & info [] ~docv:"DIR" ~doc:"Directory of configuration files (omit with $(b,--study)).")
+  in
+  let study = Arg.(value & flag & info [ "study" ] ~doc:study_doc) in
+  let target dir study population =
+    match (dir, study) with
+    | Some _, true -> die ~code:"usage" "give either DIR or --study, not both"
+    | None, false -> die ~code:"usage" "give a DIR of configurations or --study"
+    | Some d, false -> Dir d
+    | None, true -> Study population
+  in
+  Term.(const target $ dir $ study $ population_term)
+
+(* [-j N] and [--json]. *)
+let jobs_term ~doc =
+  Arg.(value & opt int (Rd_util.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let json_term ~doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+(* [--deadline --task-timeout]: the run's time budgets. *)
+type budget = { deadline : float option; task_timeout : float option }
+
+let budget_term =
+  let deadline =
+    Arg.(value & opt (some float) None
+         & info [ "deadline" ] ~docv:"SEC"
+             ~doc:"Whole-run budget: after $(docv) seconds every remaining network degrades \
+                   to a Timed_out failure row at its next poll point (exit 1), instead of \
+                   running to completion.")
+  in
+  let task_timeout =
+    Arg.(value & opt (some float) None
+         & info [ "task-timeout" ] ~docv:"SEC"
+             ~doc:"Per-network budget, clocked from each network's start: one slow network \
+                   degrades alone while the rest of the sweep completes.")
+  in
+  Term.(const (fun deadline task_timeout -> { deadline; task_timeout }) $ deadline $ task_timeout)
 
 (* Every long-running entry point builds one root token: [--deadline]
    arms it with an absolute expiry, SIGINT/SIGTERM trip it by hand.
    Work stops cooperatively at the next poll point; the command then
    renders whatever completed (partial tables included), flushes its
    trace/metrics/checkpoint sinks, and exits through
-   [exit_interrupted]. *)
-let root_token ?deadline () =
-  let root = Rd_util.Cancel.create ?deadline () in
+   [exit_interrupted].  A single-directory run works under the root's
+   task token ([Rd_util.Cancel.task] with [--task-timeout]); a study
+   sweep derives one per network. *)
+let root_token (b : budget) =
+  let root = Rd_util.Cancel.create ?deadline:b.deadline () in
   let handle name = Sys.Signal_handle (fun _ -> Rd_util.Cancel.cancel ~reason:name root) in
   (try Sys.set_signal Sys.sigint (handle "SIGINT") with Invalid_argument _ | Sys_error _ -> ());
   (try Sys.set_signal Sys.sigterm (handle "SIGTERM") with Invalid_argument _ | Sys_error _ -> ());
@@ -72,10 +138,37 @@ let exit_interrupted root =
   | Some (Rd_util.Cancel.Stopped _) -> exit 130
   | _ -> ()
 
-let open_checkpoint ?metrics ~resume dir_opt =
-  match dir_opt with
+(* [--deadline --task-timeout --checkpoint --resume]: supervision of a
+   --study sweep. *)
+type supervision = { budget : budget; checkpoint : string option; resume : bool }
+
+let supervision_term =
+  let checkpoint =
+    Arg.(value & opt (some string) None
+         & info [ "checkpoint" ] ~docv:"DIR"
+             ~doc:"Durably persist each completed network's result to the content-addressed \
+                   store in $(docv) as it finishes (atomic write-then-rename; corrupt entries \
+                   degrade to misses).")
+  in
+  let resume =
+    Arg.(value & flag
+         & info [ "resume" ]
+             ~doc:"Probe the $(b,--checkpoint) store before building each network and replay \
+                   hits verbatim — an interrupted sweep restarted with $(b,--resume) produces \
+                   a byte-identical report, skipping the finished networks (the stderr store \
+                   stats line shows the hits).")
+  in
+  Term.(
+    const (fun budget checkpoint resume -> { budget; checkpoint; resume })
+    $ budget_term $ checkpoint $ resume)
+
+let supervised s =
+  s.budget.deadline <> None || s.budget.task_timeout <> None || s.checkpoint <> None || s.resume
+
+let open_checkpoint ?metrics s =
+  match s.checkpoint with
   | None ->
-    if resume then die ~code:"usage" "--resume requires --checkpoint DIR";
+    if s.resume then die ~code:"usage" "--resume requires --checkpoint DIR";
     None
   | Some d -> Some (Rd_study.Checkpoint.open_dir ?metrics d)
 
@@ -83,33 +176,65 @@ let checkpoint_stats = function
   | None -> ()
   | Some ck -> Printf.eprintf "%s\n" (Rd_study.Checkpoint.render_stats ck)
 
-let deadline_arg =
-  Cmdliner.Arg.(value & opt (some float) None
-       & info [ "deadline" ] ~docv:"SEC"
-           ~doc:"Whole-run budget: after $(docv) seconds every remaining network degrades \
-                 to a Timed_out failure row at its next poll point (exit 1), instead of \
-                 running to completion.")
+(* The checkpoint store keys study networks; a directory run has none. *)
+let no_checkpoint s =
+  if s.checkpoint <> None || s.resume then
+    die ~code:"usage" "--checkpoint/--resume apply to --study sweeps"
 
-let task_timeout_arg =
-  Cmdliner.Arg.(value & opt (some float) None
-       & info [ "task-timeout" ] ~docv:"SEC"
-           ~doc:"Per-network budget, clocked from each network's start: one slow network \
-                 degrades alone while the rest of the sweep completes.")
+(* [--trace FILE --metrics]: purely observational sinks — output is
+   byte-identical with or without them. *)
+type observability = { trace_file : string option; print_metrics : bool }
 
-let checkpoint_arg =
-  Cmdliner.Arg.(value & opt (some string) None
-       & info [ "checkpoint" ] ~docv:"DIR"
-           ~doc:"Durably persist each completed network's result to the content-addressed \
-                 store in $(docv) as it finishes (atomic write-then-rename; corrupt entries \
-                 degrade to misses).")
+let observability_term ~metrics_doc =
+  let trace_file =
+    Arg.(value & opt (some string) None
+         & info [ "trace" ] ~docv:"FILE"
+             ~doc:"Write a Chrome trace_event JSON timeline of the run to $(docv) (open in \
+                   chrome://tracing or Perfetto).  Nested spans cover analysis stages, pool \
+                   tasks and cache misses.")
+  in
+  let print_metrics = Arg.(value & flag & info [ "metrics" ] ~doc:metrics_doc) in
+  Term.(
+    const (fun trace_file print_metrics -> { trace_file; print_metrics })
+    $ trace_file $ print_metrics)
 
-let resume_arg =
-  Cmdliner.Arg.(value & flag
-       & info [ "resume" ]
-           ~doc:"Probe the $(b,--checkpoint) store before building each network and replay \
-                 hits verbatim — an interrupted sweep restarted with $(b,--resume) produces \
-                 a byte-identical report, skipping the finished networks (the stderr store \
-                 stats line shows the hits).")
+(* The sinks [o] asks for; [trace] and [metrics] force one on for a
+   flag of the subcommand's own that reads it. *)
+let open_sinks ?(trace = false) ?(metrics = false) o =
+  ( (if trace || o.trace_file <> None then Some (Rd_util.Trace.create ()) else None),
+    if metrics || o.print_metrics then Some (Rd_util.Metrics.create ()) else None )
+
+let close_sinks o (trace, metrics) =
+  (match (trace, o.trace_file) with
+   | Some t, Some path ->
+     Rd_util.Trace.to_file t path;
+     Printf.eprintf "trace written to %s (%d spans)\n" path (List.length (Rd_util.Trace.spans t))
+   | _ -> ());
+  match metrics with
+  | Some m when o.print_metrics ->
+    print_endline "--- metrics ---";
+    print_string (Rd_util.Metrics.render m)
+  | _ -> ()
+
+(* [--inject-faults SPEC], falling back to the RDNA_FAULTS variable. *)
+let inject_term =
+  Arg.(value & opt (some string) None
+       & info [ "inject-faults" ] ~docv:"SPEC"
+           ~doc:"Deterministic chaos: inject faults per $(docv) (e.g. \
+                 $(b,seed=7;study.network:raise:key=net4)); falls back to the \
+                 $(b,RDNA_FAULTS) environment variable.  See the Fault module for the \
+                 grammar.")
+
+let faults_of inject =
+  match inject with
+  | Some spec -> (
+    match Rd_util.Fault.of_spec spec with
+    | Ok f -> Some f
+    | Error msg -> die ~code:"bad-fault-spec" "--inject-faults: %s" msg)
+  | None -> (
+    match Rd_util.Fault.from_env () with
+    | Ok f -> f
+    | Error msg -> die ~code:"bad-fault-spec" "RDNA_FAULTS: %s" msg)
 
 (* A plain string, not cmdliner's [dir] converter: the latter rejects a
    missing directory with its own usage-style message and exit 124,
@@ -163,18 +288,15 @@ let lint_cmd =
     end;
     if Rd_config.Diag.has_errors diags then exit 1
   in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit diagnostics as a JSON array.") in
-  let jobs_arg =
-    Arg.(value & opt int (Rd_util.Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains for parallel linting.")
-  in
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Static checks on configuration files: parse diagnostics plus cross-reference and \
              consistency rules (dangling/unused/duplicate ACLs and route-maps, BGP neighbors \
              without remote-as, OSPF redistribution without metric, overlapping interface \
              addresses).  Exits non-zero if any error-severity finding is reported.")
-    Term.(const run $ dir_arg $ json_arg $ jobs_arg)
+    Term.(const run $ dir_arg
+          $ json_term ~doc:"Emit diagnostics as a JSON array."
+          $ jobs_term ~doc:"Worker domains for parallel linting.")
 
 (* --- anonymize ---------------------------------------------------------- *)
 
@@ -340,14 +462,10 @@ let audit_cmd =
       Printf.printf "%d findings\n" (List.length findings)
     end
   in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the findings as a JSON array of diagnostics (stable audit-* codes).")
-  in
   Cmd.v
     (Cmd.info "audit" ~doc:"Vulnerability/anomaly audit of a routing design (paper §8.1).")
-    Term.(const run $ dir_arg $ json_arg)
+    Term.(const run $ dir_arg
+          $ json_term ~doc:"Emit the findings as a JSON array of diagnostics (stable audit-* codes).")
 
 (* --- inventory ------------------------------------------------------------ *)
 
@@ -405,17 +523,6 @@ let whatif_cmd =
                ] ))
          (Rd_core.Engine.stats engine))
   in
-  let outcome_row network (o : Rd_core.Engine.outcome) =
-    [
-      network;
-      o.scenario.label;
-      Printf.sprintf "%d->%d" o.diff.instances_before o.diff.instances_after;
-      string_of_int (List.length o.diff.split_instances);
-      string_of_int (List.length o.diff.lost_reachability);
-      string_of_int (List.length o.touched);
-      Printf.sprintf "%.3f" o.seconds;
-    ]
-  in
   let render_table rows =
     print_string
       (Rd_util.Table.render
@@ -426,24 +533,9 @@ let whatif_cmd =
              [ Left; Left; Right; Right; Right; Right; Right ]
          rows)
   in
-  let run dir study seed only batch remove_routers remove_links shutdowns json metrics_flag
-      trace_file deadline task_timeout checkpoint_dir resume =
+  let run target batch remove_routers remove_links shutdowns json obs sup =
     guard @@ fun () ->
-    let trace = if trace_file <> None then Some (Rd_util.Trace.create ()) else None in
-    let metrics = if metrics_flag then Some (Rd_util.Metrics.create ()) else None in
-    let finish () =
-      (match (trace, trace_file) with
-       | Some t, Some path ->
-         Rd_util.Trace.to_file t path;
-         Printf.eprintf "trace written to %s (%d spans)\n" path
-           (List.length (Rd_util.Trace.spans t))
-       | _ -> ());
-      match metrics with
-      | Some m ->
-        print_endline "--- metrics ---";
-        print_string (Rd_util.Metrics.render m)
-      | None -> ()
-    in
+    let ((trace, metrics) as sinks) = open_sinks obs in
     let inline_changes =
       List.map (fun r -> Rd_core.Whatif.Remove_router r) remove_routers
       @ List.map
@@ -461,71 +553,60 @@ let whatif_cmd =
             | _ -> die ~code:"usage" "--shutdown-interface %s: expected ROUTER:IFACE" s)
           shutdowns
     in
-    match (dir, study) with
-    | Some _, true -> die ~code:"usage" "give either DIR or --study, not both"
-    | None, false -> die ~code:"usage" "give a DIR of configurations or --study"
-    | None, true ->
+    match target with
+    | Study pop ->
       if inline_changes <> [] || batch <> None then
         die ~code:"usage" "--study derives per-network scenarios; it excludes --batch and \
                            inline change flags";
-      let only_opt = match only with [] -> None | ids -> Some ids in
       if json then begin
-        if deadline <> None || task_timeout <> None || checkpoint_dir <> None || resume then
+        if supervised sup then
           die ~code:"usage" "--json excludes --deadline/--task-timeout/--checkpoint/--resume";
-        let nets =
-          Rd_study.Population.build ?only:only_opt ?metrics ?trace ~master_seed:seed ()
-        in
         let engine = Rd_core.Engine.create ?metrics ?trace () in
         let networks =
           List.map
-            (fun (n : Rd_study.Population.network) ->
+            (fun (spec : Rd_study.Population.spec) ->
               let net =
-                Rd_core.Engine.load engine ~name:n.spec.label
-                  (Rd_study.Population.generate_one n.spec)
+                Rd_core.Engine.load engine ~name:spec.label
+                  (Rd_study.Population.generate_one spec)
               in
               let outcomes =
                 Rd_core.Engine.run_scenarios engine net
-                  (Rd_study.Experiments.default_scenarios n)
+                  (Rd_study.Experiments.scenarios_of_analysis net.analysis)
               in
               J.Obj
                 [
-                  ("network", J.String n.spec.label);
+                  ("network", J.String spec.label);
                   ("scenarios", J.List (List.map outcome_json outcomes));
                 ])
-            nets
+            (Rd_study.Population.wanted_specs ?only:pop.only ~master_seed:pop.seed ())
         in
         print_endline
           (J.to_string (J.Obj [ ("networks", J.List networks); ("cache", cache_json engine) ]));
-        finish ()
+        close_sinks obs sinks
       end
       else begin
-        let root = root_token ?deadline () in
-        let checkpoint = open_checkpoint ?metrics ~resume checkpoint_dir in
+        let root = root_token sup.budget in
+        let checkpoint = open_checkpoint ?metrics sup in
         let report, failures =
-          Rd_study.Driver.whatif ?metrics ?trace ~cancel:root ?task_timeout ?checkpoint
-            ~resume ?only:only_opt ~master_seed:seed ()
+          Rd_study.Driver.whatif ?metrics ?trace ~cancel:root
+            ?task_timeout:sup.budget.task_timeout ?checkpoint ~resume:sup.resume
+            ?only:pop.only ~master_seed:pop.seed ()
         in
         print_string report;
         (if failures <> [] then
            let total =
-             List.length
-               (Rd_study.Population.wanted_specs ?only:only_opt ~master_seed:seed ())
+             List.length (Rd_study.Population.wanted_specs ?only:pop.only ~master_seed:pop.seed ())
            in
            print_string (Rd_study.Population.render_failures ~total failures));
-        finish ();
+        close_sinks obs sinks;
         checkpoint_stats checkpoint;
         exit_interrupted root;
         if failures <> [] then exit 1
       end
-    | Some d, false ->
-      if checkpoint_dir <> None || resume then
-        die ~code:"usage" "--checkpoint/--resume apply to --study sweeps";
-      let root = root_token ?deadline () in
-      let cancel =
-        match task_timeout with
-        | None -> root
-        | Some dl -> Rd_util.Cancel.child ~deadline:dl root
-      in
+    | Dir d ->
+      no_checkpoint sup;
+      let root = root_token sup.budget in
+      let cancel = Rd_util.Cancel.task ?timeout:sup.budget.task_timeout (Some root) in
       let name = Filename.basename d in
       let files = load_dir d in
       let scenarios =
@@ -544,7 +625,7 @@ let whatif_cmd =
                or --batch FILE)"
           else [ { Rd_core.Whatif.label = "cli"; changes = inline_changes } ]
       in
-      let engine = Rd_core.Engine.create ?metrics ?trace ~cancel () in
+      let engine = Rd_core.Engine.create ?metrics ?trace ?cancel () in
       let net = Rd_core.Engine.load engine ~name files in
       let outcomes = Rd_core.Engine.run_scenarios engine net scenarios in
       (if json then
@@ -561,26 +642,13 @@ let whatif_cmd =
          | None, [ o ] ->
            (* single inline scenario: the classic detailed diff *)
            print_string (Rd_core.Whatif.render o.diff)
-         | _ -> render_table (List.map (outcome_row name) outcomes));
-      finish ();
+         | _ -> render_table (Rd_study.Experiments.whatif_rows name outcomes));
+      close_sinks obs sinks;
       exit_interrupted root
   in
-  let dir_opt_arg =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"DIR" ~doc:"Directory of configuration files (omit with $(b,--study)).")
-  in
-  let study_arg =
-    Arg.(value & flag
-         & info [ "study" ]
-             ~doc:"Sweep derived maintenance scenarios over every network of the 31-network \
-                   study population through one shared incremental engine.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed (with --study).")
-  in
-  let only_arg =
-    Arg.(value & opt (list int) []
-         & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated net ids (with --study).")
+  let study_doc =
+    "Sweep derived maintenance scenarios over every network of the 31-network study \
+     population through one shared incremental engine."
   in
   let batch_arg =
     Arg.(value & opt (some string) None
@@ -604,23 +672,12 @@ let whatif_cmd =
              ~doc:"Administratively shut one interface (colon-separated because interface \
                    names contain slashes, e.g. $(b,core1:Serial0/0)).")
   in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit per-scenario impact records and engine cache statistics as JSON \
-                   (what CI archives).")
+  let json_doc =
+    "Emit per-scenario impact records and engine cache statistics as JSON (what CI archives)."
   in
-  let metrics_arg =
-    Arg.(value & flag
-         & info [ "metrics" ]
-             ~doc:"Collect cache hit/miss/eviction and fixpoint counters during the sweep \
-                   and print the registry snapshot as tables.")
-  in
-  let trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write a Chrome trace_event JSON timeline (cache-miss spans included) to \
-                   $(docv).")
+  let metrics_doc =
+    "Collect cache hit/miss/eviction and fixpoint counters during the sweep and print the \
+     registry snapshot as tables."
   in
   Cmd.v
     (Cmd.info "whatif"
@@ -628,27 +685,16 @@ let whatif_cmd =
              incrementally: batch scenarios share one content-addressed engine, and each \
              scenario's reachability restarts from the baseline fixpoint's dirtied frontier \
              only.")
-    Term.(const run $ dir_opt_arg $ study_arg $ seed_arg $ only_arg $ batch_arg $ routers_arg
-          $ links_arg $ shutdown_arg $ json_arg $ metrics_arg $ trace_arg $ deadline_arg
-          $ task_timeout_arg $ checkpoint_arg $ resume_arg)
+    Term.(const run $ target_term ~study_doc $ batch_arg $ routers_arg $ links_arg
+          $ shutdown_arg $ json_term ~doc:json_doc $ observability_term ~metrics_doc
+          $ supervision_term)
 
 (* --- crosscheck --------------------------------------------------------- *)
 
 let crosscheck_cmd =
-  let run dir study seed only jobs json shrink repro_dir inject deadline task_timeout
-      checkpoint_dir resume =
+  let run target jobs json shrink repro_dir inject sup =
     guard @@ fun () ->
-    let faults =
-      match inject with
-      | Some spec -> (
-        match Rd_util.Fault.of_spec spec with
-        | Ok f -> Some f
-        | Error msg -> die ~code:"bad-fault-spec" "--inject-faults: %s" msg)
-      | None -> (
-        match Rd_util.Fault.from_env () with
-        | Ok f -> f
-        | Error msg -> die ~code:"bad-fault-spec" "RDNA_FAULTS: %s" msg)
-    in
+    let faults = faults_of inject in
     let shrink_one ~name ~files (r : Rd_check.Crosscheck.report) =
       match r.violations with
       | [] -> ()
@@ -661,37 +707,29 @@ let crosscheck_cmd =
         Printf.eprintf "repro written to %s (%d of %d files)\n" out (List.length minimal)
           (List.length files)
     in
-    match (dir, study) with
-    | Some _, true -> die ~code:"usage" "give either DIR or --study, not both"
-    | None, false -> die ~code:"usage" "give a DIR of configurations or --study"
-    | Some d, false ->
-      if checkpoint_dir <> None || resume then
-        die ~code:"usage" "--checkpoint/--resume apply to --study sweeps";
-      let root = root_token ?deadline () in
-      let cancel =
-        match task_timeout with
-        | None -> root
-        | Some dl -> Rd_util.Cancel.child ~deadline:dl root
-      in
+    match target with
+    | Dir d ->
+      no_checkpoint sup;
+      let root = root_token sup.budget in
+      let cancel = Rd_util.Cancel.task ?timeout:sup.budget.task_timeout (Some root) in
       let name = Filename.basename d in
       let files = load_dir d in
-      let reports = [ Rd_check.Crosscheck.run ~cancel ?faults ~name files ] in
+      let reports = [ Rd_check.Crosscheck.run ?cancel ?faults ~name files ] in
       if json then
         print_endline (Rd_util.Json.to_string (Rd_check.Crosscheck.to_json reports))
       else print_string (Rd_check.Crosscheck.render reports);
       if shrink then List.iter (shrink_one ~name ~files) reports;
       exit_interrupted root;
       if Rd_check.Crosscheck.has_errors reports then exit 1
-    | None, true ->
-      let only_opt = match only with [] -> None | ids -> Some ids in
-      let root = root_token ?deadline () in
-      let checkpoint = open_checkpoint ~resume checkpoint_dir in
+    | Study pop ->
+      let root = root_token sup.budget in
+      let checkpoint = open_checkpoint sup in
       (* The fault spec changes results, so it joins the resume key — a
          resumed run under different chaos misses instead of replaying. *)
       let salt = match inject with Some spec -> [ "faults=" ^ spec ] | None -> [] in
       let results =
-        Rd_study.Driver.crosscheck ?faults ~cancel:root ?task_timeout ~salt ~jobs
-          ?checkpoint ~resume ?only:only_opt ~master_seed:seed ()
+        Rd_study.Driver.crosscheck ?faults ~cancel:root ?task_timeout:sup.budget.task_timeout
+          ~salt ~jobs ?checkpoint ~resume:sup.resume ?only:pop.only ~master_seed:pop.seed ()
       in
       let reports = List.filter_map (fun (_, r) -> Result.to_option r) results in
       let failures =
@@ -719,28 +757,6 @@ let crosscheck_cmd =
       exit_interrupted root;
       if failures <> [] || Rd_check.Crosscheck.has_errors reports then exit 1
   in
-  let dir_opt_arg =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"DIR" ~doc:"Directory of configuration files (omit with $(b,--study)).")
-  in
-  let study_arg =
-    Arg.(value & flag
-         & info [ "study" ] ~doc:"Cross-check every network of the 31-network study population.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed (with --study).")
-  in
-  let only_arg =
-    Arg.(value & opt (list int) []
-         & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated net ids (with --study).")
-  in
-  let jobs_arg =
-    Arg.(value & opt int (Rd_util.Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains for parallel cross-checking.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON (what CI archives).")
-  in
   let shrink_arg =
     Arg.(value & flag
          & info [ "shrink" ]
@@ -751,13 +767,6 @@ let crosscheck_cmd =
     Arg.(value & opt string "crosscheck-repro"
          & info [ "repro-dir" ] ~docv:"DIR" ~doc:"Where $(b,--shrink) writes repro directories.")
   in
-  let inject_arg =
-    Arg.(value & opt (some string) None
-         & info [ "inject-faults" ] ~docv:"SPEC"
-             ~doc:"Deterministic chaos: inject faults per $(docv) (e.g. \
-                   $(b,seed=7;crosscheck.network:delay=5:key=net16)); falls back to the \
-                   $(b,RDNA_FAULTS) environment variable.")
-  in
   Cmd.v
     (Cmd.info "crosscheck"
        ~doc:"Differential reachability cross-check: assert the concrete simulation's routes are \
@@ -765,14 +774,16 @@ let crosscheck_cmd =
              metamorphic invariant suite (anonymize-structure, deny-filter monotonicity, \
              remove-router monotonicity, worklist=rounds).  Exits non-zero on any \
              error-severity violation.")
-    Term.(const run $ dir_opt_arg $ study_arg $ seed_arg $ only_arg $ jobs_arg $ json_arg
-          $ shrink_arg $ repro_arg $ inject_arg $ deadline_arg $ task_timeout_arg
-          $ checkpoint_arg $ resume_arg)
+    Term.(const run
+          $ target_term ~study_doc:"Cross-check every network of the 31-network study population."
+          $ jobs_term ~doc:"Worker domains for parallel cross-checking."
+          $ json_term ~doc:"Emit the report as JSON (what CI archives)."
+          $ shrink_arg $ repro_arg $ inject_term $ supervision_term)
 
 (* --- netlint ------------------------------------------------------------ *)
 
 let netlint_cmd =
-  let run dir study seed only jobs rules json deadline task_timeout =
+  let run target jobs rules json budget =
     guard @@ fun () ->
     let rules =
       match rules with
@@ -795,26 +806,19 @@ let netlint_cmd =
       exit_interrupted root;
       if failures <> [] || Rd_core.Netlint.has_errors reports then exit 1
     in
-    match (dir, study) with
-    | Some _, true -> die ~code:"usage" "give either DIR or --study, not both"
-    | None, false -> die ~code:"usage" "give a DIR of configurations or --study"
-    | Some d, false ->
-      let root = root_token ?deadline () in
-      let cancel =
-        match task_timeout with
-        | None -> root
-        | Some dl -> Rd_util.Cancel.child ~deadline:dl root
-      in
+    match target with
+    | Dir d ->
+      let root = root_token budget in
+      let cancel = Rd_util.Cancel.task ?timeout:budget.task_timeout (Some root) in
       let name = Filename.basename d in
       let files = load_dir d in
-      let reports = [ Rd_core.Netlint.run ~cancel ?rules ~name files ] in
+      let reports = [ Rd_core.Netlint.run ?cancel ?rules ~name files ] in
       finish root reports [] 1
-    | None, true ->
-      let only_opt = match only with [] -> None | ids -> Some ids in
-      let root = root_token ?deadline () in
+    | Study pop ->
+      let root = root_token budget in
       let results =
-        Rd_study.Population.build_results ~cancel:root ?task_timeout ~jobs
-          ?only:only_opt ~master_seed:seed ()
+        Rd_study.Population.build_results ~cancel:root ?task_timeout:budget.task_timeout ~jobs
+          ?only:pop.only ~master_seed:pop.seed ()
       in
       (* Lint sequentially over the built analyses; a SIGINT renders
          whatever finished. *)
@@ -834,41 +838,21 @@ let netlint_cmd =
       in
       finish root (List.rev reports) (List.rev failures) (List.length results)
   in
-  let dir_opt_arg =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"DIR" ~doc:"Directory of configuration files (omit with $(b,--study)).")
-  in
-  let study_arg =
-    Arg.(value & flag
-         & info [ "study" ] ~doc:"Lint every network of the 31-network study population.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed (with --study).")
-  in
-  let only_arg =
-    Arg.(value & opt (list int) []
-         & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated net ids (with --study).")
-  in
-  let jobs_arg =
-    Arg.(value & opt int (Rd_util.Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains for building the population.")
-  in
   let rules_arg =
     Arg.(value & opt (list string) []
          & info [ "rules" ] ~docv:"RULES"
              ~doc:"Comma-separated rule families to run (default: all of \
                    redistribution-loop, route-leak, peer-consistency, shadowed-rules).")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON (what CI archives).")
-  in
   Cmd.v
     (Cmd.info "netlint"
        ~doc:"Network-wide semantic lint: redistribution-loop and route-leak dataflow over \
              the instance graph, BGP/OSPF peer-consistency checks, and shadowed \
              filter-rule detection.  Exits non-zero on any error-severity finding.")
-    Term.(const run $ dir_opt_arg $ study_arg $ seed_arg $ only_arg $ jobs_arg $ rules_arg
-          $ json_arg $ deadline_arg $ task_timeout_arg)
+    Term.(const run
+          $ target_term ~study_doc:"Lint every network of the 31-network study population."
+          $ jobs_term ~doc:"Worker domains for building the population." $ rules_arg
+          $ json_term ~doc:"Emit the report as JSON (what CI archives)." $ budget_term)
 
 (* --- generate ----------------------------------------------------------- *)
 
@@ -909,46 +893,30 @@ let generate_cmd =
 (* --- study -------------------------------------------------------------- *)
 
 let study_cmd =
-  let run seed only jobs timing trace_file metrics_flag metrics_json inject fail_fast
-      keep_going retries deadline task_timeout checkpoint_dir resume =
+  let run pop jobs timing obs metrics_json inject fail_fast keep_going retries sup =
     guard @@ fun () ->
     if fail_fast && keep_going then
       die ~code:"usage" "--fail-fast and --keep-going are mutually exclusive";
-    if fail_fast && (deadline <> None || task_timeout <> None || checkpoint_dir <> None || resume)
-    then
+    if fail_fast && supervised sup then
       die ~code:"usage"
         "--fail-fast excludes --deadline/--task-timeout/--checkpoint/--resume (supervision \
          needs keep-going)";
     (* --timing is served from the same recorder as --trace; tracing and
        metrics are purely observational, so study output is byte-identical
        with or without them (the bench asserts this). *)
-    let trace =
-      if timing || trace_file <> None then Some (Rd_util.Trace.create ()) else None
+    let ((trace, metrics) as sinks) =
+      open_sinks ~trace:timing ~metrics:(metrics_json <> None) obs
     in
-    let metrics =
-      if metrics_flag || metrics_json <> None then Some (Rd_util.Metrics.create ()) else None
-    in
-    let faults =
-      match inject with
-      | Some spec -> (
-        match Rd_util.Fault.of_spec spec with
-        | Ok f -> Some f
-        | Error msg -> die ~code:"bad-fault-spec" "--inject-faults: %s" msg)
-      | None -> (
-        match Rd_util.Fault.from_env () with
-        | Ok f -> f
-        | Error msg -> die ~code:"bad-fault-spec" "RDNA_FAULTS: %s" msg)
-    in
+    let faults = faults_of inject in
     (match faults with Some f -> Rd_util.Fault.set_metrics f metrics | None -> ());
-    let only_opt = match only with [] -> None | ids -> Some ids in
     (* Default discipline is keep-going: one bad network degrades into a
        failed-network row while the other thirty print normally.
        --fail-fast restores abort-on-first-failure (caught by [guard]). *)
     let items, failures, total, root, checkpoint =
       if fail_fast then
         let nets =
-          Rd_study.Population.build ?only:only_opt ?trace ?metrics ?faults ~jobs
-            ~master_seed:seed ()
+          Rd_study.Population.build ?only:pop.only ?trace ?metrics ?faults ~jobs
+            ~master_seed:pop.seed ()
         in
         let items =
           List.map
@@ -958,11 +926,12 @@ let study_cmd =
         in
         (items, [], List.length nets, None, None)
       else
-        let root = root_token ?deadline () in
-        let checkpoint = open_checkpoint ?metrics ~resume checkpoint_dir in
+        let root = root_token sup.budget in
+        let checkpoint = open_checkpoint ?metrics sup in
         let results =
-          Rd_study.Driver.study ?trace ?metrics ?faults ~cancel:root ?task_timeout ~retries
-            ~jobs ?checkpoint ~resume ?only:only_opt ~master_seed:seed ()
+          Rd_study.Driver.study ?trace ?metrics ?faults ~cancel:root
+            ?task_timeout:sup.budget.task_timeout ~retries ~jobs ?checkpoint
+            ~resume:sup.resume ?only:pop.only ~master_seed:pop.seed ()
         in
         let items, failures =
           List.partition_map
@@ -975,7 +944,7 @@ let study_cmd =
       (fun (i : Rd_study.Driver.study_item) ->
         print_string (Rd_study.Netstat.render_block i.stat))
       items;
-    if only = [] then begin
+    if pop.only = None then begin
       let stats = List.map (fun (i : Rd_study.Driver.study_item) -> i.stat) items in
       print_string (Rd_study.Experiments.sec7_stats stats);
       print_string (Rd_study.Experiments.table1_stats stats);
@@ -1003,69 +972,30 @@ let study_cmd =
        Printf.printf "--- pipeline stage wall time (%d jobs) ---\n" jobs;
        print_string (Rd_util.Trace.render_stages t)
      | _ -> ());
-    (match (trace, trace_file) with
-     | Some t, Some path ->
-       Rd_util.Trace.to_file t path;
-       Printf.eprintf "trace written to %s (%d spans)\n" path
-         (List.length (Rd_util.Trace.spans t))
+    close_sinks obs sinks;
+    (match (metrics, metrics_json) with
+     | Some m, Some path ->
+       Rd_util.Json.to_file path (Rd_util.Metrics.to_json m);
+       Printf.eprintf "metrics written to %s\n" path
      | _ -> ());
-    (match metrics with
-     | None -> ()
-     | Some m ->
-       if metrics_flag then begin
-         print_endline "--- metrics ---";
-         print_string (Rd_util.Metrics.render m)
-       end;
-       match metrics_json with
-       | Some path ->
-         Rd_util.Json.to_file path (Rd_util.Metrics.to_json m);
-         Printf.eprintf "metrics written to %s\n" path
-       | None -> ());
     checkpoint_stats checkpoint;
     (match root with Some r -> exit_interrupted r | None -> ());
     if failures <> [] then exit 1
-  in
-  let seed_arg = Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed.") in
-  let only_arg =
-    Arg.(value & opt (list int) [] & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated net ids.")
-  in
-  let jobs_arg =
-    Arg.(value & opt int (Rd_util.Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Worker domains for the parallel study build (default: $(b,RDNA_JOBS) or the \
-                   recommended domain count).")
   in
   let timing_arg =
     Arg.(value & flag
          & info [ "timing" ]
              ~doc:"Report per-stage pipeline wall time (aggregated from the span tracer).")
   in
-  let trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write a Chrome trace_event JSON timeline of the run to $(docv) (open in \
-                   chrome://tracing or Perfetto).  Nested spans cover each network's analyze \
-                   call, its pipeline stages, and pool tasks.")
-  in
-  let metrics_arg =
-    Arg.(value & flag
-         & info [ "metrics" ]
-             ~doc:"Collect parser/pool/instance/fixpoint metrics during the run and print the \
-                   registry snapshot as tables.  Also runs the per-network reachability \
-                   fixpoint (output unchanged) so reach.* counters are populated.")
+  let metrics_doc =
+    "Collect parser/pool/instance/fixpoint metrics during the run and print the registry \
+     snapshot as tables.  Also runs the per-network reachability fixpoint (output unchanged) \
+     so reach.* counters are populated."
   in
   let metrics_json_arg =
     Arg.(value & opt (some string) None
          & info [ "metrics-json" ] ~docv:"FILE"
              ~doc:"Like $(b,--metrics) but write the snapshot as JSON to $(docv).")
-  in
-  let inject_arg =
-    Arg.(value & opt (some string) None
-         & info [ "inject-faults" ] ~docv:"SPEC"
-             ~doc:"Deterministic chaos: inject faults per $(docv) (e.g. \
-                   $(b,seed=7;study.network:raise:key=net4)); falls back to the \
-                   $(b,RDNA_FAULTS) environment variable.  See the Fault module for the \
-                   grammar.")
   in
   let fail_fast_arg =
     Arg.(value & flag
@@ -1087,9 +1017,12 @@ let study_cmd =
                    it as failed (keep-going mode only).")
   in
   Cmd.v (Cmd.info "study" ~doc:"Run the 31-network study (paper §5-§7).")
-    Term.(const run $ seed_arg $ only_arg $ jobs_arg $ timing_arg $ trace_arg $ metrics_arg
-          $ metrics_json_arg $ inject_arg $ fail_fast_arg $ keep_going_arg $ retries_arg
-          $ deadline_arg $ task_timeout_arg $ checkpoint_arg $ resume_arg)
+    Term.(const run $ population_term
+          $ jobs_term
+              ~doc:"Worker domains for the parallel study build (default: $(b,RDNA_JOBS) or \
+                    the recommended domain count)."
+          $ timing_arg $ observability_term ~metrics_doc $ metrics_json_arg $ inject_term
+          $ fail_fast_arg $ keep_going_arg $ retries_arg $ supervision_term)
 
 let () =
   let info = Cmd.info "rdna" ~version:"1.0.0" ~doc:"Routing design reverse engineering (SIGCOMM'04 reproduction)." in

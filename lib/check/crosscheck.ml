@@ -225,31 +225,21 @@ let deny_filter_monotone ?limits ?cancel (a : Analysis.t) (r : Rd_reach.Reachabi
       a.graph.assignment.instances;
     Ok (List.rev !violations)
 
-(* Mirrors Whatif's sampling: one representative host per origin
-   prefix, capped for tractability. *)
-let sample_hosts (r : Rd_reach.Reachability.t) =
-  Array.to_list r.origins
-  |> List.concat_map Prefix_set.to_prefixes
-  |> List.filteri (fun i _ -> i < 24)
-  |> List.map (fun p -> Prefix.nth p (Prefix.size p / 2))
-
 (* Removing a router removes origins and edges; no sampled host pair
-   may become reachable.  Compared with empty external offers, as
-   Whatif.compare does, so the unknown outside world cannot mask a
-   growth. *)
-let remove_router_monotone ?limits ?cancel (a : Analysis.t) =
+   may become reachable.  Compared with empty external offers ([r0] is
+   the baseline under that offer), as Whatif.compare does, so the
+   unknown outside world cannot mask a growth. *)
+let remove_router_monotone ?limits ?cancel (a : Analysis.t) ~r0 =
   if Array.length a.topo.routers = 0 then Error "no routers"
   else begin
     let name = fst a.topo.routers.(0) in
-    let after = Whatif.apply a [ Whatif.Remove_router name ] in
-    let rb =
-      Rd_reach.Reachability.compute ?limits ?cancel ~external_offers:Prefix_set.empty a.graph
-    in
+    let after = (Whatif.apply a [ Whatif.Remove_router name ]).analysis in
+    let rb = Lazy.force r0 in
     let ra =
       Rd_reach.Reachability.compute ?limits ?cancel ~external_offers:Prefix_set.empty
         after.graph
     in
-    let hosts = sample_hosts rb in
+    let hosts = Whatif.sample_hosts rb in
     let gained =
       List.concat_map
         (fun src ->
@@ -326,18 +316,16 @@ let worklist_equals_rounds ?limits ?cancel (a : Analysis.t) (r : Rd_reach.Reacha
    so an escape here is a bug in one of them), and every converged
    simulated route of internal origin that an unfiltered external BGP
    session would announce must also sit inside that exposure.  Interior
-   exposure is computed with empty external offers, so routes learned
-   from outside cannot mask a disagreement. *)
-let netlint_sim_agree ?limits ?cancel ~approx (a : Analysis.t) ~sim () =
+   exposure is computed with empty external offers ([r0]), so routes
+   learned from outside cannot mask a disagreement. *)
+let netlint_sim_agree ~approx (a : Analysis.t) ~sim ~r0 =
   let sim : Rd_sim.Propagate.t = Lazy.force sim in
   if not sim.converged then
     Error
       (Printf.sprintf "simulation unconverged after %d rounds; agreement proves nothing"
          sim.iterations)
   else begin
-    let r0 =
-      Rd_reach.Reachability.compute ?limits ?cancel ~external_offers:Prefix_set.empty a.graph
-    in
+    let r0 = Lazy.force r0 in
     let exposure x =
       match List.assoc_opt x r0.Rd_reach.Reachability.advertised with
       | Some s -> s
@@ -438,9 +426,14 @@ let run_analysis ?limits ?cancel ?faults ?(invariants = all_invariants) ?files
   Rd_util.Cancel.check ~site:"crosscheck.network" cancel;
   let r = Rd_reach.Reachability.compute ?limits ?cancel a.graph in
   let approx = approximations a <> [] in
-  (* One shared simulation for every invariant that needs it. *)
+  (* One shared simulation, and one empty-offer baseline fixpoint, for
+     every invariant that needs them. *)
   let sim =
     lazy (Rd_sim.Propagate.run ?limits ?cancel ?faults (Rd_routing.Process_graph.build a.catalog))
+  in
+  let r0 =
+    lazy
+      (Rd_reach.Reachability.compute ?limits ?cancel ~external_offers:Prefix_set.empty a.graph)
   in
   let checked = ref [] and skipped = ref [] and violations = ref [] in
   let converged = ref true in
@@ -459,11 +452,10 @@ let run_analysis ?limits ?cancel ?faults ?(invariants = all_invariants) ?files
         let result = sim_subset_static ~approx ~sim a r in
         (match result with Error _ -> converged := false | Ok _ -> ());
         record inv result
-      | "netlint-sim-agree" ->
-        record inv (netlint_sim_agree ?limits ?cancel ~approx a ~sim ())
+      | "netlint-sim-agree" -> record inv (netlint_sim_agree ~approx a ~sim ~r0)
       | "anonymize-structure" -> record inv (anonymize_structure ?limits ?cancel a files)
       | "deny-filter-monotone" -> record inv (deny_filter_monotone ?limits ?cancel a r)
-      | "remove-router-monotone" -> record inv (remove_router_monotone ?limits ?cancel a)
+      | "remove-router-monotone" -> record inv (remove_router_monotone ?limits ?cancel a ~r0)
       | "worklist-equals-rounds" -> record inv (worklist_equals_rounds ?limits ?cancel a r)
       | other -> skipped := (other, "unknown invariant") :: !skipped)
     invariants;

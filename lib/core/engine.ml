@@ -39,8 +39,6 @@ let create ?metrics ?trace ?cancel ?capacity () =
     sims = cache "sim";
   }
 
-let metrics t = t.metrics
-let trace t = t.trace
 let with_cancel t cancel = { t with cancel }
 
 let memo t cache k f =
@@ -113,15 +111,15 @@ let run_scenario t net (scenario : Whatif.scenario) =
     Cache.key ~stage:"whatif" ~version:whatif_version
       [ Cache.hex net.key; Whatif.scenario_to_string scenario ]
   in
-  let d = memo t t.whatifs dkey (fun () -> Whatif.apply_delta net.analysis scenario.changes) in
+  let d = memo t t.whatifs dkey (fun () -> Whatif.apply net.analysis scenario.changes) in
   let ra =
-    (* The delta restart is semantically identical to a from-scratch
+    (* The restart from [rb] is semantically identical to a from-scratch
        compute of the scenario graph, so the result is addressable by the
        scenario key alone. *)
     memo t t.reaches
       (reach_key ~of_key:dkey Prefix_set.empty)
       (fun () ->
-        Rd_reach.Reachability.compute_delta ?metrics:t.metrics ?cancel:t.cancel
+        Rd_reach.Reachability.compute ?metrics:t.metrics ?cancel:t.cancel
           ~external_offers:Prefix_set.empty ~previous:rb d.analysis.graph)
   in
   let diff =

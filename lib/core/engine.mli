@@ -21,8 +21,8 @@
     On top of the caches, {!run_scenario} takes the {e incremental} path
     end to end: the baseline reachability comes from cache, the scenario
     re-analysis reports its touched files, and the after-reachability is
-    a {!Rd_reach.Reachability.compute_delta} restart seeded with the
-    baseline solution — semantically identical to a from-scratch
+    a {!Rd_reach.Reachability.compute} restart seeded with the baseline
+    solution as [previous] — semantically identical to a from-scratch
     computation, but only the dirtied frontier iterates.
 
     Cache activity is observable through the engine's optional
@@ -45,10 +45,6 @@ val create :
     drives, so a deadline or SIGINT stops an in-flight scenario at its
     next poll point (cached probes are unaffected — a warm engine can
     still serve hits after cancellation). *)
-
-val metrics : t -> Rd_util.Metrics.t option
-
-val trace : t -> Rd_util.Trace.t option
 
 val with_cancel : t -> Rd_util.Cancel.t option -> t
 (** The same engine — sharing every store and observability sink —
@@ -104,8 +100,8 @@ type outcome = {
 val run_scenario : t -> network -> Whatif.scenario -> outcome
 (** Evaluate one scenario incrementally: cached baseline reachability
     (empty external offer, per {!Whatif.compare}'s scoring rule), cached
-    scenario re-analysis via {!Whatif.apply_delta}, after-reachability
-    via {!Rd_reach.Reachability.compute_delta} seeded with the baseline,
+    scenario re-analysis via {!Whatif.apply}, after-reachability via
+    {!Rd_reach.Reachability.compute} restarted from the baseline,
     then {!Whatif.compare} over the pair.  The diff is equal to
     {!Whatif.run}'s on the same inputs. *)
 

@@ -31,7 +31,7 @@ let shutdown_iface (cfg : Ast.t) pred =
    or interface name must not silently turn a maintenance scenario into a
    no-op that reports "no impact" — and the configuration files it did
    touch, which is the dirty set the incremental reachability path
-   ([Rd_reach.Reachability.compute_delta]) restarts from. *)
+   ([Rd_reach.Reachability.compute ?previous]) restarts from. *)
 let apply_change_checked configs = function
   | Remove_router name ->
     let kept, removed = List.partition (fun rc -> not (matches_router rc name)) configs in
@@ -102,7 +102,7 @@ let apply_change_checked configs = function
 
 type delta = { analysis : Analysis.t; touched : string list; warnings : string list }
 
-let apply_delta (t : Analysis.t) changes =
+let apply (t : Analysis.t) changes =
   let configs, warnings, touched =
     List.fold_left
       (fun (configs, warnings, touched) change ->
@@ -115,12 +115,6 @@ let apply_delta (t : Analysis.t) changes =
     touched = List.sort_uniq String.compare touched;
     warnings;
   }
-
-let apply_checked (t : Analysis.t) changes =
-  let d = apply_delta t changes in
-  (d.analysis, d.warnings)
-
-let apply (t : Analysis.t) changes = fst (apply_checked t changes)
 
 (* --- scenarios ---------------------------------------------------------- *)
 
@@ -272,8 +266,8 @@ let compare ?(warnings = []) ?reach_before ?reach_after ~(before : Analysis.t)
   }
 
 let run t changes =
-  let after, warnings = apply_checked t changes in
-  compare ~warnings ~before:t ~after ()
+  let d = apply t changes in
+  compare ~warnings:d.warnings ~before:t ~after:d.analysis ()
 
 let render (d : diff) =
   let buf = Buffer.create 512 in

@@ -32,23 +32,17 @@ type delta = {
   touched : string list;
       (** configuration file names a change actually modified or removed,
           sorted and deduplicated — the dirty set an incremental
-          reachability restart ({!Rd_reach.Reachability.compute_delta})
-          grows its frontier from. *)
+          reachability restart ({!Rd_reach.Reachability.compute} with
+          [previous]) grows its frontier from. *)
   warnings : string list;
       (** one warning per change target that matched nothing. *)
 }
 
-val apply : Analysis.t -> change list -> Analysis.t
-(** Re-analyze the network with the changes applied.  Unknown router or
-    interface names are skipped; use {!apply_checked} to observe them. *)
-
-val apply_checked : Analysis.t -> change list -> Analysis.t * string list
-(** Like {!apply}, also returning one warning per change target that
-    matched no router, interface, or link subnet. *)
-
-val apply_delta : Analysis.t -> change list -> delta
-(** Like {!apply_checked}, additionally reporting which configuration
-    files were touched.  The other two are wrappers around this. *)
+val apply : Analysis.t -> change list -> delta
+(** Re-analyze the network with the changes applied, reporting which
+    configuration files were touched and one warning per change target
+    that matched no router, interface, or link subnet (such a change is
+    skipped). *)
 
 (** {2 Scenarios}
 
@@ -84,25 +78,29 @@ val parse_scenarios : string -> (scenario list, string) result
     [s2], ... in file order; errors are prefixed with their 1-based line
     number. *)
 
+val sample_hosts : Rd_reach.Reachability.t -> Rd_addr.Ipv4.t list
+(** The hosts {!compare} scores: one representative address per origin
+    prefix, in instance order, capped at 24. *)
+
 val compare :
   ?warnings:string list ->
   ?reach_before:Rd_reach.Reachability.t ->
   ?reach_after:Rd_reach.Reachability.t ->
   before:Analysis.t -> after:Analysis.t -> unit -> diff
 (** Structural and reachability diff (reachability is sampled over the
-    instances' origin sets).  [warnings] (from {!apply_checked}) is
-    carried onto the diff.
+    instances' origin sets).  [warnings] (a {!delta}'s) is carried
+    onto the diff.
 
     Both sides are scored with an {e empty} external offer — interfaces
     whose peer was removed look external-facing afterwards, and the
     default full offer would mask every loss behind the unknown outside
     world.  [reach_before]/[reach_after] let a caller supply
     already-computed solutions (the incremental engine passes its cached
-    baseline and a {!Rd_reach.Reachability.compute_delta} result); they
-    must have been computed with empty external offers over the
+    baseline and a {!Rd_reach.Reachability.compute} [?previous] restart);
+    they must have been computed with empty external offers over the
     corresponding graphs, or the loss sampling is meaningless. *)
 
 val run : Analysis.t -> change list -> diff
-(** [apply] + [compare]. *)
+(** {!apply} + {!compare}. *)
 
 val render : diff -> string

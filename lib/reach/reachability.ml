@@ -180,84 +180,6 @@ let finish ?metrics ~stats0 ~external_offers g origins routes iterations =
        "pset.memo_misses");
   { graph = g; origins; routes; advertised; iterations; internal; external_offers }
 
-(* Worklist fixpoint.  Instead of sweeping the whole edge list until a
-   quiet round, keep a frontier of instances whose route set changed and
-   only push along their outgoing edges (indexed once per call).  Each
-   frontier generation counts as one iteration and visits the
-   fault/budget hooks exactly like one round of the legacy sweep, so
-   fault plans and [max_fixpoint_iterations] budgets keep their observable
-   meaning (budget 0 still raises before any edge is processed). *)
-let compute ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default)
-    ?(external_offers = Prefix_set.full) (g : Instance_graph.t) =
-  let stats0 = Prefix_set.stats () in
-  let origins = origins_bulk g in
-  let n = Array.length origins in
-  let routes = seed_routes g origins in
-  let out_index = Array.make n [] in
-  let external_in = ref [] in
-  List.iter
-    (fun (e : Instance_graph.edge) ->
-      match e.src with
-      | Instance_graph.Inst i -> out_index.(i) <- e :: out_index.(i)
-      | Instance_graph.External _ -> (
-        match e.dst with
-        | Instance_graph.Inst _ -> external_in := e :: !external_in
-        | Instance_graph.External _ -> ()))
-    g.edges;
-  Array.iteri (fun i l -> out_index.(i) <- List.rev l) out_index;
-  let external_in = List.rev !external_in in
-  let dirty = Array.make n false in
-  let frontier = ref [] in
-  let mark d =
-    if not dirty.(d) then begin
-      dirty.(d) <- true;
-      frontier := d :: !frontier
-    end
-  in
-  let flow (e : Instance_graph.edge) inflow =
-    match e.dst with
-    | Instance_graph.External _ -> ()
-    | Instance_graph.Inst d ->
-      let add = Rd_policy.Route_filter.apply e.filter inflow in
-      let merged = Prefix_set.union routes.(d) add in
-      if not (Prefix_set.equal merged routes.(d)) then begin
-        routes.(d) <- merged;
-        mark d
-      end
-  in
-  let iterations = ref 0 in
-  let generation work =
-    incr iterations;
-    Rd_util.Fault.fault_point faults ~site:fixpoint_site;
-    Rd_util.Cancel.check ~site:fixpoint_site cancel;
-    Rd_util.Limits.check ~site:fixpoint_site ~budget:limits.max_fixpoint_iterations
-      !iterations;
-    work ()
-  in
-  (* Generation 1 seeds the pool: external offers flow in once (their
-     inflow is a constant, so those edges never need revisiting), then
-     every instance pushes its routes out. *)
-  generation (fun () ->
-      List.iter (fun e -> flow e external_offers) external_in;
-      for i = 0 to n - 1 do
-        dirty.(i) <- false;
-        List.iter (fun e -> flow e routes.(i)) out_index.(i)
-      done;
-      (* An instance marked before its own seed visit was already pushed
-         with the updated set; drop it from the frontier. *)
-      frontier := List.filter (fun i -> dirty.(i)) !frontier);
-  while !frontier <> [] do
-    let work = List.rev !frontier in
-    frontier := [];
-    generation (fun () ->
-        List.iter
-          (fun i ->
-            dirty.(i) <- false;
-            List.iter (fun e -> flow e routes.(i)) out_index.(i))
-          work)
-  done;
-  finish ?metrics ~stats0 ~external_offers g origins routes !iterations
-
 (* The legacy fixpoint: sweep every edge in rounds until a round changes
    nothing.  Retained as executable reference semantics for the worklist
    — the regression suite checks [compute] against it on all studied
@@ -296,7 +218,7 @@ let compute_rounds ?cancel ?(limits = Rd_util.Limits.default)
   done;
   finish ~stats0 ~external_offers g origins routes !iterations
 
-(* --- incremental recomputation: dirty-set worklist restart -------------- *)
+(* --- carry-over from a previous solution: dirty-set worklist restart ---- *)
 
 (* Instance ids and process indices are dense per-build artifacts with no
    meaning across two analyses of the "same" network.  A process is
@@ -362,155 +284,165 @@ let profile_matches mapping old_list new_list =
    (closure under predecessors).  The carried subset then has no inflow
    from recomputed instances, so its old values solve its sub-system
    exactly, and restarting the worklist with dirty instances at their
-   seeds converges to the same least fixpoint as a from-scratch
-   [compute] (DESIGN.md §14). *)
-let compute_delta ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default)
-    ?(external_offers = Prefix_set.full) ~(previous : t) (g : Instance_graph.t) =
-  if not (Prefix_set.equal external_offers previous.external_offers) then
-    (* The previous solution was computed under a different external
-       offer; nothing can be carried over. *)
-    compute ?metrics ?faults ?cancel ~limits ~external_offers g
-  else begin
-    let stats0 = Prefix_set.stats () in
-    let og = previous.graph in
-    let n = Array.length g.assignment.instances in
-    let old_by_key = Hashtbl.create (Array.length og.assignment.instances) in
-    Array.iter
-      (fun (inst : Instance.t) ->
-        Hashtbl.replace old_by_key (member_keys og inst) inst.inst_id)
-      og.assignment.instances;
-    let mapping =
-      Array.map
-        (fun (inst : Instance.t) -> Hashtbl.find_opt old_by_key (member_keys g inst))
-        g.assignment.instances
-    in
-    let origins = origins_bulk g in
-    let seeds = seed_routes g origins in
-    let seeds_old = seed_routes og (origins_bulk og) in
-    let old_in = in_profile og and new_in = in_profile g in
-    let clean = Array.make n false in
+   seeds converges to the same least fixpoint as a from-scratch solve
+   (DESIGN.md §14).  Returns which instances are carried and overwrites
+   their entries of [routes] (the new graph's seeds) with the previous
+   solution's values. *)
+let carry_over ~(previous : t) (g : Instance_graph.t) routes =
+  let og = previous.graph in
+  let n = Array.length g.assignment.instances in
+  let old_by_key = Hashtbl.create (Array.length og.assignment.instances) in
+  Array.iter
+    (fun (inst : Instance.t) ->
+      Hashtbl.replace old_by_key (member_keys og inst) inst.inst_id)
+    og.assignment.instances;
+  let mapping =
+    Array.map
+      (fun (inst : Instance.t) -> Hashtbl.find_opt old_by_key (member_keys g inst))
+      g.assignment.instances
+  in
+  let seeds_old = seed_routes og (origins_bulk og) in
+  let old_in = in_profile og and new_in = in_profile g in
+  let clean = Array.make n false in
+  Array.iteri
+    (fun i m ->
+      match m with
+      | None -> ()
+      | Some j ->
+        if
+          Prefix_set.equal routes.(i) seeds_old.(j)
+          && profile_matches mapping old_in.(j) new_in.(i)
+        then clean.(i) <- true)
+    mapping;
+  (* Close under predecessors: an instance hearing routes from a
+     recomputed instance must be recomputed itself. *)
+  let shrunk = ref true in
+  while !shrunk do
+    shrunk := false;
     Array.iteri
-      (fun i m ->
-        match m with
-        | None -> ()
-        | Some j ->
-          if
-            Prefix_set.equal seeds.(i) seeds_old.(j)
-            && profile_matches mapping old_in.(j) new_in.(i)
-          then clean.(i) <- true)
-      mapping;
-    (* Close under predecessors: an instance hearing routes from a
-       recomputed instance must be recomputed itself. *)
-    let shrunk = ref true in
-    while !shrunk do
-      shrunk := false;
-      Array.iteri
-        (fun i ok ->
-          if
-            ok
-            && List.exists
-                 (fun (src, _) ->
-                   match src with
-                   | Instance_graph.Inst s -> not clean.(s)
-                   | Instance_graph.External _ -> false)
-                 new_in.(i)
-          then begin
-            clean.(i) <- false;
-            shrunk := true
-          end)
-        clean
-    done;
-    let routes =
-      Array.init n (fun i ->
-          if clean.(i) then previous.routes.(Option.get mapping.(i)) else seeds.(i))
-    in
-    (* Carried instances never enter the frontier: edges out of them into
-       dirty instances are applied once ([clean_feed]); dirty-to-carried
-       edges cannot exist (closure), so the worklist only ever touches
-       dirty instances. *)
-    let out_index = Array.make n [] in
-    let external_in = ref [] in
-    let clean_feed = ref [] in
-    List.iter
-      (fun (e : Instance_graph.edge) ->
-        match (e.src, e.dst) with
-        | Instance_graph.Inst s, Instance_graph.Inst d ->
-          if clean.(s) then begin
-            if not clean.(d) then clean_feed := e :: !clean_feed
-          end
-          else out_index.(s) <- e :: out_index.(s)
-        | Instance_graph.Inst s, Instance_graph.External _ ->
-          if not clean.(s) then out_index.(s) <- e :: out_index.(s)
-        | Instance_graph.External _, Instance_graph.Inst d ->
-          if not clean.(d) then external_in := e :: !external_in
-        | Instance_graph.External _, Instance_graph.External _ -> ())
-      g.edges;
-    Array.iteri (fun i l -> out_index.(i) <- List.rev l) out_index;
-    let external_in = List.rev !external_in in
-    let clean_feed = List.rev !clean_feed in
-    let dirty_flag = Array.make n false in
-    let frontier = ref [] in
-    let mark d =
-      if not dirty_flag.(d) then begin
-        dirty_flag.(d) <- true;
-        frontier := d :: !frontier
+      (fun i ok ->
+        if
+          ok
+          && List.exists
+               (fun (src, _) ->
+                 match src with
+                 | Instance_graph.Inst s -> not clean.(s)
+                 | Instance_graph.External _ -> false)
+               new_in.(i)
+        then begin
+          clean.(i) <- false;
+          shrunk := true
+        end)
+      clean
+  done;
+  Array.iteri (fun i c -> if c then routes.(i) <- previous.routes.(Option.get mapping.(i))) clean;
+  clean
+
+(* Worklist fixpoint.  Instead of sweeping the whole edge list until a
+   quiet round, keep a frontier of instances whose route set changed and
+   only push along their outgoing edges (indexed once per call).  Each
+   frontier generation counts as one iteration and visits the
+   fault/budget hooks exactly like one round of the legacy sweep, so
+   fault plans and [max_fixpoint_iterations] budgets keep their observable
+   meaning (budget 0 still raises before any edge is processed).
+
+   Carried instances (see [carry_over]; none without [previous]) never
+   enter the frontier: edges out of them into dirty instances are applied
+   once ([carried_in]), and dirty-to-carried edges cannot exist
+   (closure), so the worklist only ever touches dirty instances. *)
+let compute ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default)
+    ?(external_offers = Prefix_set.full) ?previous (g : Instance_graph.t) =
+  let stats0 = Prefix_set.stats () in
+  let origins = origins_bulk g in
+  let n = Array.length origins in
+  let routes = seed_routes g origins in
+  let carried =
+    match previous with
+    | Some p when Prefix_set.equal external_offers p.external_offers ->
+      Some (carry_over ~previous:p g routes)
+    | _ ->
+      (* No previous solution, or one computed under a different
+         external offer: nothing can be carried over. *)
+      None
+  in
+  let clean = match carried with Some c -> c | None -> Array.make n false in
+  let out_index = Array.make n [] in
+  let external_in = ref [] and carried_in = ref [] in
+  List.iter
+    (fun (e : Instance_graph.edge) ->
+      match (e.src, e.dst) with
+      | Instance_graph.Inst s, Instance_graph.Inst d ->
+        if not clean.(s) then out_index.(s) <- e :: out_index.(s)
+        else if not clean.(d) then carried_in := e :: !carried_in
+      | Instance_graph.External _, Instance_graph.Inst d ->
+        if not clean.(d) then external_in := e :: !external_in
+      | _, Instance_graph.External _ -> ())
+    g.edges;
+  Array.iteri (fun i l -> out_index.(i) <- List.rev l) out_index;
+  let dirty = Array.make n false in
+  let frontier = ref [] in
+  let mark d =
+    if not dirty.(d) then begin
+      dirty.(d) <- true;
+      frontier := d :: !frontier
+    end
+  in
+  let flow (e : Instance_graph.edge) inflow =
+    match e.dst with
+    | Instance_graph.External _ -> ()
+    | Instance_graph.Inst d ->
+      let add = Rd_policy.Route_filter.apply e.filter inflow in
+      let merged = Prefix_set.union routes.(d) add in
+      if not (Prefix_set.equal merged routes.(d)) then begin
+        routes.(d) <- merged;
+        mark d
       end
-    in
-    let flow (e : Instance_graph.edge) inflow =
-      match e.dst with
-      | Instance_graph.External _ -> ()
-      | Instance_graph.Inst d ->
-        let add = Rd_policy.Route_filter.apply e.filter inflow in
-        let merged = Prefix_set.union routes.(d) add in
-        if not (Prefix_set.equal merged routes.(d)) then begin
-          routes.(d) <- merged;
-          mark d
-        end
-    in
-    let iterations = ref 0 in
-    let generation work =
-      incr iterations;
-      Rd_util.Fault.fault_point faults ~site:fixpoint_site;
-      Rd_util.Cancel.check ~site:fixpoint_site cancel;
-      Rd_util.Limits.check ~site:fixpoint_site ~budget:limits.max_fixpoint_iterations
-        !iterations;
-      work ()
-    in
-    (* Generation 1 seeds the dirty pool: constant inflows (external
-       offers, carried neighbours) flow in once, then every dirty
-       instance pushes its routes out — the delta analogue of [compute]'s
-       first generation, with identical fault/budget semantics. *)
+  in
+  let iterations = ref 0 in
+  let generation work =
+    incr iterations;
+    Rd_util.Fault.fault_point faults ~site:fixpoint_site;
+    Rd_util.Cancel.check ~site:fixpoint_site cancel;
+    Rd_util.Limits.check ~site:fixpoint_site ~budget:limits.max_fixpoint_iterations
+      !iterations;
+    work ()
+  in
+  (* Generation 1 seeds the pool: constant inflows (external offers,
+     carried neighbours) flow in once, so those edges never need
+     revisiting, then every instance pushes its routes out. *)
+  generation (fun () ->
+      List.iter (fun e -> flow e external_offers) (List.rev !external_in);
+      List.iter
+        (fun (e : Instance_graph.edge) ->
+          match e.src with
+          | Instance_graph.Inst s -> flow e routes.(s)
+          | Instance_graph.External _ -> ())
+        (List.rev !carried_in);
+      for i = 0 to n - 1 do
+        dirty.(i) <- false;
+        List.iter (fun e -> flow e routes.(i)) out_index.(i)
+      done;
+      (* An instance marked before its own seed visit was already pushed
+         with the updated set; drop it from the frontier. *)
+      frontier := List.filter (fun i -> dirty.(i)) !frontier);
+  while !frontier <> [] do
+    let work = List.rev !frontier in
+    frontier := [];
     generation (fun () ->
-        List.iter (fun e -> flow e external_offers) external_in;
         List.iter
-          (fun (e : Instance_graph.edge) ->
-            match e.src with
-            | Instance_graph.Inst s -> flow e routes.(s)
-            | Instance_graph.External _ -> ())
-          clean_feed;
-        for i = 0 to n - 1 do
-          if not clean.(i) then begin
-            dirty_flag.(i) <- false;
-            List.iter (fun e -> flow e routes.(i)) out_index.(i)
-          end
-        done;
-        frontier := List.filter (fun i -> dirty_flag.(i)) !frontier);
-    while !frontier <> [] do
-      let work = List.rev !frontier in
-      frontier := [];
-      generation (fun () ->
-          List.iter
-            (fun i ->
-              dirty_flag.(i) <- false;
-              List.iter (fun e -> flow e routes.(i)) out_index.(i))
-            work)
-    done;
-    let carried = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 clean in
-    Rd_util.Metrics.incr metrics "reach.delta.computations";
-    Rd_util.Metrics.incr metrics ~by:carried "reach.delta.carried";
-    Rd_util.Metrics.incr metrics ~by:(n - carried) "reach.delta.dirty";
-    finish ?metrics ~stats0 ~external_offers g origins routes !iterations
-  end
+          (fun i ->
+            dirty.(i) <- false;
+            List.iter (fun e -> flow e routes.(i)) out_index.(i))
+          work)
+  done;
+  (match carried with
+   | None -> ()
+   | Some c ->
+     let k = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 c in
+     Rd_util.Metrics.incr metrics "reach.delta.computations";
+     Rd_util.Metrics.incr metrics ~by:k "reach.delta.carried";
+     Rd_util.Metrics.incr metrics ~by:(n - k) "reach.delta.dirty");
+  finish ?metrics ~stats0 ~external_offers g origins routes !iterations
 
 let routes_of t i = t.routes.(i)
 

@@ -1,15 +1,5 @@
 module J = Rd_util.Json
 
-(* A [task_timeout] clocks from the moment the network's work starts
-   (the closure runs inside the pool task), while a process-level
-   deadline or SIGINT on [cancel] reaches every child through the
-   parent chain. *)
-let child_token cancel task_timeout =
-  match (cancel, task_timeout) with
-  | None, None -> None
-  | Some c, d -> Some (Rd_util.Cancel.child ?deadline:d c)
-  | None, (Some _ as d) -> Some (Rd_util.Cancel.create ?deadline:d ())
-
 let probe checkpoint ~resume ~stage ~salt spec =
   match checkpoint with
   | Some ck when resume -> Checkpoint.find ck (Checkpoint.key ~stage ~salt spec)
@@ -47,7 +37,9 @@ let study ?trace ?metrics ?faults ?cancel ?task_timeout ?limits ?(retries = 0) ?
     with
     | Some stat -> { stat; network = None }
     | None ->
-      let cancel = child_token cancel task_timeout in
+      (* Created inside the pool task, so [task_timeout] clocks from the
+         moment this network's work starts. *)
+      let cancel = Rd_util.Cancel.task ?timeout:task_timeout cancel in
       let network =
         Population.build_network ?trace ?metrics ?jobs ?faults ?cancel ?limits spec
       in
@@ -76,7 +68,7 @@ let crosscheck ?limits ?invariants ?trace ?metrics ?faults ?cancel ?task_timeout
     with
     | Some report -> report
     | None ->
-      let cancel = child_token cancel task_timeout in
+      let cancel = Rd_util.Cancel.task ?timeout:task_timeout cancel in
       let report =
         Rd_check.Crosscheck.run ?limits ?cancel ?faults ?invariants ~name:spec.label
           (Population.generate_one spec)
@@ -123,7 +115,7 @@ let whatif ?metrics ?trace ?faults ?cancel ?task_timeout ?checkpoint ?(resume = 
     with
     | Some rows -> rows
     | None ->
-      let tok = child_token cancel task_timeout in
+      let tok = Rd_util.Cancel.task ?timeout:task_timeout cancel in
       let eng = Rd_core.Engine.with_cancel engine tok in
       Rd_util.Fault.fault_point faults ~site:"whatif.network" ~key:spec.label;
       Rd_util.Cancel.check ~site:"whatif.network" tok;

@@ -55,7 +55,7 @@ val whatif :
     (necessarily sequential — [jobs] is pinned to 1 so scenario
     artifacts stay warm across networks), per-network scenario rows
     persisted as rendered table cells (wall-clock [seconds] are replayed
-    from the checkpoint on resume).  Returns the rendered sweep report —
-    byte-identical rows to {!Experiments.whatif_sweep}; the trailing
-    engine cache-totals line reflects only the networks actually
-    computed by this process — plus the per-network failures. *)
+    from the checkpoint on resume).  Returns the rendered sweep report
+    ({!Experiments.render_whatif} over {!Experiments.whatif_rows}; the
+    trailing engine cache-totals line reflects only the networks actually
+    computed by this process) plus the per-network failures. *)

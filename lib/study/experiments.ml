@@ -649,8 +649,6 @@ let scenarios_of_analysis (a : Rd_core.Analysis.t) =
   end;
   List.rev !scenarios
 
-let default_scenarios (net : Population.network) = scenarios_of_analysis net.analysis
-
 let whatif_rows label outcomes =
   List.map
     (fun (o : Rd_core.Engine.outcome) ->
@@ -684,17 +682,3 @@ let render_whatif ~engine rows =
   in
   bprintf buf "\ncache: %d hits, %d misses across the engine's stores\n" hits misses;
   Buffer.contents buf
-
-let whatif_sweep ?metrics ?trace (nets : Population.network list) =
-  let engine = Rd_core.Engine.create ?metrics ?trace () in
-  let rows =
-    List.concat_map
-      (fun (n : Population.network) ->
-        let net =
-          Rd_core.Engine.load engine ~name:n.spec.label (Population.generate_one n.spec)
-        in
-        whatif_rows n.spec.label
-          (Rd_core.Engine.run_scenarios engine net (default_scenarios n)))
-      nets
-  in
-  render_whatif ~engine rows

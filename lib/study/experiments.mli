@@ -67,17 +67,12 @@ val scorecard : master_seed:int -> Population.network list -> string
 (** Machine-checked shape verdicts for every reproduced table and figure:
     one PASS/FAIL row per criterion, and a summary line. *)
 
-val default_scenarios : Population.network -> Rd_core.Whatif.scenario list
+val scenarios_of_analysis : Rd_core.Analysis.t -> Rd_core.Whatif.scenario list
 (** Deterministic per-network maintenance scenarios for what-if sweeps
     (§8.1): take out the last (edge) router, remove an internal link,
     and shut one interface — derived from the network's own topology, so
     every study network gets applicable scenarios without a hand-written
     sweep file. *)
-
-val scenarios_of_analysis : Rd_core.Analysis.t -> Rd_core.Whatif.scenario list
-(** {!default_scenarios} from a bare analysis — what the checkpointing
-    what-if driver uses, since an engine-loaded network carries no
-    {!Population.spec}. *)
 
 val whatif_rows : string -> Rd_core.Engine.outcome list -> string list list
 (** One rendered sweep-table row per outcome, first column the network
@@ -86,11 +81,3 @@ val whatif_rows : string -> Rd_core.Engine.outcome list -> string list list
 val render_whatif : engine:Rd_core.Engine.t -> string list list -> string
 (** The sweep report: heading, row table, and the engine's cache-totals
     line. *)
-
-val whatif_sweep :
-  ?metrics:Rd_util.Metrics.t -> ?trace:Rd_util.Trace.t ->
-  Population.network list -> string
-(** Run {!default_scenarios} for each network through one shared
-    {!Rd_core.Engine} (cached baselines, delta-restarted fixpoints) and
-    tabulate instance/splits/lost-pairs impact with per-scenario wall
-    time and engine cache totals. *)

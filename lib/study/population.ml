@@ -112,17 +112,10 @@ type failure = { spec : spec; failure : Rd_util.Pool.failure }
 let build_results ?only ?trace ?metrics ?faults ?cancel ?task_timeout ?limits
     ?(retries = 0) ?jobs ~master_seed () =
   let wanted = wanted_specs ?only ~master_seed () in
-  (* Each network gets its own child token so a [task_timeout] clocks
-     from the moment its build starts, while a process-level deadline
-     or SIGINT on [cancel] still reaches every child through the
-     chain. *)
+  (* Each network gets its own task token so a [task_timeout] clocks
+     from the moment its build starts. *)
   let build spec =
-    let cancel =
-      match (cancel, task_timeout) with
-      | None, None -> None
-      | Some c, d -> Some (Rd_util.Cancel.child ?deadline:d c)
-      | None, (Some _ as d) -> Some (Rd_util.Cancel.create ?deadline:d ())
-    in
+    let cancel = Rd_util.Cancel.task ?timeout:task_timeout cancel in
     build_network ?trace ?metrics ?jobs ?faults ?cancel ?limits spec
   in
   let results =

@@ -29,6 +29,12 @@ let create ?deadline () = make ?deadline None
 
 let child ?deadline t = make ?deadline (Some t)
 
+let task ?timeout parent =
+  match (parent, timeout) with
+  | None, None -> None
+  | Some p, deadline -> Some (child ?deadline p)
+  | None, deadline -> Some (create ?deadline ())
+
 let cancel ?(reason = "cancelled") t =
   (* First cancellation wins; a lost CAS means someone else's reason
      already stuck, which is exactly the idempotence we want.  No lock

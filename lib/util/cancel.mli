@@ -40,6 +40,13 @@ val child : ?deadline:float -> t -> t
     applies through the chain, so the effective deadline is the tighter
     of the two. *)
 
+val task : ?timeout:float -> t option -> t option
+(** The token for one supervised task: a {!child} of the run token with
+    a [timeout]-second budget clocked from this call, so a slow task
+    times out alone while a run-level deadline or SIGINT still reaches
+    it through the chain.  Without a run token, a fresh root carrying
+    just the timeout; with neither, [None]. *)
+
 val cancel : ?reason:string -> t -> unit
 (** Trip [t] (default reason ["cancelled"]).  Idempotent: the first
     cancellation (or deadline expiry) wins and its reason sticks.

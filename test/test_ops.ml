@@ -270,8 +270,8 @@ let test_whatif_noop () =
 
 let test_whatif_unknown_targets_warn () =
   let a = analyze linear_net in
-  let _, warnings =
-    Rd_core.Whatif.apply_checked a
+  let { Rd_core.Whatif.warnings; _ } =
+    Rd_core.Whatif.apply a
       [
         Rd_core.Whatif.Remove_router "glue";
         Rd_core.Whatif.Remove_link (Rd_addr.Prefix.of_string_exn "192.0.2.0/30");
@@ -286,8 +286,8 @@ let test_whatif_unknown_targets_warn () =
   check_bool "unknown interface" true (has "Serial9/9");
   check_bool "unknown router" true (has "ghost");
   (* matched changes stay warning-free *)
-  let _, clean = Rd_core.Whatif.apply_checked a [ Rd_core.Whatif.Remove_router "glue" ] in
-  check_int "no warnings when matched" 0 (List.length clean)
+  let clean = Rd_core.Whatif.apply a [ Rd_core.Whatif.Remove_router "glue" ] in
+  check_int "no warnings when matched" 0 (List.length clean.warnings)
 
 let test_whatif_redundant_link_harmless () =
   (* add a second link between a1 and b1: removing one keeps the instance whole *)
@@ -347,7 +347,7 @@ let test_scenario_parsing () =
 let test_whatif_touched_files () =
   let a = analyze linear_net in
   let d =
-    Rd_core.Whatif.apply_delta a
+    Rd_core.Whatif.apply a
       [
         Rd_core.Whatif.Shutdown_interface ("glue", "Serial0/1");
         Rd_core.Whatif.Remove_link (Rd_addr.Prefix.of_string_exn "10.0.0.0/30");
@@ -359,7 +359,7 @@ let test_whatif_touched_files () =
   check_bool "b1 untouched by either change" false (List.mem "b1" d.touched);
   check_bool "sorted unique" true (d.touched = List.sort_uniq String.compare d.touched);
   (* a change that matches nothing touches nothing *)
-  let d0 = Rd_core.Whatif.apply_delta a [ Rd_core.Whatif.Remove_router "ghost" ] in
+  let d0 = Rd_core.Whatif.apply a [ Rd_core.Whatif.Remove_router "ghost" ] in
   check_int "noop touches nothing" 0 (List.length d0.touched)
 
 let test_engine_batch_matches_sequential () =

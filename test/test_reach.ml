@@ -376,11 +376,11 @@ let test_delta_matches_scratch_archetypes () =
       List.iter
         (fun change ->
           if change <> [] then begin
-            let d = Rd_core.Whatif.apply_delta a change in
+            let d = Rd_core.Whatif.apply a change in
             same_fixpoint
               (Printf.sprintf "%s/%s" label
                  (String.concat ";" (List.map Rd_core.Whatif.change_to_string change)))
-              (Rd_reach.Reachability.compute_delta ~external_offers:offers ~previous
+              (Rd_reach.Reachability.compute ~external_offers:offers ~previous
                  d.analysis.graph)
               (Rd_reach.Reachability.compute ~external_offers:offers d.analysis.graph)
           end)
@@ -395,7 +395,7 @@ let test_delta_identity_carries_everything () =
   let previous = Rd_reach.Reachability.compute a.graph in
   let a2 = Rd_core.Analysis.analyze ~name:"i" files in
   let m = Rd_util.Metrics.create () in
-  let r = Rd_reach.Reachability.compute_delta ~metrics:m ~previous a2.graph in
+  let r = Rd_reach.Reachability.compute ~metrics:m ~previous a2.graph in
   same_fixpoint "identity" r previous;
   let counter name = Option.value ~default:0 (Rd_util.Metrics.counter_value m name) in
   check_int "all instances carried" (Array.length a2.graph.assignment.instances)
@@ -407,10 +407,15 @@ let test_delta_offer_mismatch_degrades () =
   let net = Rd_gen.Archetype.generate Rd_gen.Archetype.Compartment ~seed:9 ~n:14 ~index:2 () in
   let a = Rd_core.Analysis.analyze ~name:"o" (Rd_gen.Builder.to_texts net) in
   let previous = Rd_reach.Reachability.compute ~external_offers:Prefix_set.empty a.graph in
-  let d = Rd_core.Whatif.apply_delta a [ Rd_core.Whatif.Remove_router (fst a.topo.routers.(0)) ] in
-  same_fixpoint "offer mismatch"
-    (Rd_reach.Reachability.compute_delta ~previous d.analysis.graph)
-    (Rd_reach.Reachability.compute d.analysis.graph)
+  let d = Rd_core.Whatif.apply a [ Rd_core.Whatif.Remove_router (fst a.topo.routers.(0)) ] in
+  let m = Rd_util.Metrics.create () in
+  let r = Rd_reach.Reachability.compute ~metrics:m ~previous d.analysis.graph in
+  let scratch = Rd_reach.Reachability.compute d.analysis.graph in
+  same_fixpoint "offer mismatch" r scratch;
+  (* nothing carried: exactly the solve without [previous] *)
+  check_int "same iterations" scratch.iterations r.iterations;
+  check_bool "no carry-over analysis ran" true
+    (Rd_util.Metrics.counter_value m "reach.delta.computations" = None)
 
 (* ------------------------------------------------------------ properties --- *)
 
@@ -453,8 +458,8 @@ let test_reach_cancel_site () =
   expect_cancelled "compute_rounds" (fun () ->
       Rd_reach.Reachability.compute_rounds ~cancel:(tripped ()) g);
   let base = Rd_reach.Reachability.compute g in
-  expect_cancelled "compute_delta" (fun () ->
-      Rd_reach.Reachability.compute_delta ~cancel:(tripped ()) ~previous:base g);
+  expect_cancelled "compute ~previous" (fun () ->
+      Rd_reach.Reachability.compute ~cancel:(tripped ()) ~previous:base g);
   (* a live token leaves the fixpoint untouched *)
   let live = Rd_util.Cancel.create ~deadline:600.0 () in
   let w = Rd_reach.Reachability.compute ~cancel:live g in
@@ -506,9 +511,9 @@ let prop_delta_matches_scratch =
       let previous = Rd_reach.Reachability.compute ~external_offers:Prefix_set.empty a.graph in
       let nr = Array.length a.topo.routers in
       let victim = fst a.topo.routers.(s mod nr) in
-      let d = Rd_core.Whatif.apply_delta a [ Rd_core.Whatif.Remove_router victim ] in
+      let d = Rd_core.Whatif.apply a [ Rd_core.Whatif.Remove_router victim ] in
       equal_fixpoint
-        (Rd_reach.Reachability.compute_delta ~external_offers:Prefix_set.empty ~previous
+        (Rd_reach.Reachability.compute ~external_offers:Prefix_set.empty ~previous
            d.analysis.graph)
         (Rd_reach.Reachability.compute ~external_offers:Prefix_set.empty d.analysis.graph))
 

@@ -851,6 +851,34 @@ let test_cancel_child_inherits () =
   check_bool "child expired" true (Cancel.cancelled (Some c3));
   check_bool "parent still live" false (Cancel.cancelled (Some p3))
 
+let test_cancel_task_token () =
+  (* neither a run token nor a timeout: nothing to poll *)
+  check_bool "no token" true (Cancel.task None = None);
+  (* a child of the run token: the run's stop reaches it *)
+  let run = Cancel.create () in
+  (match Cancel.task (Some run) with
+   | None -> Alcotest.fail "a run token must yield a task token"
+   | Some t ->
+     check_bool "no deadline of its own" true (Cancel.remaining t = None);
+     Cancel.cancel ~reason:"SIGINT" run;
+     check_bool "run stop reaches the task" true (Cancel.cancelled (Some t)));
+  (* the timeout trips the task alone *)
+  let run = Cancel.create () in
+  (match Cancel.task ~timeout:0.05 (Some run) with
+   | None -> Alcotest.fail "a timeout must yield a task token"
+   | Some t ->
+     wait_until (Trace.now () +. 0.06);
+     check_bool "task timed out" true (Cancel.cancelled (Some t));
+     check_bool "run still live" false (Cancel.cancelled (Some run)));
+  (* a timeout without a run token still bounds the task *)
+  match Cancel.task ~timeout:60.0 None with
+  | None -> Alcotest.fail "a timeout must yield a task token"
+  | Some t -> (
+    check_bool "live" false (Cancel.cancelled (Some t));
+    match Cancel.remaining t with
+    | Some r -> check_bool "budget from the timeout" true (r <= 60.0 && r > 0.0)
+    | None -> Alcotest.fail "the timeout must set a deadline")
+
 (* -------------------------------------------------------------- Store --- *)
 
 let with_store_dir f =
@@ -1109,6 +1137,7 @@ let () =
           Alcotest.test_case "latch and check" `Quick test_cancel_latch_and_check;
           Alcotest.test_case "deadline expires" `Quick test_cancel_deadline_expires;
           Alcotest.test_case "child inherits" `Quick test_cancel_child_inherits;
+          Alcotest.test_case "task token" `Quick test_cancel_task_token;
         ] );
       ( "store",
         [
