@@ -186,9 +186,35 @@ let of_prefix p =
   in
   build 0
 
-let of_prefixes ps = List.fold_left (fun acc p -> union acc (of_prefix p)) empty ps
+(* Bulk construction, top-down over the sorted prefixes.  A segment
+   [lo, hi) at [depth] holds the prefixes under one [depth]-bit trie
+   path.  A prefix no longer than [depth] covers the whole segment, and
+   since addresses are normalized it sorts first (smallest address, then
+   shortest length), so [Full] is decided by the first prefix alone.
+   Otherwise the segment splits at the first address with bit [depth]
+   set.  Each node costs one hash-cons probe and no memo entries. *)
+let of_prefixes ps =
+  let sorted = Array.of_list ps in
+  Array.sort Prefix.compare sorted;
+  let addrs = Array.map (fun p -> Ipv4.to_int (Prefix.addr p)) sorted in
+  let rec first_set bit lo hi =
+    if lo >= hi then lo
+    else begin
+      let mid = (lo + hi) / 2 in
+      if addrs.(mid) land bit = 0 then first_set bit (mid + 1) hi else first_set bit lo mid
+    end
+  in
+  let rec build depth lo hi =
+    if lo >= hi then Empty
+    else if Prefix.len sorted.(lo) <= depth then Full
+    else begin
+      let mid = first_set (1 lsl (31 - depth)) lo hi in
+      node (build (depth + 1) lo mid) (build (depth + 1) mid hi)
+    end
+  in
+  build 0 0 (Array.length sorted)
+
 let singleton a = of_prefix (Prefix.host a)
-let add p t = union (of_prefix p) t
 let remove p t = diff t (of_prefix p)
 
 let is_empty = function Empty -> true | _ -> false

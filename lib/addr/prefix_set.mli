@@ -33,7 +33,11 @@ val of_prefix : Prefix.t -> t
 (** All addresses covered by one prefix. *)
 
 val of_prefixes : Prefix.t list -> t
-(** Union of the given prefixes (overlaps are fine). *)
+(** Union of the given prefixes, in any order (overlaps and duplicates
+    are fine).  Built in one pass over the prefixes sorted by
+    {!Prefix.compare}: one hash-cons probe per trie node and no
+    {!union} memo traffic, so this is the way to build a set from many
+    prefixes rather than a fold of {!union}. *)
 
 val singleton : Ipv4.t -> t
 (** A single host address (a /32). *)
@@ -50,9 +54,6 @@ val diff : t -> t -> t
 
 val complement : t -> t
 (** All addresses not in the set. *)
-
-val add : Prefix.t -> t -> t
-(** [add p s]: [union (of_prefix p) s]. *)
 
 val remove : Prefix.t -> t -> t
 (** [remove p s]: [diff s (of_prefix p)]. *)

@@ -16,8 +16,8 @@ type t = {
 let origins_bulk_direct (g : Instance_graph.t) =
   let catalog = g.catalog in
   let n = Array.length g.assignment.instances in
-  let origins = Array.make n Prefix_set.empty in
-  let add i p = origins.(i) <- Prefix_set.add p origins.(i) in
+  let originated = Array.make n [] in
+  let add i p = originated.(i) <- p :: originated.(i) in
   (* Subnets of interfaces covered by member processes. *)
   Array.iter
     (fun (ifc : Rd_topo.Topology.iface) ->
@@ -41,6 +41,7 @@ let origins_bulk_direct (g : Instance_graph.t) =
         p.ast.networks;
       List.iter (fun (pr, _) -> add g.assignment.of_process.(p.pid) pr) p.ast.aggregates)
     catalog.processes;
+  let origins = Array.map Prefix_set.of_prefixes originated in
   (* Connected/static redistribution into the instance. *)
   List.iter
     (fun (i, router, (r : Rd_config.Ast.redistribute)) ->
@@ -48,19 +49,14 @@ let origins_bulk_direct (g : Instance_graph.t) =
       let subject =
         match r.source with
         | Rd_config.Ast.From_connected ->
-          List.fold_left
-            (fun acc (ifc : Rd_config.Ast.interface) ->
-              if ifc.shutdown then acc
-              else
-                List.fold_left
-                  (fun acc p -> Prefix_set.add p acc)
-                  acc
-                  (Rd_config.Ast.interface_prefixes ifc))
-            Prefix_set.empty cfg.interfaces
+          List.concat_map
+            (fun (ifc : Rd_config.Ast.interface) ->
+              if ifc.shutdown then [] else Rd_config.Ast.interface_prefixes ifc)
+            cfg.interfaces
+          |> Prefix_set.of_prefixes
         | Rd_config.Ast.From_static ->
-          List.fold_left
-            (fun acc (s : Rd_config.Ast.static_route) -> Prefix_set.add s.sr_dest acc)
-            Prefix_set.empty cfg.statics
+          Prefix_set.of_prefixes
+            (List.map (fun (s : Rd_config.Ast.static_route) -> s.sr_dest) cfg.statics)
         | Rd_config.Ast.From_protocol _ -> Prefix_set.empty
       in
       let filter =

@@ -384,13 +384,12 @@ let net15_case (net : Population.network) =
            canonical prefix set so counting granularity matches the bound *)
         let pid = List.hd i.members in
         let simulated =
-          List.fold_left
-            (fun acc (route : Rd_sim.Rib.route) ->
-              match route.source with
-              | Rd_sim.Rib.Proto (_, `External) -> Prefix_set.add route.dest acc
-              | _ -> acc)
-            Prefix_set.empty
-            (Rd_sim.Rib.routes (Rd_sim.Propagate.rib_of_process sim pid))
+          Rd_sim.Rib.routes (Rd_sim.Propagate.rib_of_process sim pid)
+          |> List.filter_map (fun (route : Rd_sim.Rib.route) ->
+                 match route.source with
+                 | Rd_sim.Rib.Proto (_, `External) -> Some route.dest
+                 | _ -> None)
+          |> Prefix_set.of_prefixes
         in
         let bound_set = Rd_reach.Reachability.external_routes_of r i.inst_id in
         bprintf buf "  instance %d: simulated %d external prefixes (bound %d) -> %s\n" i.inst_id

@@ -67,12 +67,9 @@ let build routers_list =
     ifaces;
   (* Every configured address, loopbacks included, is "inside the network". *)
   let internal_addresses =
-    Array.fold_left
-      (fun acc i ->
-        match i.address with
-        | Some (a, _) -> Prefix_set.add (Prefix.host a) acc
-        | None -> acc)
-      Prefix_set.empty ifaces
+    Array.to_list ifaces
+    |> List.filter_map (fun i -> Option.map (fun (a, _) -> Prefix.host a) i.address)
+    |> Prefix_set.of_prefixes
   in
   (* Candidate external next-hops: static-route next hops and BGP neighbor
      addresses that are not any internal interface address. *)
@@ -96,7 +93,23 @@ let build routers_list =
             p.neighbors)
         cfg.processes)
     routers;
-  let foreign_next_hops = !foreign_next_hops in
+  (* Sorted once, so each multipoint link asks "is any foreign next hop
+     inside [network, broadcast]?" with one binary search. *)
+  let foreign_next_hops = Array.of_list (List.map Ipv4.to_int !foreign_next_hops) in
+  Array.sort Int.compare foreign_next_hops;
+  let has_foreign_next_hop subnet =
+    let lo = Ipv4.to_int (Prefix.network subnet) in
+    let rec first_at_least l h =
+      if l >= h then l
+      else begin
+        let m = (l + h) / 2 in
+        if foreign_next_hops.(m) < lo then first_at_least (m + 1) h else first_at_least l m
+      end
+    in
+    let n = Array.length foreign_next_hops in
+    let i = first_at_least 0 n in
+    i < n && foreign_next_hops.(i) <= Ipv4.to_int (Prefix.broadcast subnet)
+  in
   (* Build links and classify facing. *)
   let facing = Hashtbl.create 1024 in
   let links = ref [] in
@@ -109,7 +122,7 @@ let build routers_list =
              found in the configuration files (§5.2). *)
           if List.length endpoints >= 2 then Internal else External
         end
-        else if List.exists (fun a -> Prefix.mem a subnet) foreign_next_hops then
+        else if has_foreign_next_hop subnet then
           (* Multipoint: only next-hop evidence of an external router makes
              the link external; a lone interface on a /24 is a host LAN. *)
           External

@@ -331,6 +331,64 @@ let prop_kernel_mem_matches_reference =
       let a = Prefix.addr p in
       Prefix_set.mem a (Prefix_set.of_prefixes ps) = R.mem a (R.of_prefixes ps))
 
+(* Up to 300 prefixes inside one /16, the shape interface addresses and
+   subnets take in a real network: /31 and /32 hosts, nested and
+   duplicated prefixes, sometimes the default route, in shuffled order. *)
+let arb_clustered_prefixes =
+  let gen =
+    QCheck.Gen.(
+      let* block = map (fun a -> Int32.to_int a land 0xFFFF0000) int32 in
+      let inside =
+        let* off = int_bound 0xFFFF in
+        let* len = frequency [ (3, int_range 16 30); (2, return 31); (3, return 32) ] in
+        return (Prefix.make (Ipv4.of_int (block lor off)) len)
+      in
+      let* base = list_size (int_bound 200) inside in
+      (* duplicates, and a shorter or longer prefix over the same address *)
+      let* extra =
+        if base = [] then return []
+        else
+          list_size (int_bound 100)
+            (let* p = oneofl base in
+             let* len = int_range 16 32 in
+             frequency [ (1, return p); (2, return (Prefix.make (Prefix.addr p) len)) ])
+      in
+      let* default = frequency [ (1, return [ Prefix.default ]); (9, return []) ] in
+      shuffle_l (default @ base @ extra))
+  in
+  QCheck.make ~print:(fun ps -> String.concat "," (List.map Prefix.to_string ps)) gen
+
+let prop_of_prefixes_matches_union =
+  QCheck.Test.make ~name:"of_prefixes = reference = fold of union (clustered)" ~count:300
+    arb_clustered_prefixes (fun ps ->
+      let built = Prefix_set.of_prefixes ps in
+      let folded =
+        List.fold_left
+          (fun acc p -> Prefix_set.union acc (Prefix_set.of_prefix p))
+          Prefix_set.empty ps
+      in
+      let k_strings s = List.map Prefix.to_string (Prefix_set.to_prefixes s) in
+      let r_strings = List.map Prefix.to_string (R.to_prefixes (R.of_prefixes ps)) in
+      Prefix_set.equal built folded
+      && k_strings built = k_strings folded
+      && k_strings built = r_strings)
+
+(* Bulk construction only hash-conses: it leaves the operation memo alone
+   and allocates at most one node per bit of each prefix. *)
+let test_of_prefixes_no_memo () =
+  let hosts =
+    List.init 5000 (fun i -> Prefix.host (Ipv4.of_int (0x0A000000 + (i * 7919))))
+  in
+  let s0 = Prefix_set.stats () in
+  let s = Prefix_set.of_prefixes hosts in
+  let s1 = Prefix_set.stats () in
+  Alcotest.(check int) "no memo probes"
+    (s0.Prefix_set.memo_hits + s0.Prefix_set.memo_misses)
+    (s1.Prefix_set.memo_hits + s1.Prefix_set.memo_misses);
+  check_bool "at most 32 nodes per host" true
+    (s1.Prefix_set.nodes - s0.Prefix_set.nodes <= 32 * 5000);
+  Alcotest.(check int) "every host present" 5000 (Prefix_set.count_addresses s)
+
 (* Sets built in Pool worker domains come from foreign hashcons tables:
    after the join their node ids never match locally-built twins, so the
    structural fallback must carry equality/subset — including for fresh
@@ -499,7 +557,13 @@ let () =
       ( "prefix_set kernel",
         Alcotest.test_case "cross-domain pool sets" `Quick test_set_cross_domain
         :: Alcotest.test_case "kernel stats" `Quick test_kernel_stats_move
-        :: qc [ prop_kernel_matches_reference; prop_kernel_mem_matches_reference ] );
+        :: Alcotest.test_case "of_prefixes makes no memo probes" `Quick test_of_prefixes_no_memo
+        :: qc
+             [
+               prop_kernel_matches_reference;
+               prop_kernel_mem_matches_reference;
+               prop_of_prefixes_matches_union;
+             ] );
       ( "prefix_trie",
         Alcotest.test_case "basics" `Quick test_trie_basics
         :: Alcotest.test_case "remove/update" `Quick test_trie_remove_update

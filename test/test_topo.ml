@@ -209,7 +209,40 @@ let test_internal_addresses () =
   check_bool "contains own" true
     (Prefix_set.mem (Ipv4.of_string_exn "10.0.0.1") t.internal_addresses);
   check_bool "not others" false
-    (Prefix_set.mem (Ipv4.of_string_exn "10.0.0.3") t.internal_addresses)
+    (Prefix_set.mem (Ipv4.of_string_exn "10.0.0.3") t.internal_addresses);
+  Alcotest.(check (list string))
+    "exactly the configured hosts"
+    [ "10.0.0.1/32"; "10.0.0.2/32"; "10.1.0.1/32"; "10.9.0.1/32" ]
+    (List.map Prefix.to_string (Prefix_set.to_prefixes t.internal_addresses))
+
+(* A foreign next hop makes a multipoint link external exactly when it
+   lies in [network, broadcast]: the ends count, the neighbours do not. *)
+let test_multipoint_next_hop_bounds () =
+  let facing next_hop =
+    let routers =
+      [
+        ( "r1",
+          cfg
+            (Printf.sprintf
+               {|interface Ethernet0
+ ip address 10.5.0.1 255.255.255.0
+!
+interface Ethernet1
+ ip address 10.7.0.1 255.255.255.0
+!
+ip route 0.0.0.0 0.0.0.0 %s
+|}
+               next_hop) );
+      ]
+    in
+    let t = Rd_topo.Topology.build routers in
+    Rd_topo.Topology.facing_of t 0 0 = Rd_topo.Topology.External
+  in
+  check_bool "network address" true (facing "10.5.0.0");
+  check_bool "broadcast address" true (facing "10.5.0.255");
+  check_bool "just below" false (facing "10.4.255.255");
+  check_bool "just above" false (facing "10.5.1.0");
+  check_bool "other LAN" false (facing "10.7.0.9")
 
 let () =
   Alcotest.run "rd_topo"
@@ -232,5 +265,6 @@ let () =
           Alcotest.test_case "interface census" `Quick test_census;
           Alcotest.test_case "router lookup" `Quick test_router_index;
           Alcotest.test_case "internal address set" `Quick test_internal_addresses;
+          Alcotest.test_case "multipoint next-hop bounds" `Quick test_multipoint_next_hop_bounds;
         ] );
     ]
