@@ -71,30 +71,23 @@ let () =
     (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
     "bench [-j N] [--json FILE] [--trace FILE] [--metrics] [--metrics-json FILE] [--only-reach] [--reach-json FILE] [--only-whatif] [--whatif-json FILE] [--only-netlint] [--netlint-json FILE] [--deadline SEC] [--task-timeout SEC]"
 
-(* [--deadline]/[--task-timeout] route the study build through the
-   supervised keep-going path; a degraded population is a hard failure
-   for the bench (every table needs all 31 networks), reported with the
-   same failed-network table rdna prints.  Without the flags the build
-   is the historical fail-fast one, byte-identical timing included. *)
+(* A degraded population is a hard failure for the bench (every table
+   needs all 31 networks), reported with the same failed-network table
+   rdna prints; [--deadline]/[--task-timeout] bound the build. *)
 let root_cancel =
   if !deadline > 0.0 then Some (Rd_util.Cancel.create ~deadline:!deadline ()) else None
 
 let build_population ?trace ?metrics ~jobs () =
-  let timeout = if !task_timeout > 0.0 then Some !task_timeout else None in
-  match (root_cancel, timeout) with
-  | None, None -> Rd_study.Population.build ?trace ?metrics ~jobs ~master_seed ()
-  | cancel, task_timeout ->
-    let results =
-      Rd_study.Population.build_results ?trace ?metrics ?cancel ?task_timeout ~jobs
-        ~master_seed ()
-    in
-    let nets, failures = Rd_study.Population.partition results in
-    if failures <> [] then begin
-      print_string
-        (Rd_study.Population.render_failures ~total:(List.length results) failures);
-      exit 1
-    end;
-    nets
+  let task_timeout = if !task_timeout > 0.0 then Some !task_timeout else None in
+  let results =
+    Rd_study.Population.build_results ?trace ?metrics ?cancel:root_cancel ?task_timeout ~jobs
+      ~master_seed ()
+  in
+  match Rd_study.Population.partition results with
+  | nets, [] -> nets
+  | _, failures ->
+    print_string (Rd_study.Population.render_failures ~total:(List.length results) failures);
+    exit 1
 
 (* ------------------------------------------------------------- part 1 --- *)
 

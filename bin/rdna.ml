@@ -893,14 +893,8 @@ let generate_cmd =
 (* --- study -------------------------------------------------------------- *)
 
 let study_cmd =
-  let run pop jobs timing obs metrics_json inject fail_fast keep_going retries sup =
+  let run pop jobs timing obs metrics_json inject fail_fast retries sup =
     guard @@ fun () ->
-    if fail_fast && keep_going then
-      die ~code:"usage" "--fail-fast and --keep-going are mutually exclusive";
-    if fail_fast && supervised sup then
-      die ~code:"usage"
-        "--fail-fast excludes --deadline/--task-timeout/--checkpoint/--resume (supervision \
-         needs keep-going)";
     (* --timing is served from the same recorder as --trace; tracing and
        metrics are purely observational, so study output is byte-identical
        with or without them (the bench asserts this). *)
@@ -909,37 +903,21 @@ let study_cmd =
     in
     let faults = faults_of inject in
     (match faults with Some f -> Rd_util.Fault.set_metrics f metrics | None -> ());
-    (* Default discipline is keep-going: one bad network degrades into a
-       failed-network row while the other thirty print normally.
-       --fail-fast restores abort-on-first-failure (caught by [guard]). *)
-    let items, failures, total, root, checkpoint =
-      if fail_fast then
-        let nets =
-          Rd_study.Population.build ?only:pop.only ?trace ?metrics ?faults ~jobs
-            ~master_seed:pop.seed ()
-        in
-        let items =
-          List.map
-            (fun (n : Rd_study.Population.network) ->
-              { Rd_study.Driver.stat = Rd_study.Netstat.of_network n; network = Some n })
-            nets
-        in
-        (items, [], List.length nets, None, None)
-      else
-        let root = root_token sup.budget in
-        let checkpoint = open_checkpoint ?metrics sup in
-        let results =
-          Rd_study.Driver.study ?trace ?metrics ?faults ~cancel:root
-            ?task_timeout:sup.budget.task_timeout ~retries ~jobs ?checkpoint
-            ~resume:sup.resume ?only:pop.only ~master_seed:pop.seed ()
-        in
-        let items, failures =
-          List.partition_map
-            (function Ok i -> Either.Left i | Error f -> Either.Right f)
-            results
-        in
-        (items, failures, List.length results, Some root, checkpoint)
+    (* One bad network degrades into a failed-network row while the other
+       thirty print normally; --fail-fast instead re-raises the lowest
+       net id's failure before anything is printed (caught by [guard]). *)
+    let root = root_token sup.budget in
+    let checkpoint = open_checkpoint ?metrics sup in
+    let results =
+      Rd_study.Driver.study ?trace ?metrics ?faults ~cancel:root
+        ?task_timeout:sup.budget.task_timeout ~retries ~jobs ?checkpoint ~resume:sup.resume
+        ?only:pop.only ~master_seed:pop.seed ()
     in
+    let items, failures = Rd_study.Population.partition results in
+    (match failures with
+     | (f : Rd_study.Population.failure) :: _ when fail_fast -> Rd_util.Pool.reraise f.failure
+     | _ -> ());
+    let total = List.length results in
     List.iter
       (fun (i : Rd_study.Driver.study_item) ->
         print_string (Rd_study.Netstat.render_block i.stat))
@@ -979,7 +957,7 @@ let study_cmd =
        Printf.eprintf "metrics written to %s\n" path
      | _ -> ());
     checkpoint_stats checkpoint;
-    (match root with Some r -> exit_interrupted r | None -> ());
+    exit_interrupted root;
     if failures <> [] then exit 1
   in
   let timing_arg =
@@ -1000,21 +978,16 @@ let study_cmd =
   let fail_fast_arg =
     Arg.(value & flag
          & info [ "fail-fast" ]
-             ~doc:"Abort the whole study on the first network whose analysis fails, with a \
-                   coded error and exit 1 (the strict discipline).")
-  in
-  let keep_going_arg =
-    Arg.(value & flag
-         & info [ "keep-going" ]
-             ~doc:"Degrade per network (the default): failed networks are reported in a \
-                   trailing table, survivors print normally, and the exit status is 1 when \
-                   any network failed.")
+             ~doc:"Abort the whole study when any network's analysis fails: after the sweep, \
+                   report the lowest net id's failure as a coded error and exit 1, printing \
+                   nothing else.  Composes with $(b,--retries), $(b,--checkpoint) and \
+                   $(b,--deadline).")
   in
   let retries_arg =
     Arg.(value & opt int 0
          & info [ "retries" ] ~docv:"N"
              ~doc:"Retry a failed network build up to $(docv) extra times before recording \
-                   it as failed (keep-going mode only).")
+                   it as failed.")
   in
   Cmd.v (Cmd.info "study" ~doc:"Run the 31-network study (paper §5-§7).")
     Term.(const run $ population_term
@@ -1022,7 +995,7 @@ let study_cmd =
               ~doc:"Worker domains for the parallel study build (default: $(b,RDNA_JOBS) or \
                     the recommended domain count)."
           $ timing_arg $ observability_term ~metrics_doc $ metrics_json_arg $ inject_term
-          $ fail_fast_arg $ keep_going_arg $ retries_arg $ supervision_term)
+          $ fail_fast_arg $ retries_arg $ supervision_term)
 
 let () =
   let info = Cmd.info "rdna" ~version:"1.0.0" ~doc:"Routing design reverse engineering (SIGCOMM'04 reproduction)." in

@@ -3,7 +3,7 @@
     [rdna whatif --study].
 
     Each driver iterates the study work list ({!Population.wanted_specs})
-    under {!Rd_util.Pool} supervision: a run-level {!Rd_util.Cancel}
+    through {!Population.supervise}: a run-level {!Rd_util.Cancel}
     token (deadline or SIGINT) fails queued networks fast and stops
     in-flight ones at their next poll, an optional per-network
     [task_timeout] derives a child token clocking from that network's

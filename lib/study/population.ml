@@ -98,37 +98,38 @@ let wanted_specs ?only ~master_seed () =
   | None -> all
   | Some ids -> List.filter (fun s -> List.mem s.net_id ids) all
 
-(* Each network is an independent, per-spec-seeded unit, so the
-   population maps across the domain pool.  Inside a pool worker the
-   per-network parse fan-out degrades to sequential (nested-pool
-   guard), keeping the domain count bounded by [jobs]. *)
-let build ?only ?trace ?metrics ?jobs ?faults ?limits ~master_seed () =
-  Rd_util.Pool.parallel_map ?jobs ?trace ?metrics ?faults
-    (build_network ?trace ?metrics ?jobs ?faults ?limits)
-    (wanted_specs ?only ~master_seed ())
-
 type failure = { spec : spec; failure : Rd_util.Pool.failure }
 
-let build_results ?only ?trace ?metrics ?faults ?cancel ?task_timeout ?limits
-    ?(retries = 0) ?jobs ~master_seed () =
-  let wanted = wanted_specs ?only ~master_seed () in
-  (* Each network gets its own task token so a [task_timeout] clocks
-     from the moment its build starts. *)
-  let build spec =
-    let cancel = Rd_util.Cancel.task ?timeout:task_timeout cancel in
-    build_network ?trace ?metrics ?jobs ?faults ?cancel ?limits spec
-  in
+(* Each network is an independent, per-spec-seeded unit, so the work
+   list maps across the domain pool.  Inside a pool worker the
+   per-network parse fan-out degrades to sequential (nested-pool
+   guard), keeping the domain count bounded by [jobs].  Each network's
+   task token is created inside its pool task, so a [task_timeout]
+   clocks from the moment that network's work starts. *)
+let supervise ?jobs ?trace ?metrics ?faults ?cancel ?task_timeout ?(retries = 0) task wanted =
   let results =
-    Rd_util.Pool.parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ~retries build
+    Rd_util.Pool.parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ~retries
+      (fun spec -> task (Rd_util.Cancel.task ?timeout:task_timeout cancel) spec)
       wanted
   in
   List.map2
     (fun spec -> function
-      | Ok net -> Ok net
+      | Ok v -> Ok v
       | Error f ->
         Rd_util.Metrics.incr metrics "network.degraded";
         Error { spec; failure = f })
     wanted results
+
+let build_results ?only ?trace ?metrics ?faults ?cancel ?task_timeout ?limits ?retries ?jobs
+    ~master_seed () =
+  supervise ?jobs ?trace ?metrics ?faults ?cancel ?task_timeout ?retries
+    (fun cancel -> build_network ?trace ?metrics ?jobs ?faults ?cancel ?limits)
+    (wanted_specs ?only ~master_seed ())
+
+let build ?only ?trace ?metrics ?jobs ?faults ?limits ~master_seed () =
+  List.map
+    (function Ok n -> n | Error f -> Rd_util.Pool.reraise f.failure)
+    (build_results ?only ?trace ?metrics ?jobs ?faults ?limits ~master_seed ())
 
 let partition results =
   List.partition_map

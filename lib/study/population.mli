@@ -41,44 +41,56 @@ val build_network :
     [faults] arms the ["study.network"] site (key = the network label)
     ahead of the analysis, plus every parse/analysis site below it. *)
 
-val build :
-  ?only:int list -> ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t -> ?jobs:int ->
-  ?faults:Rd_util.Fault.t -> ?limits:Rd_util.Limits.t ->
-  master_seed:int -> unit -> network list
-(** Build the population (or the networks whose ids are in [only]).
-    Each network flows through the full text pipeline.  Networks build
-    in parallel on [jobs] pool workers (default
-    {!Rd_util.Pool.default_jobs}); because every network is seeded from
-    its own spec, the result is byte-identical to a sequential
-    ([jobs = 1]) build, in net-id order.  This is the fail-fast
-    discipline: the first network whose analysis raises aborts the whole
-    build ([rdna study --fail-fast]); use {!build_results} to degrade
-    per network instead. *)
-
 type failure = { spec : spec; failure : Rd_util.Pool.failure }
-(** A network whose build raised: which spec, plus the terminal
+(** A network whose task raised: which spec, plus the terminal
     exception, its site (when a fault/budget site is known), attempt
     count, and elapsed time. *)
+
+val supervise :
+  ?jobs:int -> ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t ->
+  ?faults:Rd_util.Fault.t -> ?cancel:Rd_util.Cancel.t -> ?task_timeout:float ->
+  ?retries:int -> (Rd_util.Cancel.t option -> spec -> 'a) -> spec list ->
+  ('a, failure) result list
+(** [supervise task wanted] runs [task token spec] for every spec on
+    [jobs] pool workers ({!Rd_util.Pool.parallel_map_results}) — the
+    one execution path behind {!build_results} and every
+    [Driver] sweep.  Results stay in [wanted] order; each failure
+    becomes a {!failure} row and bumps the [network.degraded] metrics
+    counter.  [retries] (default 0) re-runs a failed network up to that
+    many extra times.
+
+    [cancel] is the run-level token: tripping it (deadline or SIGINT)
+    stops in-flight tasks at their next poll and fails queued ones fast,
+    each as a [Timed_out] failure.  The [token] each task receives is
+    {!Rd_util.Cancel.task} of [cancel] with [task_timeout], created
+    inside the pool task so its budget clocks from that network's start
+    — one slow network degrades alone. *)
 
 val build_results :
   ?only:int list -> ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t ->
   ?faults:Rd_util.Fault.t -> ?cancel:Rd_util.Cancel.t -> ?task_timeout:float ->
   ?limits:Rd_util.Limits.t -> ?retries:int -> ?jobs:int ->
   master_seed:int -> unit -> (network, failure) result list
-(** Supervised {!build}: every requested network yields [Ok] or a
-    {!failure}; one bad network never aborts the other thirty (the
-    default [rdna study] discipline).  Results stay in net-id order, and
-    a zero-failure run is byte-identical to {!build}.  [retries]
-    (default 0) re-runs a failed network up to that many extra times.
-    Each failure bumps the [network.degraded] metrics counter.
+(** Build the population (or the networks whose ids are in [only])
+    under {!supervise}: every requested network flows through the full
+    text pipeline ({!build_network}) and yields [Ok] or a {!failure};
+    one bad network never aborts the other thirty.  Networks build in
+    parallel on [jobs] pool workers (default
+    {!Rd_util.Pool.default_jobs}); because every network is seeded from
+    its own spec, the result is byte-identical to a sequential
+    ([jobs = 1]) build, in net-id order. *)
 
-    [cancel] is the run-level token: tripping it (deadline or SIGINT)
-    stops in-flight builds at their next poll and fails queued ones
-    fast, each as a [Timed_out] failure.  [task_timeout] additionally
-    derives a per-network child token whose budget clocks from that
-    network's build start — one slow network degrades alone. *)
+val build :
+  ?only:int list -> ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t -> ?jobs:int ->
+  ?faults:Rd_util.Fault.t -> ?limits:Rd_util.Limits.t ->
+  master_seed:int -> unit -> network list
+(** {!build_results} for callers that need every network: when any
+    network failed, re-raise the lowest net id's exception with its
+    original backtrace ({!Rd_util.Pool.reraise}).  Every network is
+    attempted first, so which failure escapes never depends on the
+    schedule. *)
 
-val partition : (network, failure) result list -> network list * failure list
+val partition : ('a, failure) result list -> 'a list * failure list
 (** Split into (survivors, failures), both order-preserving. *)
 
 val render_failures : total:int -> failure list -> string

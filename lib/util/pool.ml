@@ -1,18 +1,20 @@
-(* Fixed-size domain worker pool.
+(* Fixed-size domain worker pool behind one supervised map.
 
-   Tasks are closures pushed onto a mutex/condition-protected queue;
-   [jobs] worker domains pop and run them.  [mapi] fans a list out in
-   index chunks and reassembles results in input order, so parallel maps
-   are observably identical to [List.mapi].  Worker domains mark
-   themselves via a DLS flag; a parallel map issued from inside a worker
-   runs sequentially instead of deadlocking on pool capacity.
+   [parallel_map_results] spawns [jobs] worker domains that pop closures
+   off a mutex/condition-protected queue, submits one task per item,
+   and reassembles the per-item results in input order, so a parallel
+   map is observably identical to its sequential counterpart.
+   [parallel_map] is the same map followed by re-raising the
+   lowest-index failure.  Worker domains mark themselves via a DLS
+   flag; a parallel map issued from inside a worker runs sequentially
+   instead of deadlocking on pool capacity.
 
    Robustness invariants: a worker never dies with the queue non-empty
-   (it catches whatever escapes a task), and the map combinators keep
-   their completion accounting in a [Fun.protect] finalizer, so an
-   exception raised anywhere between task pickup and completion — the
-   [pool.pickup] fault site simulates exactly that window — can delay a
-   map but never deadlock its [all_done] wait.
+   (it catches whatever escapes a task), and every item attempt catches
+   its own exception — the [pool.pickup] fault site fires inside that
+   catch, between task pickup and the mapped function — so each item
+   reaches [finish] exactly once and the map's [all_done] wait always
+   drains.
 
    When a recorder/registry is attached, [submit] wraps each task to
    record a queue-wait histogram and a "task" span; workers flush their
@@ -28,7 +30,6 @@ type t = {
   mutable domains : unit Domain.t list;
   trace : Trace.t option;
   metrics : Metrics.t option;
-  faults : Fault.t option;
   mutable busy_us : float; (* task wall-clock total; protected by [mutex] *)
   started : float;
 }
@@ -45,8 +46,6 @@ let default_jobs () =
      | _ -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 
-let jobs t = t.size
-
 let rec worker_loop t =
   Mutex.lock t.mutex;
   while Queue.is_empty t.queue && not t.closed do
@@ -61,16 +60,14 @@ let rec worker_loop t =
   else begin
     let task = Queue.pop t.queue in
     Mutex.unlock t.mutex;
-    (* A raising task must not take the worker down with it: the map
-       combinators do their own error capture, so anything reaching
-       here is a raw [submit] task (or a recorder bug) — count it and
-       keep serving the queue. *)
+    (* A raising task must not take the worker down with it: item
+       attempts do their own error capture, so anything reaching here
+       is a recorder bug — count it and keep serving the queue. *)
     (try task () with _ -> Metrics.incr t.metrics "pool.task_failures");
     worker_loop t
   end
 
-let create ?jobs ?trace ?metrics ?faults () =
-  let size = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
+let create ~size ?trace ?metrics () =
   let t =
     {
       size;
@@ -81,7 +78,6 @@ let create ?jobs ?trace ?metrics ?faults () =
       domains = [];
       trace;
       metrics;
-      faults;
       busy_us = 0.0;
       started = Trace.now ();
     }
@@ -113,22 +109,16 @@ let instrument t task =
 
 let submit t task =
   let task = instrument t task in
-  Mutex.lock t.mutex;
-  if t.closed then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  Queue.push task t.queue;
-  Condition.signal t.work_available;
-  Mutex.unlock t.mutex
+  Mutex.protect t.mutex (fun () ->
+      Queue.push task t.queue;
+      Condition.signal t.work_available)
 
+(* Drain the queue, join the workers, publish the utilization gauges. *)
 let shutdown t =
-  Mutex.lock t.mutex;
-  t.closed <- true;
-  Condition.broadcast t.work_available;
-  Mutex.unlock t.mutex;
+  Mutex.protect t.mutex (fun () ->
+      t.closed <- true;
+      Condition.broadcast t.work_available);
   List.iter Domain.join t.domains;
-  t.domains <- [];
   match t.metrics with
   | None -> ()
   | Some _ ->
@@ -137,10 +127,6 @@ let shutdown t =
     if elapsed_us > 0.0 then
       Metrics.set t.metrics "pool.utilization"
         (t.busy_us /. (elapsed_us *. float_of_int t.size))
-
-let with_pool ?jobs ?trace ?metrics ?faults f =
-  let t = create ?jobs ?trace ?metrics ?faults () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* ------------------------------------------------------------ failures --- *)
 
@@ -152,7 +138,7 @@ type cause =
 
 type failure = {
   exn : exn;
-  backtrace : string;
+  backtrace : Printexc.raw_backtrace;
   site : string option;
   cause : cause;
   attempts : int;
@@ -178,181 +164,115 @@ let cause_of_exn e =
    retry can only burn budget re-reaching the same poll point. *)
 let retryable = function Timed_out _ -> false | Exn | Fault _ | Budget _ -> true
 
-let failure_of ?(attempts = 1) ?(elapsed = 0.0) e bt =
-  { exn = e; backtrace = bt; site = failure_site e; cause = cause_of_exn e; attempts; elapsed }
+let reraise fl = Printexc.raise_with_backtrace fl.exn fl.backtrace
 
-(* Run one item under supervision: catch, optionally retry with
-   exponential backoff, and report the terminal failure with its cause,
-   site and total elapsed time.  [cancel] is polled before each attempt
-   so work queued behind a tripped token fails fast instead of running.
-   This is the sequential path — the in-pool path in [mapi_results]
-   requeues instead of sleeping, but here there is no queue to yield
-   to, so the backoff sleep is inline. *)
-let supervised ~retries ~backoff ~metrics ?cancel f i x =
-  let started = Trace.now () in
-  let rec attempt k =
-    match
-      Cancel.check ~site:"pool.queued" cancel;
-      f i x
-    with
-    | y -> Ok y
-    | exception e ->
-      let bt = Printexc.get_backtrace () in
-      let fl = failure_of ~attempts:k ~elapsed:(Trace.now () -. started) e bt in
-      if k <= retries && retryable fl.cause then begin
-        Metrics.incr metrics "task.retried";
-        if backoff > 0.0 then Unix.sleepf (backoff *. float_of_int (1 lsl (k - 1)));
-        attempt (k + 1)
-      end
-      else Error fl
-  in
-  attempt 1
+(* Attempt [k] of one item: poll [cancel] so work queued behind a
+   tripped token fails fast instead of running, fire the pickup fault
+   site (armed only on the pool path), run [f].  Never raises. *)
+let attempt ?cancel ?faults ~started ~k f x =
+  match
+    Cancel.check ~site:"pool.queued" cancel;
+    Fault.fault_point faults ~site:"pool.pickup";
+    f x
+  with
+  | y -> Ok y
+  | exception e ->
+    let backtrace = Printexc.get_raw_backtrace () in
+    Error
+      {
+        exn = e;
+        backtrace;
+        site = failure_site e;
+        cause = cause_of_exn e;
+        attempts = k;
+        elapsed = Trace.now () -. started;
+      }
 
-(* Chunked fan-out shared by the fail-fast and supervised maps: [run]
-   handles one chunk and must not raise.  Completion accounting lives in
-   a finalizer so a raising [run] (it never should) still drains
-   [all_done]. *)
-let fan_out t ~n ~run =
-  let m = Mutex.create () in
-  let all_done = Condition.create () in
-  let chunk = max 1 ((n + (t.size * 4) - 1) / (t.size * 4)) in
-  let nchunks = (n + chunk - 1) / chunk in
-  let remaining = ref nchunks in
-  let rec enqueue start =
-    if start < n then begin
-      let stop = min n (start + chunk) in
-      submit t (fun () ->
-          Fun.protect
-            ~finally:(fun () ->
-              Mutex.lock m;
-              decr remaining;
-              if !remaining = 0 then Condition.signal all_done;
-              Mutex.unlock m)
-            (fun () -> run ~start ~stop));
-      enqueue stop
-    end
-  in
-  enqueue 0;
-  Mutex.lock m;
-  while !remaining > 0 do
-    Condition.wait all_done m
-  done;
-  Mutex.unlock m
-
-(* Tasks never outlive [mapi]: every chunk decrements [remaining] in its
-   finalizer even when the user function (or an injected pickup fault)
-   raises, and the caller sleeps on [all_done] until the count drains.
-   The first exception (with its backtrace) wins; later chunks see it
-   and skip their work. *)
-let mapi t f l =
-  let n = List.length l in
-  if n = 0 then []
-  else if t.size <= 1 || n = 1 || in_worker () then List.mapi f l
-  else begin
-    let input = Array.of_list l in
-    let results = Array.make n None in
-    let m = Mutex.create () in
-    let error = ref None in
-    fan_out t ~n ~run:(fun ~start ~stop ->
-        try
-          Fault.fault_point t.faults ~site:"pool.pickup";
-          let poisoned = Mutex.protect m (fun () -> !error <> None) in
-          if not poisoned then
-            for i = start to stop - 1 do
-              results.(i) <- Some (f i input.(i))
-            done
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          Mutex.protect m (fun () -> if !error = None then error := Some (e, bt)));
-    (match !error with
-     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-     | None -> ());
-    Array.to_list (Array.map Option.get results)
+(* The retry decision both paths share: [Some delay] when attempt [k]'s
+   failure earns another attempt after [delay] seconds of exponential
+   backoff, counting [task.retried]. *)
+let retry_after ~retries ~backoff ~metrics ~k fl =
+  if k <= retries && retryable fl.cause then begin
+    Metrics.incr metrics "task.retried";
+    Some (if backoff > 0.0 then backoff *. float_of_int (1 lsl (k - 1)) else 0.0)
   end
+  else None
 
-let map t f l = mapi t (fun _ x -> f x) l
+(* The sequential path: there is no queue to yield to, so the backoff
+   sleep is inline. *)
+let supervised ~retries ~backoff ~metrics ?cancel f x =
+  let started = Trace.now () in
+  let rec go k =
+    match attempt ?cancel ~started ~k f x with
+    | Ok _ as r -> r
+    | Error fl as r ->
+      (match retry_after ~retries ~backoff ~metrics ~k fl with
+       | Some delay ->
+         if delay > 0.0 then Unix.sleepf delay;
+         go (k + 1)
+       | None -> r)
+  in
+  go 1
 
-(* Supervised variant: no poisoning — every item always gets a result.
-   One task per item (not per chunk), so an item that must back off
+(* The pool path: one task per item, so an item that must back off
    before a retry is REQUEUED with a not-before time instead of
    sleeping in the worker: the domain goes back to the queue and other
    items keep flowing through it even on a 2-worker pool.  A requeued
    item that comes up early naps a couple of milliseconds and yields
    the domain again, so the wait costs bounded busy-time and never
-   blocks real work.  The [pool.pickup] fault site fires per item here
-   (it is per chunk in the fail-fast map), failing just that item. *)
-let mapi_results ?(retries = 0) ?(backoff = 0.0) ?cancel t f l =
-  let n = List.length l in
-  if n = 0 then []
-  else if t.size <= 1 || n = 1 || in_worker () then
-    List.mapi (fun i x -> supervised ~retries ~backoff ~metrics:t.metrics ?cancel f i x) l
-  else begin
-    let input = Array.of_list l in
-    let results = Array.make n None in
-    let m = Mutex.create () in
-    let all_done = Condition.create () in
-    let remaining = ref n in
-    let finish i r =
-      Mutex.lock m;
-      results.(i) <- Some r;
-      decr remaining;
-      if !remaining = 0 then Condition.signal all_done;
-      Mutex.unlock m
-    in
-    let rec run_item i ~attempt ~started ~not_before () =
-      let now = Trace.now () in
-      if now < not_before then begin
-        Unix.sleepf (Float.min 0.002 (not_before -. now));
-        submit t (run_item i ~attempt ~started ~not_before)
-      end
-      else begin
-        let started = if attempt = 1 then now else started in
-        match
-          Cancel.check ~site:"pool.queued" cancel;
-          Fault.fault_point t.faults ~site:"pool.pickup";
-          f i input.(i)
-        with
-        | y -> finish i (Ok y)
-        | exception e ->
-          let bt = Printexc.get_backtrace () in
-          let fl = failure_of ~attempts:attempt ~elapsed:(Trace.now () -. started) e bt in
-          if attempt <= retries && retryable fl.cause then begin
-            Metrics.incr t.metrics "task.retried";
-            let delay =
-              if backoff > 0.0 then backoff *. float_of_int (1 lsl (attempt - 1)) else 0.0
-            in
-            submit t (run_item i ~attempt:(attempt + 1) ~started ~not_before:(Trace.now () +. delay))
-          end
-          else finish i (Error fl)
-      end
-    in
-    Array.iteri (fun i _ -> submit t (run_item i ~attempt:1 ~started:0.0 ~not_before:0.0)) input;
-    Mutex.lock m;
-    while !remaining > 0 do
-      Condition.wait all_done m
-    done;
-    Mutex.unlock m;
-    Array.to_list (Array.map Option.get results)
-  end
+   blocks real work. *)
+let map_on t ~retries ~backoff ?cancel ?faults f l =
+  let input = Array.of_list l in
+  let results = Array.make (Array.length input) None in
+  let m = Mutex.create () in
+  let all_done = Condition.create () in
+  let remaining = ref (Array.length input) in
+  let finish i r =
+    Mutex.protect m (fun () ->
+        results.(i) <- Some r;
+        decr remaining;
+        if !remaining = 0 then Condition.signal all_done)
+  in
+  let rec run_item i ~k ~started ~not_before () =
+    let now = Trace.now () in
+    if now < not_before then begin
+      Unix.sleepf (Float.min 0.002 (not_before -. now));
+      submit t (run_item i ~k ~started ~not_before)
+    end
+    else begin
+      let started = if k = 1 then now else started in
+      match attempt ?cancel ?faults ~started ~k f input.(i) with
+      | Ok _ as r -> finish i r
+      | Error fl as r ->
+        (match retry_after ~retries ~backoff ~metrics:t.metrics ~k fl with
+         | Some delay ->
+           submit t (run_item i ~k:(k + 1) ~started ~not_before:(Trace.now () +. delay))
+         | None -> finish i r)
+    end
+  in
+  Array.iteri (fun i _ -> submit t (run_item i ~k:1 ~started:0.0 ~not_before:0.0)) input;
+  Mutex.lock m;
+  while !remaining > 0 do
+    Condition.wait all_done m
+  done;
+  Mutex.unlock m;
+  Array.to_list (Array.map Option.get results)
 
-let map_results ?retries ?backoff ?cancel t f l =
-  mapi_results ?retries ?backoff ?cancel t (fun _ x -> f x) l
-
-let parallel_mapi ?jobs ?trace ?metrics ?faults f l =
-  let size = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
-  if size <= 1 || List.length l <= 1 || in_worker () then List.mapi f l
-  else with_pool ~jobs:size ?trace ?metrics ?faults (fun t -> mapi t f l)
-
-let parallel_map ?jobs ?trace ?metrics ?faults f l =
-  parallel_mapi ?jobs ?trace ?metrics ?faults (fun _ x -> f x) l
-
-let parallel_mapi_results ?jobs ?trace ?metrics ?faults ?cancel ?(retries = 0) ?(backoff = 0.0) f l =
+let parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ?(retries = 0) ?(backoff = 0.0)
+    f l =
   let size = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
   if size <= 1 || List.length l <= 1 || in_worker () then
-    List.mapi (fun i x -> supervised ~retries ~backoff ~metrics ?cancel f i x) l
-  else
-    with_pool ~jobs:size ?trace ?metrics ?faults (fun t ->
-        mapi_results ~retries ~backoff ?cancel t f l)
+    List.map (supervised ~retries ~backoff ~metrics ?cancel f) l
+  else begin
+    let t = create ~size ?trace ?metrics () in
+    Fun.protect
+      ~finally:(fun () -> shutdown t)
+      (fun () -> map_on t ~retries ~backoff ?cancel ?faults f l)
+  end
 
-let parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ?retries ?backoff f l =
-  parallel_mapi_results ?jobs ?trace ?metrics ?faults ?cancel ?retries ?backoff (fun _ x -> f x) l
+(* [List.map] applies its function in list order, so the failure
+   re-raised is the lowest-index one whatever the schedule. *)
+let parallel_map ?jobs ?trace ?metrics ?faults f l =
+  List.map
+    (function Ok y -> y | Error fl -> reraise fl)
+    (parallel_map_results ?jobs ?trace ?metrics ?faults f l)

@@ -14,11 +14,12 @@
 
     Spans are buffered {e per domain} (domain-local storage), so
     recording a span never takes a lock; a pool worker's buffer is merged
-    into the recorder when the worker exits ({!Pool.shutdown} joins
-    workers, which flush via {!flush_current_domain}), and the exporting
-    domain's buffer is merged on {!spans}/{!to_json}.  Spans recorded on
-    a worker domain therefore become visible only after its pool has shut
-    down — which every [Pool] combinator guarantees before returning.
+    into the recorder when the worker exits (a pool joins its workers
+    before its map returns, and they flush via
+    {!flush_current_domain}), and the exporting domain's buffer is
+    merged on {!spans}/{!to_json}.  Spans recorded on a worker domain
+    therefore become visible only after its pool has shut down — which
+    every [Pool] map guarantees before returning.
 
     Tracing is observational only: enabling it never changes analysis
     results (asserted by the bench harness on every run).

@@ -235,25 +235,6 @@ let test_study_degrades_one_network () =
   check_bool "fault.injected counted" true
     (Metrics.counter_value metrics "fault.injected" = Some 1)
 
-let test_build_results_clean_identical_to_build () =
-  (* with faults disabled the supervised build is byte-identical to the
-     fail-fast one *)
-  let only = [ 3; 4 ] in
-  let a = Rd_study.Population.build ~only ~jobs:2 ~master_seed:seed () in
-  let b, failures =
-    Rd_study.Population.partition
-      (Rd_study.Population.build_results ~only ~jobs:2 ~master_seed:seed ())
-  in
-  check_int "no failures" 0 (List.length failures);
-  List.iter2
-    (fun (x : Rd_study.Population.network) (y : Rd_study.Population.network) ->
-      check_int "same net" x.spec.net_id y.spec.net_id;
-      check_string
-        (Printf.sprintf "net%d identical" x.spec.net_id)
-        (Rd_core.Analysis.summary x.analysis)
-        (Rd_core.Analysis.summary y.analysis))
-    a b
-
 let test_study_retry_recovers_network () =
   (* max=1: the network fails once, the retry succeeds, nothing degrades *)
   let metrics = Metrics.create () in
@@ -351,8 +332,6 @@ let () =
         [
           Alcotest.test_case "one network degrades, thirty survive" `Quick
             test_study_degrades_one_network;
-          Alcotest.test_case "clean supervised = fail-fast" `Quick
-            test_build_results_clean_identical_to_build;
           Alcotest.test_case "retry recovers a network" `Quick
             test_study_retry_recovers_network;
           Alcotest.test_case "golden failure report" `Quick

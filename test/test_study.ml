@@ -229,23 +229,27 @@ let test_traced_build_identical () =
      | Some n -> n > 0
      | None -> false)
 
-let test_supervised_build_identical () =
-  (* with faults disabled, the supervised (keep-going) build is
-     byte-identical to the fail-fast build the study always used *)
-  let subset = [ 1; 4; 8; 15 ] in
-  let plain = Rd_study.Population.build ~only:subset ~jobs:2 ~master_seed:seed () in
-  let results = Rd_study.Population.build_results ~only:subset ~jobs:2 ~master_seed:seed () in
-  let supervised, failures = Rd_study.Population.partition results in
-  check_int "no failures" 0 (List.length failures);
-  check_int "same count" (List.length plain) (List.length supervised);
-  List.iter2
-    (fun (a : Rd_study.Population.network) (b : Rd_study.Population.network) ->
-      check_int "net order" a.spec.net_id b.spec.net_id;
-      Alcotest.(check string)
-        (Printf.sprintf "net%d summary identical under supervision" a.spec.net_id)
-        (Rd_core.Analysis.summary a.analysis)
-        (Rd_core.Analysis.summary b.analysis))
-    plain supervised
+let test_fail_fast_build_lowest_net_id () =
+  (* two networks fail: the build re-raises the lower net id's fault on
+     any worker count, after every network was attempted *)
+  List.iter
+    (fun jobs ->
+      let faults =
+        match
+          Rd_util.Fault.of_spec
+            "seed=5;study.network:raise:key=net8;study.network:raise:key=net4"
+        with
+        | Ok f -> f
+        | Error e -> Alcotest.failf "fault spec: %s" e
+      in
+      (match Rd_study.Population.build ~only:[ 3; 4; 8 ] ~jobs ~faults ~master_seed:seed () with
+       | _ -> Alcotest.fail "a failed network must abort the build"
+       | exception (Rd_util.Fault.Injected _ as e) ->
+         Alcotest.(check string)
+           (Printf.sprintf "jobs=%d raises net4" jobs)
+           "injected fault at study.network [net4]" (Printexc.to_string e));
+      check_int "both faults fired" 2 (List.length (Rd_util.Fault.injections faults)))
+    [ 2; 1 ]
 
 let test_degraded_full_study () =
   (* kill exactly one of the 31 networks: the other thirty come out
@@ -548,7 +552,8 @@ let () =
           Alcotest.test_case "paper invariants" `Slow test_full_study;
           Alcotest.test_case "parallel build determinism" `Quick test_parallel_build_deterministic;
           Alcotest.test_case "traced build identical + trace json" `Quick test_traced_build_identical;
-          Alcotest.test_case "supervised build identical" `Quick test_supervised_build_identical;
+          Alcotest.test_case "fail-fast build raises lowest net id" `Quick
+            test_fail_fast_build_lowest_net_id;
           Alcotest.test_case "degraded full study" `Slow test_degraded_full_study;
           Alcotest.test_case "determinism" `Quick test_study_deterministic;
           Alcotest.test_case "scorecard" `Slow test_scorecard;

@@ -88,9 +88,7 @@ let test_prng_pareto () =
 let test_pool_order_preserved () =
   let input = List.init 100 (fun i -> i) in
   let out = Pool.parallel_map ~jobs:4 (fun x -> x * x) input in
-  Alcotest.(check (list int)) "squares in order" (List.map (fun x -> x * x) input) out;
-  let outi = Pool.parallel_mapi ~jobs:4 (fun i x -> i + x) input in
-  Alcotest.(check (list int)) "mapi indices line up" (List.mapi (fun i x -> i + x) input) outi
+  Alcotest.(check (list int)) "squares in order" (List.map (fun x -> x * x) input) out
 
 let test_pool_jobs1_equivalence () =
   let input = List.init 37 (fun i -> i) in
@@ -110,6 +108,26 @@ let test_pool_exception_propagation () =
   check_int "pool usable after error" 10
     (List.length (Pool.parallel_map ~jobs:4 (fun x -> x) (List.init 10 (fun i -> i))))
 
+exception A
+exception B
+
+let test_pool_fail_fast_deterministic () =
+  (* item 9 fails first in wall-clock time, item 0 later: the re-raised
+     failure is the lowest-index one on any schedule *)
+  let f i =
+    if i = 0 then begin
+      Unix.sleepf 0.05;
+      raise A
+    end;
+    if i = 9 then raise B;
+    i
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises (Printf.sprintf "jobs=%d raises item 0's A" jobs) A (fun () ->
+          ignore (Pool.parallel_map ~jobs f (List.init 10 (fun i -> i)))))
+    [ 4; 1 ]
+
 let test_pool_nested_fallback () =
   check_bool "caller is not a worker" false (Pool.in_worker ());
   let out =
@@ -126,14 +144,6 @@ let test_pool_nested_fallback () =
     [ (true, [ 11; 12; 13 ]); (true, [ 21; 22; 23 ]) ]
     out
 
-let test_pool_persistent () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      check_int "pool size" 3 (Pool.jobs pool);
-      let a = Pool.map pool (fun x -> x + 1) [ 1; 2; 3 ] in
-      let b = Pool.mapi pool (fun i x -> i * x) [ 4; 5; 6 ] in
-      Alcotest.(check (list int)) "map" [ 2; 3; 4 ] a;
-      Alcotest.(check (list int)) "mapi" [ 0; 5; 12 ] b)
-
 let test_pool_default_jobs_env () =
   let saved = Sys.getenv_opt "RDNA_JOBS" in
   Unix.putenv "RDNA_JOBS" "3";
@@ -149,18 +159,10 @@ let fault_plan spec =
   | Ok f -> f
   | Error e -> Alcotest.failf "bad fault spec %S: %s" spec e
 
-let test_pool_raw_task_failure_survives () =
-  (* a raw submitted task that raises must not kill its worker or hang
-     the queue: later work on the same pool completes *)
-  Pool.with_pool ~jobs:2 (fun pool ->
-      Pool.submit pool (fun () -> failwith "dead task");
-      let out = Pool.map pool (fun x -> x * 2) [ 1; 2; 3 ] in
-      Alcotest.(check (list int)) "pool still serves" [ 2; 4; 6 ] out)
-
 let test_pool_pickup_fault_no_deadlock () =
   (* a worker dying between task pickup and completion (the pool.pickup
      injection site) must not leave the map's all_done wait hanging: the
-     fail-fast map re-raises the injected fault promptly... *)
+     fail-fast map re-raises the injected fault... *)
   (match
      Pool.parallel_map ~jobs:2 ~faults:(fault_plan "seed=1;pool.pickup:raise")
        (fun x -> x)
@@ -168,7 +170,7 @@ let test_pool_pickup_fault_no_deadlock () =
    with
   | _ -> Alcotest.fail "pickup fault should abort the fail-fast map"
   | exception Fault.Injected ("pool.pickup", _) -> ());
-  (* ...and the supervised map degrades every chunk to Error and returns *)
+  (* ...and the supervised map degrades every item to Error and returns *)
   let results =
     Pool.parallel_map_results ~jobs:2 ~faults:(fault_plan "seed=1;pool.pickup:raise")
       (fun x -> x)
@@ -1118,11 +1120,10 @@ let () =
           Alcotest.test_case "order preserved" `Quick test_pool_order_preserved;
           Alcotest.test_case "jobs=1 and jobs=4 equivalence" `Quick test_pool_jobs1_equivalence;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagation;
+          Alcotest.test_case "fail-fast is deterministic" `Quick
+            test_pool_fail_fast_deterministic;
           Alcotest.test_case "nested fallback" `Quick test_pool_nested_fallback;
-          Alcotest.test_case "persistent pool" `Quick test_pool_persistent;
           Alcotest.test_case "RDNA_JOBS env" `Quick test_pool_default_jobs_env;
-          Alcotest.test_case "raw task failure survives" `Quick
-            test_pool_raw_task_failure_survives;
           Alcotest.test_case "pickup fault no deadlock" `Quick
             test_pool_pickup_fault_no_deadlock;
           Alcotest.test_case "map_results isolation" `Quick test_pool_map_results_isolation;
