@@ -897,7 +897,8 @@ let study_cmd =
     guard @@ fun () ->
     (* --timing is served from the same recorder as --trace; tracing and
        metrics are purely observational, so study output is byte-identical
-       with or without them (the bench asserts this). *)
+       with or without them (test_study's "traced build identical + trace
+       json" asserts this). *)
     let ((trace, metrics) as sinks) =
       open_sinks ~trace:timing ~metrics:(metrics_json <> None) obs
     in

@@ -16,9 +16,9 @@
     sets that crossed a domain boundary compare via a structural
     fallback, so semantic equality is never lost — only sharing.
 
-    {!Prefix_set_ref} retains the original structural implementation as
-    the executable reference semantics; the test suite checks this
-    kernel against it on random sets. *)
+    The test suite keeps the original structural implementation as the
+    executable reference semantics and checks this kernel against it on
+    random sets. *)
 
 type t
 (** An immutable set of IPv4 addresses. *)
@@ -114,10 +114,9 @@ val stats : unit -> stats
 (** Cumulative kernel counters summed over every domain that touched the
     kernel since program start: hash-consed nodes allocated, and memo
     cache hits/misses across all memoized operations.  Reads of other
-    domains' counters are unsynchronized (advisory numbers for metrics
-    and benches — surfaced as the [pset.nodes]/[pset.memo_hits]/
-    [pset.memo_misses] counters by {!Rd_reach.Reachability.compute} and
-    the bench harness). *)
+    domains' counters are unsynchronized (advisory numbers for metrics —
+    surfaced as the [pset.nodes]/[pset.memo_hits]/[pset.memo_misses]
+    counters by {!Rd_reach.Reachability.compute}). *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints the covering prefixes of {!to_prefixes}, comma-separated

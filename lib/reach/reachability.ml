@@ -179,8 +179,7 @@ let finish ?metrics ~stats0 ~external_offers g origins routes iterations =
 (* The legacy fixpoint: sweep every edge in rounds until a round changes
    nothing.  Retained as executable reference semantics for the worklist
    — the regression suite checks [compute] against it on all studied
-   networks, and the bench harness measures the worklist speedup with the
-   same workload. *)
+   networks. *)
 let compute_rounds ?cancel ?(limits = Rd_util.Limits.default)
     ?(external_offers = Prefix_set.full) (g : Instance_graph.t) =
   let stats0 = Prefix_set.stats () in

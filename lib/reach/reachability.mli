@@ -86,7 +86,7 @@ val compute_rounds :
   Rd_routing.Instance_graph.t -> t
 (** The legacy fixpoint: sweep every edge in rounds until a round changes
     nothing.  Retained as executable reference semantics for {!compute}
-    (regression tests, bench baseline); prefer {!compute}. *)
+    (regression tests); prefer {!compute}. *)
 
 val origins_bulk : Rd_routing.Instance_graph.t -> Prefix_set.t array
 (** Every instance's origin set, computed in one pass and memoized per
@@ -99,8 +99,9 @@ val initial_routes : Rd_routing.Instance_graph.t -> Prefix_set.t array
     route set (never the origin set) of every instance whose process
     has [default-information originate] backed by a static default or
     another process on the router.  Safe to mutate — callers own the
-    copy.  Exposed so external reference implementations (the bench
-    baseline) start from the same semantics. *)
+    copy.  Exposed so external reference implementations (the
+    structural fixpoint in the test suite) start from the same
+    semantics. *)
 
 val origin_of_instance : Rd_routing.Instance_graph.t -> int -> Prefix_set.t
 (** Connected subnets attached to an instance: subnets of interfaces

@@ -580,20 +580,6 @@ let ablation_ospf_area (net : Population.network) =
     "(identical counts mean the network's areas are consistently configured;\n a divergence would reveal area-mismatch misconfigurations)\n";
   Buffer.contents buf
 
-let crosscheck ?limits ?cancel ?faults ?invariants (nets : Population.network list) =
-  let buf = Buffer.create 1024 in
-  heading buf "Differential cross-check"
-    "sim\xe2\x8a\x86static oracle and metamorphic invariants over the study population";
-  let reports =
-    List.map
-      (fun (n : Population.network) ->
-        Rd_check.Crosscheck.run_analysis ?limits ?cancel ?faults ?invariants
-          ~files:(Population.generate_one n.spec) n.analysis)
-      nets
-  in
-  Buffer.add_string buf (Rd_check.Crosscheck.render reports);
-  Buffer.contents buf
-
 let ablation_external (nets : Population.network list) =
   let buf = Buffer.create 1024 in
   heading buf "Ablation: external-facing detection heuristics"

@@ -50,15 +50,6 @@ val ablation_blocks : Population.network -> string
 val ablation_ospf_area : Population.network -> string
 (** Strict vs ignored OSPF area matching in adjacency computation. *)
 
-val crosscheck :
-  ?limits:Rd_util.Limits.t -> ?cancel:Rd_util.Cancel.t -> ?faults:Rd_util.Fault.t ->
-  ?invariants:string list -> Population.network list -> string
-(** Per-network cross-check records: the {!Rd_check.Crosscheck} report
-    (sim⊆static oracle plus metamorphic invariants) over the study
-    population, one row per network.  Regenerates each network's
-    configuration texts from its spec so the anonymize-structure
-    invariant can run. *)
-
 val ablation_external : Population.network list -> string
 (** /30 rule alone vs /30 + next-hop heuristic for external-facing
     interface detection. *)

@@ -22,7 +22,8 @@
     every [Pool] map guarantees before returning.
 
     Tracing is observational only: enabling it never changes analysis
-    results (asserted by the bench harness on every run).
+    results (asserted by the [test_study] case "traced build identical
+    + trace json").
 
     {2 Call-site convention}
 

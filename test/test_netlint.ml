@@ -377,6 +377,24 @@ let test_generated_networks_no_errors () =
       Rd_gen.Archetype.Igp_only;
     ]
 
+(* Re-linting an analyzed network is a pure replay of memoized work: the
+   hash-consed prefix-set kernel and the filter lowerings memoized on
+   physical AST identity absorb the whole second pass, so it allocates no
+   kernel node and misses no memo table, and agrees finding for finding. *)
+let test_relint_replays_memo () =
+  List.iter
+    (fun (spec : Rd_study.Population.spec) ->
+      let files = Rd_study.Population.generate_one spec in
+      let a = Rd_core.Analysis.analyze ~name:spec.label files in
+      let cold = Rd_core.Netlint.run_analysis ~files a in
+      let s0 = Prefix_set.stats () in
+      let warm = Rd_core.Netlint.run_analysis ~files a in
+      let s1 = Prefix_set.stats () in
+      check_bool (spec.label ^ ": identical findings") true (cold.findings = warm.findings);
+      check_int (spec.label ^ ": warm pass allocates no node") 0 (s1.nodes - s0.nodes);
+      check_int (spec.label ^ ": warm pass misses no memo") 0 (s1.memo_misses - s0.memo_misses))
+    (Rd_study.Population.wanted_specs ~only:[ 4; 15 ] ~master_seed:2004 ())
+
 let () =
   Alcotest.run "netlint"
     [
@@ -412,5 +430,6 @@ let () =
           Alcotest.test_case "render and json" `Quick test_render_and_json;
           Alcotest.test_case "generated networks error-free" `Quick
             test_generated_networks_no_errors;
+          Alcotest.test_case "re-lint replays the memo" `Quick test_relint_replays_memo;
         ] );
     ]

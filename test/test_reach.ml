@@ -326,15 +326,57 @@ let same_fixpoint label (w : Rd_reach.Reachability.t) (r : Rd_reach.Reachability
     r.advertised w.advertised;
   check_bool (label ^ ": internal space") true (Prefix_set.equal r.internal w.internal)
 
+(* The pre-kernel fixpoint: whole-edge-list rounds over structural
+   (non-hash-consed, non-memoized) prefix sets, started from the same
+   [initial_routes] as [compute].  An independent implementation of the
+   same least fixpoint, sharing no set algebra with the kernel. *)
+module R = Prefix_set_ref
+
+let to_ref s = R.of_prefixes (Prefix_set.to_prefixes s)
+
+let structural_fixpoint (g : Rd_routing.Instance_graph.t) =
+  let routes = Array.map to_ref (Rd_reach.Reachability.initial_routes g) in
+  let edges =
+    List.map
+      (fun (e : Rd_routing.Instance_graph.edge) ->
+        (e, to_ref (Rd_policy.Route_filter.permitted e.filter)))
+      g.edges
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun ((e : Rd_routing.Instance_graph.edge), filter) ->
+        let inflow =
+          match e.src with
+          | Rd_routing.Instance_graph.External _ -> R.full
+          | Rd_routing.Instance_graph.Inst i -> routes.(i)
+        in
+        match e.dst with
+        | Rd_routing.Instance_graph.External _ -> ()
+        | Rd_routing.Instance_graph.Inst d ->
+          let merged = R.union routes.(d) (R.inter filter inflow) in
+          if not (R.equal merged routes.(d)) then begin
+            routes.(d) <- merged;
+            changed := true
+          end)
+      edges
+  done;
+  routes
+
 let test_worklist_matches_rounds_study () =
   let nets = Rd_study.Population.build ~master_seed:2004 () in
   check_int "31 networks" 31 (List.length nets);
   List.iter
     (fun (n : Rd_study.Population.network) ->
       let g = n.analysis.graph in
-      same_fixpoint n.spec.label
-        (Rd_reach.Reachability.compute g)
-        (Rd_reach.Reachability.compute_rounds g))
+      let w = Rd_reach.Reachability.compute g in
+      same_fixpoint n.spec.label w (Rd_reach.Reachability.compute_rounds g);
+      Array.iteri
+        (fun i s ->
+          check_bool (Printf.sprintf "%s: structural routes[%d]" n.spec.label i) true
+            (R.equal s (to_ref w.routes.(i))))
+        (structural_fixpoint g))
     nets
 
 (* The incremental fixpoint must land on the same least fixpoint as a
