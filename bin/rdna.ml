@@ -279,7 +279,9 @@ let parse_cmd =
 let lint_cmd =
   let run dir json jobs =
     guard @@ fun () ->
-    let diags = Rd_core.Lint.lint_files ~jobs (load_dir dir) in
+    let files = load_dir dir in
+    let a = Rd_core.Analysis.analyze ~name:(Filename.basename dir) files in
+    let diags = Rd_core.Lint.lint_files ~jobs files @ Rd_core.Lint.design ~files a in
     if json then print_endline (Rd_util.Json.to_string (Rd_core.Lint.to_json diags))
     else begin
       print_string (Rd_core.Lint.render diags);
@@ -293,7 +295,9 @@ let lint_cmd =
        ~doc:"Static checks on configuration files: parse diagnostics plus cross-reference and \
              consistency rules (dangling/unused/duplicate ACLs and route-maps, BGP neighbors \
              without remote-as, OSPF redistribution without metric, overlapping interface \
-             addresses).  Exits non-zero if any error-severity finding is reported.")
+             addresses), then the design checks of paper §8.1 (unfiltered peerings and edge \
+             interfaces, incomplete adjacencies, duplicate addresses, static-route and OSPF \
+             area hazards).  Exits non-zero if any error-severity finding is reported.")
     Term.(const run $ dir_arg
           $ json_term ~doc:"Emit diagnostics as a JSON array."
           $ jobs_term ~doc:"Worker domains for parallel linting.")
@@ -448,24 +452,6 @@ let dot_cmd =
   in
   Cmd.v (Cmd.info "dot" ~doc:"Export the instance or process graph as Graphviz DOT.")
     Term.(const run $ dir_arg $ which_arg)
-
-(* --- audit -------------------------------------------------------------- *)
-
-let audit_cmd =
-  let run dir json =
-    guard @@ fun () ->
-    let findings = Rd_core.Audit.run_all (analyze_dir dir) in
-    if json then
-      print_endline (Rd_util.Json.to_string (Rd_core.Audit.to_json findings))
-    else begin
-      print_string (Rd_core.Audit.render findings);
-      Printf.printf "%d findings\n" (List.length findings)
-    end
-  in
-  Cmd.v
-    (Cmd.info "audit" ~doc:"Vulnerability/anomaly audit of a routing design (paper §8.1).")
-    Term.(const run $ dir_arg
-          $ json_term ~doc:"Emit the findings as a JSON array of diagnostics (stable audit-* codes).")
 
 (* --- inventory ------------------------------------------------------------ *)
 
@@ -1005,6 +991,6 @@ let () =
        (Cmd.group info
           [
             parse_cmd; lint_cmd; anonymize_cmd; summary_cmd; instances_cmd; processes_cmd; areas_cmd;
-            roles_cmd; pathway_cmd; reach_cmd; dot_cmd; audit_cmd; inventory_cmd; whatif_cmd;
+            roles_cmd; pathway_cmd; reach_cmd; dot_cmd; inventory_cmd; whatif_cmd;
             crosscheck_cmd; netlint_cmd; generate_cmd; study_cmd;
           ]))

@@ -1,14 +1,15 @@
 (* Operational tasks on top of the routing design (paper §8.1):
-   vulnerability/anomaly audit and "what if" maintenance analysis. *)
+   the design checks (vulnerability assessment / anomaly detection) and
+   "what if" maintenance analysis. *)
 
 let () =
   let net = Rd_gen.Archetype.generate Rd_gen.Archetype.Enterprise ~seed:17 ~n:24 ~index:6 () in
-  let a = Rd_core.Analysis.analyze ~name:"ops-demo" (Rd_gen.Builder.to_texts net) in
+  let files = Rd_gen.Builder.to_texts net in
+  let a = Rd_core.Analysis.analyze ~name:"ops-demo" files in
   print_string (Rd_core.Analysis.summary a);
 
-  print_endline "\n=== audit (vulnerability assessment / anomaly detection) ===";
-  let findings = Rd_core.Audit.run_all a in
-  print_string (Rd_core.Audit.render findings);
+  print_endline "\n=== design checks (vulnerability assessment / anomaly detection) ===";
+  print_string (Rd_core.Lint.render (Rd_core.Lint.design ~files a));
 
   print_endline "\n=== what if the border router fails? ===";
   let d = Rd_core.Whatif.run a [ Rd_core.Whatif.Remove_router "ent-r0" ] in

@@ -166,10 +166,6 @@ type t = {
   unknown : (int * string) list;
       (** (1-based line number, raw text) of lines the parser did not
           model — the raw material for {!Diag} reports. *)
-  vty_acls : string list;
-      (** ACLs referenced by [access-class] inside line blocks — tracked
-          so audits know they are in use even though line blocks are not
-          otherwise modelled. *)
 }
 
 let empty_interface name =
@@ -225,7 +221,6 @@ let empty =
     total_lines = 0;
     command_count = 0;
     unknown = [];
-    vty_acls = [];
   }
 
 (** Find an interface by exact name. *)

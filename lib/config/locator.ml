@@ -77,6 +77,18 @@ let of_text text =
     (Lexer.lines_of_string text);
   t
 
+type table = (string, t) Hashtbl.t
+
+let of_files ?files known =
+  let table = Hashtbl.create 16 in
+  Option.iter
+    (List.iter (fun (name, text) ->
+         if known name then Hashtbl.replace table name (of_text text)))
+    files;
+  table
+
+let find table file lookup = Option.bind (Hashtbl.find_opt table file) lookup
+
 let entries tbl name =
   match Hashtbl.find_opt tbl name with Some r -> List.rev !r | None -> []
 

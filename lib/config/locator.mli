@@ -2,10 +2,11 @@
 
     The AST deliberately drops physical positions — parsing normalizes
     away line structure — but the network-wide lint pass
-    ([Rd_core.Netlint]) must point its diagnostics at the line an
-    operator should edit: the [neighbor] statement of a mismatched
-    peering, the shadowed [access-list] clause, the [redistribute]
-    command closing a loop.  A locator is one extra {!Lexer} pass over
+    ([Rd_core.Netlint]) and the design rules of [Rd_core.Lint] must
+    point their diagnostics at the line an operator should edit: the
+    [neighbor] statement of a mismatched or unfiltered peering, the
+    shadowed [access-list] clause, the [redistribute] command closing a
+    loop.  A locator is one extra {!Lexer} pass over
     the raw text of a file, indexing the definition lines of the
     entities findings cite.  Lookups are total: anything the index
     cannot resolve (synthetic configurations, entities introduced by a
@@ -17,6 +18,18 @@ type t
 
 val of_text : string -> t
 (** Index one configuration file's raw text. *)
+
+type table
+(** Per-file indexes of one network, keyed by file name. *)
+
+val of_files : ?files:(string * string) list -> (string -> bool) -> table
+(** [of_files ?files known] indexes each (file name, text) pair whose
+    name satisfies [known] (the files the analysis was built from); no
+    [files], no index. *)
+
+val find : table -> string -> (t -> int option) -> int option
+(** [find table file lookup] runs [lookup] on [file]'s index; [None]
+    when the file was not indexed. *)
 
 val neighbor_line : t -> Rd_addr.Ipv4.t -> int option
 (** First [neighbor <addr> ...] line for the peer address. *)

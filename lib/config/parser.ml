@@ -9,7 +9,6 @@ type state = {
   mutable prefix_lists : (string * Ast.prefix_list_entry list) list;  (* name, rev entries *)
   mutable statics : Ast.static_route list;
   mutable unknown : (int * string) list;  (* (lineno, raw) *)
-  mutable vty_acls : string list;
   diag : Diag.collector;
 }
 
@@ -23,7 +22,6 @@ let fresh ?file () =
     prefix_lists = [];
     statics = [];
     unknown = [];
-    vty_acls = [];
     diag = Diag.create ?file ();
   }
 
@@ -539,12 +537,7 @@ let top_level st (l : Lexer.line) : mode =
 
 let sub_level st mode (l : Lexer.line) : mode =
   match mode with
-  | In_ignored ->
-    (match l.words with
-     | [ "access-class"; acl; _ ] ->
-       if not (List.mem acl st.vty_acls) then st.vty_acls <- acl :: st.vty_acls
-     | _ -> ());
-    In_ignored
+  | In_ignored -> In_ignored
   | Top ->
     reject st ~severity:Diag.Warning ~code:"parse-orphan-subcommand"
       ~what:"indented line outside any block" l;
@@ -681,7 +674,6 @@ let parse_with_diags ?file ?metrics ?cancel text =
       total_lines;
       command_count;
       unknown = List.rev st.unknown;
-      vty_acls = List.rev st.vty_acls;
     }
   in
   let diags = Diag.to_list st.diag in

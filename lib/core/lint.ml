@@ -215,6 +215,225 @@ let lint_config ~file text =
 let lint_files ?jobs files =
   List.concat (Rd_util.Pool.parallel_map ?jobs (fun (f, text) -> lint_config ~file:f text) files)
 
+(* ------------------------------------------------------ design rules --- *)
+
+(* Each §8.1 check returns its findings in discovery order; [design]
+   concatenates them and lists Warnings before Infos. *)
+
+let design_finding ?file ?line severity code fmt =
+  Printf.ksprintf (fun message -> Diag.make ?file ?line severity ~code:("lint-" ^ code) message) fmt
+
+let router_file (t : Analysis.t) ri = fst t.topo.routers.(ri)
+
+let unfiltered_peerings ~locators (t : Analysis.t) =
+  let acc = ref [] in
+  (* BGP sessions to the outside without route policy *)
+  List.iter
+    (fun (ep : Rd_routing.Adjacency.external_peering) ->
+      let p = t.catalog.processes.(ep.proc) in
+      let n =
+        List.find_opt (fun (n : Ast.neighbor) -> Ipv4.equal n.peer ep.peer_addr) p.ast.neighbors
+      in
+      match n with
+      | Some n when n.nb_dlists = [] && n.nb_route_maps = [] && n.nb_prefix_lists = [] ->
+        let file = router_file t p.router in
+        acc :=
+          design_finding ~file
+            ?line:(Locator.find locators file (fun loc -> Locator.neighbor_line loc n.peer))
+            Diag.Warning "unfiltered-peering"
+            "EBGP session to AS %d (peer %s) has no distribute-list, prefix-list or route-map"
+            ep.remote_asn (Ipv4.to_string ep.peer_addr)
+          :: !acc
+      | _ -> ())
+    t.graph.adjacency.external_peerings;
+  (* external-facing interfaces without packet filters *)
+  Array.iter
+    (fun (i : Rd_topo.Topology.iface) ->
+      if Rd_topo.Topology.facing_of t.topo i.router i.if_index = Rd_topo.Topology.External
+      then begin
+        let file, cfg = t.topo.routers.(i.router) in
+        match Ast.find_interface cfg i.name with
+        | Some ifc when ifc.access_groups = [] ->
+          acc :=
+            design_finding ~file
+              ?line:(Locator.find locators file (fun loc -> Locator.interface_address_line loc i.name))
+              Diag.Warning "unfiltered-edge-interface"
+              "external-facing interface %s carries no packet filter" i.name
+            :: !acc
+        | _ -> ()
+      end)
+    t.topo.ifaces;
+  List.rev !acc
+
+let incomplete_adjacencies ~locators (t : Analysis.t) =
+  let acc = ref [] in
+  (* links where exactly one endpoint is covered by a same-protocol process *)
+  List.iter
+    (fun (l : Rd_topo.Topology.link) ->
+      let endpoints = l.endpoints in
+      if List.length endpoints >= 2 then begin
+        let covering (e : Rd_topo.Topology.iface) =
+          match e.address with
+          | None -> []
+          | Some (a, _) ->
+            List.filter_map
+              (fun pid ->
+                let p = t.catalog.processes.(pid) in
+                if p.protocol <> Ast.Bgp && Rd_routing.Process.covers p a then Some p.protocol
+                else None)
+              t.catalog.by_router.(e.router)
+        in
+        let protos = List.map covering endpoints in
+        let all_protos = List.sort_uniq compare (List.concat protos) in
+        List.iter
+          (fun proto ->
+            let have = List.filter (fun ps -> List.mem proto ps) protos in
+            if List.length have = 1 then begin
+              let lonely =
+                List.find (fun (e : Rd_topo.Topology.iface) -> List.mem proto (covering e)) endpoints
+              in
+              let file = router_file t lonely.router in
+              acc :=
+                design_finding ~file
+                  ?line:
+                    (Locator.find locators file (fun loc ->
+                         Locator.interface_address_line loc lonely.name))
+                  Diag.Warning "half-covered-link"
+                  "link %s is covered by %s on only one endpoint — the adjacency cannot form"
+                  (Prefix.to_string l.subnet_of_link)
+                  (Ast.protocol_to_string proto)
+                :: !acc
+            end)
+          all_protos
+      end)
+    t.topo.links;
+  (* IGP processes with no adjacency in a multi-router network *)
+  if Array.length t.topo.routers > 1 then begin
+    let has_adj = Hashtbl.create 64 in
+    List.iter
+      (fun (a : Rd_routing.Adjacency.t) ->
+        Hashtbl.replace has_adj a.a ();
+        Hashtbl.replace has_adj a.b ())
+      t.graph.adjacency.adjacencies;
+    Array.iter
+      (fun (p : Rd_routing.Process.t) ->
+        if
+          p.protocol <> Ast.Bgp
+          && (not (Hashtbl.mem has_adj p.pid))
+          && not (List.exists (fun (pid, _) -> pid = p.pid) t.graph.adjacency.igp_external_edges)
+        then
+          acc :=
+            design_finding ~file:(router_file t p.router) Diag.Info "isolated-process"
+              "%s process %s has no adjacency (single-router instance)"
+              (Ast.protocol_to_string p.protocol)
+              (match p.proc_id with Some i -> string_of_int i | None -> "-")
+            :: !acc)
+      t.catalog.processes
+  end;
+  List.rev !acc
+
+let duplicate_addresses ~locators (t : Analysis.t) =
+  let seen = Hashtbl.create 256 in
+  let acc = ref [] in
+  Array.iter
+    (fun (i : Rd_topo.Topology.iface) ->
+      match i.address with
+      | Some (a, _) -> (
+        let key = Ipv4.to_int a in
+        match Hashtbl.find_opt seen key with
+        | Some (r0, n0) when r0 <> i.router ->
+          let file = router_file t i.router in
+          acc :=
+            design_finding ~file
+              ?line:(Locator.find locators file (fun loc -> Locator.interface_address_line loc i.name))
+              Diag.Warning "duplicate-address" "address %s on %s is also configured on %s:%s"
+              (Ipv4.to_string a) i.name (router_file t r0) n0
+            :: !acc
+        | Some _ -> ()
+        | None -> Hashtbl.replace seen key (i.router, i.name))
+      | None -> ())
+    t.topo.ifaces;
+  List.rev !acc
+
+let unresolved_static_next_hops (t : Analysis.t) =
+  List.concat_map
+    (fun (file, (cfg : Ast.t)) ->
+      let connected = List.concat_map Ast.interface_prefixes cfg.interfaces in
+      List.filter_map
+        (fun (s : Ast.static_route) ->
+          let dest = Prefix.to_string s.sr_dest in
+          match s.sr_next_hop with
+          | Ast.Nh_addr nh when not (List.exists (Prefix.mem nh) connected) ->
+            Some
+              (design_finding ~file Diag.Warning "unresolved-next-hop"
+                 "static route to %s points at %s, which is on no connected subnet" dest
+                 (Ipv4.to_string nh))
+          | Ast.Nh_iface ifname when Ast.find_interface cfg ifname = None ->
+            Some
+              (design_finding ~file Diag.Warning "unresolved-next-hop"
+                 "static route to %s uses undefined interface %s" dest ifname)
+          | _ -> None)
+        cfg.statics)
+    t.configs
+
+let shared_static_destinations (t : Analysis.t) =
+  let dests = Hashtbl.create 64 in
+  List.iter
+    (fun (name, (cfg : Ast.t)) ->
+      List.iter
+        (fun (s : Ast.static_route) ->
+          let cur = try Hashtbl.find dests s.sr_dest with Not_found -> [] in
+          if not (List.mem name cur) then Hashtbl.replace dests s.sr_dest (name :: cur))
+        cfg.statics)
+    t.configs;
+  Hashtbl.fold
+    (fun dest routers acc ->
+      if List.length routers >= 2 then
+        design_finding Diag.Info "shared-static-destination"
+          "%d routers (%s) hold static routes to %s — avoid maintaining them simultaneously"
+          (List.length routers)
+          (String.concat ", " (List.sort compare routers))
+          (Prefix.to_string dest)
+        :: acc
+      else acc)
+    dests []
+
+let ospf_area_issues (t : Analysis.t) =
+  let acc = ref [] in
+  List.iter
+    (fun (info : Rd_routing.Areas.t) ->
+      if List.length info.areas >= 2 && not info.has_backbone then
+        acc :=
+          design_finding Diag.Warning "ospf-no-backbone-area"
+            "OSPF instance %d spans %d areas but has no area 0 — inter-area routes cannot flow"
+            info.inst_id (List.length info.areas)
+          :: !acc;
+      (* areas reachable through a single ABR *)
+      if info.has_backbone && List.length info.areas >= 2 then
+        List.iter
+          (fun (a : Rd_routing.Areas.area_info) ->
+            if a.area <> 0 then
+              match List.filter (fun r -> List.mem r a.routers) info.abrs with
+              | [ abr ] ->
+                acc :=
+                  design_finding ~file:(router_file t abr) Diag.Info "single-abr-area"
+                    "OSPF area %d hangs off a single area border router" a.area
+                  :: !acc
+              | _ -> ())
+          info.areas)
+    (Rd_routing.Areas.analyze t.catalog t.graph.assignment);
+  List.rev !acc
+
+let design ?files (t : Analysis.t) =
+  let locators = Locator.of_files ?files (fun name -> List.mem_assoc name t.configs) in
+  let all =
+    unfiltered_peerings ~locators t @ incomplete_adjacencies ~locators t
+    @ duplicate_addresses ~locators t @ unresolved_static_next_hops t
+    @ shared_static_destinations t @ ospf_area_issues t
+  in
+  let warnings, infos = List.partition (fun (d : Diag.t) -> d.severity = Diag.Warning) all in
+  warnings @ infos
+
 let render = Diag.render
 
 let to_json = Diag.to_json

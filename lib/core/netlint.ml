@@ -34,9 +34,6 @@ type report = {
 let router_file (a : Analysis.t) r = fst a.topo.routers.(r)
 let router_cfg (a : Analysis.t) r = snd a.topo.routers.(r)
 
-let locator_line locators file f =
-  match Hashtbl.find_opt locators file with None -> None | Some loc -> f loc
-
 let witnesses s =
   let ps = Prefix_set.to_prefixes s in
   let n = List.length ps in
@@ -323,7 +320,7 @@ let redistribution_loops ?metrics ~locators (a : Analysis.t) =
                 let r0 = IG.via_router e0.via in
                 let file = router_file a r0 in
                 let line =
-                  locator_line locators file (fun loc ->
+                  Locator.find locators file (fun loc ->
                       Locator.redistribute_line loc
                         ~proto:(Ast.protocol_to_string insts.(i).Instance.protocol)
                         ~source:(redist_source_token redist.source))
@@ -444,7 +441,7 @@ let leak_findings ~locators (a : Analysis.t) =
     (fun l ->
       let file = router_file a l.leak_router in
       let line =
-        locator_line locators file (fun loc ->
+        Locator.find locators file (fun loc ->
             Locator.neighbor_line loc l.leak_peer)
       in
       Diag.make ~file ?line Diag.Warning ~code:"netlint-route-leak"
@@ -493,7 +490,7 @@ let bgp_peer_findings ~locators (a : Analysis.t) =
               | Some q ->
                 let file = router_file a r in
                 let line =
-                  locator_line locators file (fun loc ->
+                  Locator.find locators file (fun loc ->
                       Locator.neighbor_line loc n.peer)
                 in
                 let q_asns =
@@ -563,7 +560,7 @@ let ospf_area_findings ~locators (a : Analysis.t) =
           let (ifc0, _) = List.hd areas in
           let file = router_file a ifc0.router in
           let line =
-            locator_line locators file (fun loc ->
+            Locator.find locators file (fun loc ->
                 Locator.interface_address_line loc ifc0.name)
           in
           findings :=
@@ -619,7 +616,7 @@ let mask_findings ~locators (a : Analysis.t) =
               Hashtbl.add reported key ();
               let file = router_file a ifc'.router in
               let line =
-                locator_line locators file (fun loc ->
+                Locator.find locators file (fun loc ->
                     Locator.interface_address_line loc ifc'.name)
               in
               findings :=
@@ -843,7 +840,7 @@ let shadowed_rules ~locators (a : Analysis.t) =
           List.iter
             (fun idx ->
               let line =
-                locator_line locators file (fun loc ->
+                Locator.find locators file (fun loc ->
                     Locator.acl_clause_line loc acl.acl_name idx)
               in
               findings :=
@@ -862,7 +859,7 @@ let shadowed_rules ~locators (a : Analysis.t) =
             (fun (idx, kind) ->
               let e = List.nth pl.pl_entries idx in
               let line =
-                locator_line locators file (fun loc ->
+                Locator.find locators file (fun loc ->
                     Locator.prefix_list_line loc pl.pl_name
                       ~seq:(Some e.Ast.pl_seq) ~index:idx)
               in
@@ -885,7 +882,7 @@ let shadowed_rules ~locators (a : Analysis.t) =
           List.iter
             (fun (idx, (en : Ast.route_map_entry)) ->
               let line =
-                locator_line locators file (fun loc ->
+                Locator.find locators file (fun loc ->
                     Locator.route_map_line loc rm.rm_name ~seq:(Some en.seq)
                       ~index:idx)
               in
@@ -922,12 +919,7 @@ let run_analysis ?trace ?metrics ?cancel ?(rules = all_rules) ?files
       if not (List.mem r all_rules) then
         invalid_arg (Printf.sprintf "Netlint.run_analysis: unknown rule %S" r))
     rules;
-  let locators = Hashtbl.create 16 in
-  Option.iter
-    (List.iter (fun (name, text) ->
-         if List.mem_assoc name a.configs then
-           Hashtbl.replace locators name (Locator.of_text text)))
-    files;
+  let locators = Locator.of_files ?files (fun name -> List.mem_assoc name a.configs) in
   Metrics.incr metrics "netlint.networks";
   let findings =
     List.concat_map

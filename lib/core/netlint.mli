@@ -1,7 +1,7 @@
 (** Network-wide semantic lint.
 
-    Where {!Lint} checks one file at a time and {!Audit} checks
-    structural hygiene, this pass reasons about route *dataflow* across
+    Where {!Lint} checks each file and the structural hygiene of the
+    design, this pass reasons about route *dataflow* across
     routers: it abstract-interprets prefix sets over the routing
     instance graph (paper §6.2) to find designs that are syntactically
     fine on every router yet wrong as a whole.  Four rule families:

@@ -110,5 +110,4 @@ let to_ast t =
     total_lines = 0;
     command_count = 0;
     unknown = [];
-    vty_acls = [];
   }

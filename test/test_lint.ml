@@ -1,5 +1,6 @@
 (* Tests for Rd_core.Lint: one seeded-defect fixture per rule (asserting
-   code and line), clean generated networks, and JSON output shape. *)
+   code and line), the design rules over analyzed fixtures, clean
+   generated networks, and JSON output shape. *)
 
 open Rd_config
 
@@ -153,6 +154,222 @@ let test_interface_disjoint_clean () =
   in
   assert_none ~code:"lint-interface-overlap" diags
 
+(* ---------------------------------------------------------- design rules --- *)
+
+let analyze files = Rd_core.Analysis.analyze ~name:"t" files
+
+(* Assert exactly one design finding with [code] on [file]: at [line] when
+   the texts are supplied, without a line when they are not. *)
+let assert_design_line ~code ~file ~line files =
+  let a = analyze files in
+  List.iter
+    (fun (diags, expected) ->
+      match find code diags with
+      | [ d ] ->
+        check_bool (code ^ " file") true (d.file = Some file);
+        Alcotest.(check (option int)) (code ^ " line") expected d.line
+      | ds -> Alcotest.failf "expected exactly one %s, got %d" code (List.length ds))
+    [ (Rd_core.Lint.design ~files a, Some line); (Rd_core.Lint.design a, None) ]
+
+let edge =
+  {|interface Serial0/0
+ ip address 192.0.2.1 255.255.255.252
+!
+router bgp 65000
+ neighbor 192.0.2.2 remote-as 7018
+|}
+
+let test_design_unfiltered_peering () =
+  let files = [ ("edge", edge) ] in
+  assert_design_line ~code:"lint-unfiltered-peering" ~file:"edge" ~line:5 files;
+  assert_design_line ~code:"lint-unfiltered-edge-interface" ~file:"edge" ~line:2 files;
+  match find "lint-unfiltered-peering" (Rd_core.Lint.design (analyze files)) with
+  | [ d ] ->
+    Alcotest.(check string) "message names every filter"
+      "EBGP session to AS 7018 (peer 192.0.2.2) has no distribute-list, prefix-list or route-map"
+      d.message
+  | _ -> Alcotest.fail "expected one unfiltered peering"
+
+let test_design_filtered_peering_clean () =
+  (* an inbound-only distribute-list counts as a filter on the session *)
+  let files =
+    [
+      ( "edge",
+        {|interface Serial0/0
+ ip address 192.0.2.1 255.255.255.252
+ ip access-group 10 in
+!
+router bgp 65000
+ neighbor 192.0.2.2 remote-as 7018
+ neighbor 192.0.2.2 distribute-list 10 in
+!
+access-list 10 permit any
+|} );
+    ]
+  in
+  let diags = Rd_core.Lint.design ~files (analyze files) in
+  assert_none ~code:"lint-unfiltered-peering" diags;
+  assert_none ~code:"lint-unfiltered-edge-interface" diags
+
+let test_design_half_covered_link () =
+  assert_design_line ~code:"lint-half-covered-link" ~file:"x" ~line:2
+    [
+      ( "x",
+        {|interface Serial0/0
+ ip address 10.0.0.1 255.255.255.252
+!
+router ospf 1
+ network 10.0.0.0 0.0.0.3 area 0
+|} );
+      ("y", {|interface Serial0/0
+ ip address 10.0.0.2 255.255.255.252
+|});
+    ]
+
+let test_design_duplicate_addresses () =
+  let one = {|interface Ethernet0
+ ip address 10.0.0.1 255.255.255.0
+|} in
+  assert_design_line ~code:"lint-duplicate-address" ~file:"y" ~line:2 [ ("x", one); ("y", one) ]
+
+let test_design_unresolved_next_hop () =
+  let files =
+    [
+      ( "r",
+        {|interface Ethernet0
+ ip address 10.0.0.1 255.255.255.0
+!
+ip route 192.168.0.0 255.255.0.0 172.16.0.1
+ip route 192.169.0.0 255.255.0.0 10.0.0.2
+ip route 192.170.0.0 255.255.0.0 NoSuchIface0
+|} );
+    ]
+  in
+  let found = find "lint-unresolved-next-hop" (Rd_core.Lint.design ~files (analyze files)) in
+  check_int "two unresolved" 2 (List.length found);
+  check_bool "no line" true (List.for_all (fun (d : Diag.t) -> d.line = None) found)
+
+let test_design_shared_static_destinations () =
+  let mk nh =
+    Printf.sprintf
+      {|interface Ethernet0
+ ip address 10.0.%s.1 255.255.255.0
+!
+ip route 198.18.0.0 255.255.0.0 10.0.%s.2
+|}
+      nh nh
+  in
+  let files = [ ("x", mk "1"); ("y", mk "2") ] in
+  match find "lint-shared-static-destination" (Rd_core.Lint.design ~files (analyze files)) with
+  | [ d ] -> check_bool "several routers, no file" true (d.file = None && d.line = None)
+  | ds -> Alcotest.failf "expected one shared destination, got %d" (List.length ds)
+
+let test_design_warnings_first () =
+  (* the edge router's findings are Warnings; the stub's OSPF process has
+     no adjacency, an Info *)
+  let files =
+    [
+      ("edge", edge);
+      ( "stub",
+        {|interface Ethernet0
+ ip address 10.9.0.1 255.255.255.0
+!
+router ospf 1
+ network 10.9.0.0 0.0.0.255 area 0
+|} );
+    ]
+  in
+  let f = Rd_core.Lint.design ~files (analyze files) in
+  let is sev (d : Diag.t) = d.severity = sev in
+  check_bool "has warnings" true (List.exists (is Diag.Warning) f);
+  check_bool "has infos" true (List.exists (is Diag.Info) f);
+  let rec check_order seen_info = function
+    | [] -> true
+    | (x : Diag.t) :: rest ->
+      if x.severity = Diag.Warning && seen_info then false
+      else check_order (seen_info || x.severity = Diag.Info) rest
+  in
+  check_bool "warnings first" true (check_order false f);
+  check_bool "render" true (String.length (Rd_core.Lint.render f) > 0)
+
+let test_design_ospf_areas () =
+  (* multi-area instance without a backbone area, and an area behind a
+     single ABR *)
+  let no_backbone =
+    [
+      ( "x",
+        {|interface Serial0/0
+ ip address 10.0.0.1 255.255.255.252
+!
+interface Serial0/1
+ ip address 10.0.1.1 255.255.255.252
+!
+router ospf 1
+ network 10.0.0.0 0.0.0.3 area 3
+ network 10.0.1.0 0.0.0.3 area 5
+|} );
+      ( "y",
+        {|interface Serial0/0
+ ip address 10.0.0.2 255.255.255.252
+!
+router ospf 1
+ network 10.0.0.0 0.0.0.3 area 3
+|} );
+      ( "z",
+        {|interface Serial0/0
+ ip address 10.0.1.2 255.255.255.252
+!
+router ospf 1
+ network 10.0.1.0 0.0.0.3 area 5
+|} );
+    ]
+  in
+  check_int "no-backbone flagged" 1
+    (List.length (find "lint-ospf-no-backbone-area" (Rd_core.Lint.design (analyze no_backbone))));
+  let single_abr =
+    [
+      ( "abr",
+        {|interface Serial0/0
+ ip address 10.0.0.1 255.255.255.252
+!
+interface Serial0/1
+ ip address 10.0.1.1 255.255.255.252
+!
+router ospf 1
+ network 10.0.0.0 0.0.0.3 area 0
+ network 10.0.1.0 0.0.0.3 area 5
+|} );
+      ( "core",
+        {|interface Serial0/0
+ ip address 10.0.0.2 255.255.255.252
+!
+router ospf 1
+ network 10.0.0.0 0.0.0.3 area 0
+|} );
+      ( "leaf",
+        {|interface Serial0/0
+ ip address 10.0.1.2 255.255.255.252
+!
+router ospf 1
+ network 10.0.1.0 0.0.0.3 area 5
+|} );
+    ]
+  in
+  match
+    find "lint-single-abr-area" (Rd_core.Lint.design ~files:single_abr (analyze single_abr))
+  with
+  | [ d ] -> check_bool "on the ABR, no line" true (d.file = Some "abr" && d.line = None)
+  | ds -> Alcotest.failf "expected one single-ABR area, got %d" (List.length ds)
+
+let test_design_clean_generated () =
+  let net = Rd_gen.Archetype.generate Rd_gen.Archetype.Enterprise ~seed:41 ~n:20 ~index:3 () in
+  let files = Rd_gen.Builder.to_texts net in
+  let f = Rd_core.Lint.design ~files (Rd_core.Analysis.analyze ~name:"e" files) in
+  (* a generated textbook network has no duplicate addresses and no
+     unresolved next hops *)
+  assert_none ~code:"lint-duplicate-address" f;
+  assert_none ~code:"lint-unresolved-next-hop" f
+
 (* ------------------------------------------------------- parse diags fold --- *)
 
 let test_parse_diags_included () =
@@ -238,6 +455,19 @@ let () =
           Alcotest.test_case "redistribute into rip clean" `Quick test_redistribute_into_non_ospf_clean;
           Alcotest.test_case "interface overlap" `Quick test_interface_overlap;
           Alcotest.test_case "interface disjoint clean" `Quick test_interface_disjoint_clean;
+        ] );
+      ( "audit",
+        [
+          Alcotest.test_case "unfiltered peering" `Quick test_design_unfiltered_peering;
+          Alcotest.test_case "filtered peering clean" `Quick test_design_filtered_peering_clean;
+          Alcotest.test_case "half-covered link" `Quick test_design_half_covered_link;
+          Alcotest.test_case "duplicate addresses" `Quick test_design_duplicate_addresses;
+          Alcotest.test_case "unresolved next hops" `Quick test_design_unresolved_next_hop;
+          Alcotest.test_case "shared static destinations" `Quick
+            test_design_shared_static_destinations;
+          Alcotest.test_case "warnings first" `Quick test_design_warnings_first;
+          Alcotest.test_case "ospf area issues" `Quick test_design_ospf_areas;
+          Alcotest.test_case "clean generated network" `Quick test_design_clean_generated;
         ] );
       ( "integration",
         [

@@ -1,4 +1,4 @@
-(* Tests for the §8.1 operational tools: Audit and Whatif. *)
+(* Tests for the §8.1 operational tools: Whatif and Inventory. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -10,185 +10,6 @@ let contains_sub ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
-
-let has_category findings cat =
-  List.exists (fun (f : Rd_core.Audit.finding) -> f.code = "audit-" ^ cat) findings
-
-let count_category findings cat =
-  List.length
-    (List.filter (fun (f : Rd_core.Audit.finding) -> f.code = "audit-" ^ cat) findings)
-
-(* ---------------------------------------------------------------- audit --- *)
-
-let test_unfiltered_peering () =
-  let a =
-    analyze
-      [
-        ( "edge",
-          {|interface Serial0/0
- ip address 192.0.2.1 255.255.255.252
-!
-router bgp 65000
- neighbor 192.0.2.2 remote-as 7018
-|} );
-      ]
-  in
-  let f = Rd_core.Audit.unfiltered_peerings a in
-  check_bool "session flagged" true (has_category f "unfiltered-peering");
-  check_bool "interface flagged" true (has_category f "unfiltered-edge-interface")
-
-let test_filtered_peering_clean () =
-  let a =
-    analyze
-      [
-        ( "edge",
-          {|interface Serial0/0
- ip address 192.0.2.1 255.255.255.252
- ip access-group 10 in
-!
-router bgp 65000
- neighbor 192.0.2.2 remote-as 7018
- neighbor 192.0.2.2 distribute-list 10 in
-!
-access-list 10 permit any
-|} );
-      ]
-  in
-  let f = Rd_core.Audit.unfiltered_peerings a in
-  check_int "no findings" 0 (List.length f)
-
-let test_half_covered_link () =
-  let a =
-    analyze
-      [
-        ( "x",
-          {|interface Serial0/0
- ip address 10.0.0.1 255.255.255.252
-!
-router ospf 1
- network 10.0.0.0 0.0.0.3 area 0
-|} );
-        ("y", {|interface Serial0/0
- ip address 10.0.0.2 255.255.255.252
-|});
-      ]
-  in
-  let f = Rd_core.Audit.incomplete_adjacencies a in
-  check_bool "half covered" true (has_category f "half-covered-link")
-
-let test_dangling_references () =
-  let a =
-    analyze
-      [
-        ( "r",
-          {|interface Ethernet0
- ip address 10.0.0.1 255.255.255.0
- ip access-group 50 in
-!
-router ospf 1
- network 10.0.0.0 0.0.0.255 area 0
- redistribute connected route-map GHOST subnets
-!
-access-list 60 permit any
-|} );
-      ]
-  in
-  let f = Rd_core.Audit.dangling_references a in
-  check_bool "undefined acl" true (has_category f "undefined-acl");
-  check_bool "undefined route-map" true (has_category f "undefined-route-map");
-  check_bool "unused acl" true (has_category f "unused-acl")
-
-let test_vty_acl_not_unused () =
-  (* an ACL referenced only from `line vty / access-class` is not unused *)
-  let a =
-    analyze
-      [
-        ( "r",
-          {|access-list 98 permit 10.0.0.1
-access-list 98 deny any
-line vty 0 4
- access-class 98 in
- login
-|} );
-      ]
-  in
-  let f = Rd_core.Audit.dangling_references a in
-  check_int "no unused finding" 0 (count_category f "unused-acl")
-
-let test_duplicate_addresses () =
-  let one = {|interface Ethernet0
- ip address 10.0.0.1 255.255.255.0
-|} in
-  let a = analyze [ ("x", one); ("y", one) ] in
-  let f = Rd_core.Audit.duplicate_addresses a in
-  check_int "one duplicate" 1 (List.length f)
-
-let test_unresolved_next_hop () =
-  let a =
-    analyze
-      [
-        ( "r",
-          {|interface Ethernet0
- ip address 10.0.0.1 255.255.255.0
-!
-ip route 192.168.0.0 255.255.0.0 172.16.0.1
-ip route 192.169.0.0 255.255.0.0 10.0.0.2
-ip route 192.170.0.0 255.255.0.0 NoSuchIface0
-|} );
-      ]
-  in
-  let f = Rd_core.Audit.unresolved_static_next_hops a in
-  check_int "two unresolved" 2 (List.length f)
-
-let test_shared_static_destinations () =
-  let mk nh =
-    Printf.sprintf
-      {|interface Ethernet0
- ip address 10.0.%s.1 255.255.255.0
-!
-ip route 198.18.0.0 255.255.0.0 10.0.%s.2
-|}
-      nh nh
-  in
-  let a = analyze [ ("x", mk "1"); ("y", mk "2") ] in
-  let f = Rd_core.Audit.shared_static_destinations a in
-  check_int "one shared destination" 1 (List.length f)
-
-let test_run_all_orders_warnings_first () =
-  let a =
-    analyze
-      [
-        ( "edge",
-          {|interface Serial0/0
- ip address 192.0.2.1 255.255.255.252
-!
-router bgp 65000
- neighbor 192.0.2.2 remote-as 7018
-!
-access-list 60 permit any
-|} );
-      ]
-  in
-  let f = Rd_core.Audit.run_all a in
-  check_bool "has findings" true (List.length f >= 2);
-  let rec check_order seen_info = function
-    | [] -> true
-    | (x : Rd_core.Audit.finding) :: rest ->
-      if x.severity = Rd_config.Diag.Warning && seen_info then false
-      else check_order (seen_info || x.severity = Rd_config.Diag.Info) rest
-  in
-  check_bool "warnings first" true (check_order false f);
-  check_bool "render" true (String.length (Rd_core.Audit.render f) > 0)
-
-let test_clean_network_few_findings () =
-  let net = Rd_gen.Archetype.generate Rd_gen.Archetype.Enterprise ~seed:41 ~n:20 ~index:3 () in
-  let a = Rd_core.Analysis.analyze ~name:"e" (Rd_gen.Builder.to_texts net) in
-  let f = Rd_core.Audit.run_all a in
-  (* a generated textbook network is largely clean: no undefined refs, no
-     duplicates, no unresolved next hops *)
-  check_int "no undefined acls" 0 (count_category f "undefined-acl");
-  check_int "no duplicates" 0 (count_category f "duplicate-address");
-  check_int "no unresolved next hops" 0 (count_category f "unresolved-next-hop")
 
 (* --------------------------------------------------------------- whatif --- *)
 
@@ -429,74 +250,6 @@ let test_engine_file_edit_invalidation () =
   check_bool "original key stable" true (net.key = net''.key);
   check_bool "analysis shared" true (net.analysis == net''.analysis)
 
-let test_ospf_area_audit () =
-  (* multi-area instance without a backbone area, and an area behind a
-     single ABR *)
-  let no_backbone =
-    analyze
-      [
-        ( "x",
-          {|interface Serial0/0
- ip address 10.0.0.1 255.255.255.252
-!
-interface Serial0/1
- ip address 10.0.1.1 255.255.255.252
-!
-router ospf 1
- network 10.0.0.0 0.0.0.3 area 3
- network 10.0.1.0 0.0.0.3 area 5
-|} );
-        ( "y",
-          {|interface Serial0/0
- ip address 10.0.0.2 255.255.255.252
-!
-router ospf 1
- network 10.0.0.0 0.0.0.3 area 3
-|} );
-        ( "z",
-          {|interface Serial0/0
- ip address 10.0.1.2 255.255.255.252
-!
-router ospf 1
- network 10.0.1.0 0.0.0.3 area 5
-|} );
-      ]
-  in
-  let f = Rd_core.Audit.ospf_area_issues no_backbone in
-  check_bool "no-backbone flagged" true (has_category f "ospf-no-backbone-area");
-  let single_abr =
-    analyze
-      [
-        ( "abr",
-          {|interface Serial0/0
- ip address 10.0.0.1 255.255.255.252
-!
-interface Serial0/1
- ip address 10.0.1.1 255.255.255.252
-!
-router ospf 1
- network 10.0.0.0 0.0.0.3 area 0
- network 10.0.1.0 0.0.0.3 area 5
-|} );
-        ( "core",
-          {|interface Serial0/0
- ip address 10.0.0.2 255.255.255.252
-!
-router ospf 1
- network 10.0.0.0 0.0.0.3 area 0
-|} );
-        ( "leaf",
-          {|interface Serial0/0
- ip address 10.0.1.2 255.255.255.252
-!
-router ospf 1
- network 10.0.1.0 0.0.0.3 area 5
-|} );
-      ]
-  in
-  let f2 = Rd_core.Audit.ospf_area_issues single_abr in
-  check_bool "single abr flagged" true (has_category f2 "single-abr-area")
-
 (* ------------------------------------------------------------ inventory --- *)
 
 let test_inventory_records () =
@@ -524,20 +277,6 @@ let test_inventory_diff () =
 let () =
   Alcotest.run "rd_ops"
     [
-      ( "audit",
-        [
-          Alcotest.test_case "unfiltered peering" `Quick test_unfiltered_peering;
-          Alcotest.test_case "filtered peering clean" `Quick test_filtered_peering_clean;
-          Alcotest.test_case "half-covered link" `Quick test_half_covered_link;
-          Alcotest.test_case "dangling references" `Quick test_dangling_references;
-          Alcotest.test_case "vty acl counted as used" `Quick test_vty_acl_not_unused;
-          Alcotest.test_case "duplicate addresses" `Quick test_duplicate_addresses;
-          Alcotest.test_case "unresolved next hops" `Quick test_unresolved_next_hop;
-          Alcotest.test_case "shared static destinations" `Quick test_shared_static_destinations;
-          Alcotest.test_case "run_all ordering" `Quick test_run_all_orders_warnings_first;
-          Alcotest.test_case "ospf area issues" `Quick test_ospf_area_audit;
-          Alcotest.test_case "clean generated network" `Quick test_clean_network_few_findings;
-        ] );
       ( "whatif",
         [
           Alcotest.test_case "remove router" `Quick test_whatif_remove_router;

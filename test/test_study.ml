@@ -8,6 +8,9 @@ let seed = 2004
 
 let specs = Rd_study.Population.specs ~master_seed:seed
 
+(* The full 31-network population, built once for the Slow tests. *)
+let population = lazy (Rd_study.Population.build ~master_seed:seed ())
+
 (* ----------------------------------------------------- population specs --- *)
 
 let test_population_shape () =
@@ -97,7 +100,7 @@ let test_generate_one_files () =
 (* ----------------------------------------------------- full study (slow) --- *)
 
 let test_full_study () =
-  let nets = Rd_study.Population.build ~master_seed:seed () in
+  let nets = Lazy.force population in
   check_int "31 analyzed" 31 (List.length nets);
   (* §7 classification comes out exactly as the paper's *)
   let designs =
@@ -254,7 +257,7 @@ let test_fail_fast_build_lowest_net_id () =
 let test_degraded_full_study () =
   (* kill exactly one of the 31 networks: the other thirty come out
      byte-identical to a clean run, and the failure is fully described *)
-  let clean = Rd_study.Population.build ~master_seed:seed () in
+  let clean = Lazy.force population in
   let metrics = Rd_util.Metrics.create () in
   let faults =
     match Rd_util.Fault.of_spec "seed=5;study.network:raise:key=net7" with
@@ -298,7 +301,7 @@ let test_study_deterministic () =
 let test_scorecard () =
   (* the scorecard report passes every criterion on a freshly built
      population *)
-  let nets = Rd_study.Population.build ~master_seed:seed () in
+  let nets = Lazy.force population in
   let report = Rd_study.Experiments.scorecard ~master_seed:seed nets in
   let contains needle =
     let rec go i =
@@ -520,6 +523,29 @@ let test_full_study_lints_clean () =
         Alcotest.failf "%s: %s" s.label (Rd_config.Diag.to_string (List.hd errors)))
     specs
 
+let test_full_study_design_counts () =
+  (* per-code design findings over the 31 networks, pinned to the counts
+     the §8.1 checks had before they joined Lint *)
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun (n : Rd_study.Population.network) ->
+      List.iter
+        (fun (d : Rd_config.Diag.t) ->
+          Hashtbl.replace counts d.code (1 + Option.value ~default:0 (Hashtbl.find_opt counts d.code)))
+        (Rd_core.Lint.design n.analysis))
+    (Lazy.force population);
+  Alcotest.(check (list (pair string int)))
+    "per-code counts"
+    [
+      ("lint-duplicate-address", 4);
+      ("lint-half-covered-link", 1541);
+      ("lint-isolated-process", 9350);
+      ("lint-shared-static-destination", 13);
+      ("lint-unfiltered-edge-interface", 929);
+      ("lint-unfiltered-peering", 7296);
+    ]
+    (List.sort compare (List.of_seq (Hashtbl.to_seq counts)))
+
 let () =
   Alcotest.run "rd_study"
     [
@@ -558,5 +584,6 @@ let () =
           Alcotest.test_case "determinism" `Quick test_study_deterministic;
           Alcotest.test_case "scorecard" `Slow test_scorecard;
           Alcotest.test_case "all 31 networks lint clean" `Slow test_full_study_lints_clean;
+          Alcotest.test_case "design rule counts" `Slow test_full_study_design_counts;
         ] );
     ]
