@@ -162,9 +162,6 @@ let supervision_term =
     const (fun budget checkpoint resume -> { budget; checkpoint; resume })
     $ budget_term $ checkpoint $ resume)
 
-let supervised s =
-  s.budget.deadline <> None || s.budget.task_timeout <> None || s.checkpoint <> None || s.resume
-
 let open_checkpoint ?metrics s =
   match s.checkpoint with
   | None ->
@@ -477,24 +474,6 @@ let inventory_cmd =
 
 let whatif_cmd =
   let module J = Rd_util.Json in
-  let outcome_json (o : Rd_core.Engine.outcome) =
-    J.Obj
-      [
-        ("label", J.String o.scenario.label);
-        ( "changes",
-          J.List
-            (List.map
-               (fun c -> J.String (Rd_core.Whatif.change_to_string c))
-               o.scenario.changes) );
-        ("instances_before", J.Int o.diff.instances_before);
-        ("instances_after", J.Int o.diff.instances_after);
-        ("split_instances", J.Int (List.length o.diff.split_instances));
-        ("lost_pairs", J.Int (List.length o.diff.lost_reachability));
-        ("touched_files", J.List (List.map (fun f -> J.String f) o.touched));
-        ("warnings", J.List (List.map (fun w -> J.String w) o.diff.warnings));
-        ("seconds", J.Float o.seconds);
-      ]
-  in
   let cache_json engine =
     J.Obj
       (List.map
@@ -508,16 +487,6 @@ let whatif_cmd =
                  ("invalidations", J.Int s.invalidations);
                ] ))
          (Rd_core.Engine.stats engine))
-  in
-  let render_table rows =
-    print_string
-      (Rd_util.Table.render
-         ~headers:
-           [ "network"; "scenario"; "instances"; "split"; "lost pairs"; "touched"; "seconds" ]
-         ~aligns:
-           Rd_util.Table.
-             [ Left; Left; Right; Right; Right; Right; Right ]
-         rows)
   in
   let run target batch remove_routers remove_links shutdowns json obs sup =
     guard @@ fun () ->
@@ -544,51 +513,29 @@ let whatif_cmd =
       if inline_changes <> [] || batch <> None then
         die ~code:"usage" "--study derives per-network scenarios; it excludes --batch and \
                            inline change flags";
-      if json then begin
-        if supervised sup then
-          die ~code:"usage" "--json excludes --deadline/--task-timeout/--checkpoint/--resume";
-        let engine = Rd_core.Engine.create ?metrics ?trace () in
-        let networks =
-          List.map
-            (fun (spec : Rd_study.Population.spec) ->
-              let net =
-                Rd_core.Engine.load engine ~name:spec.label
-                  (Rd_study.Population.generate_one spec)
-              in
-              let outcomes =
-                Rd_core.Engine.run_scenarios engine net
-                  (Rd_study.Experiments.scenarios_of_analysis net.analysis)
-              in
-              J.Obj
-                [
-                  ("network", J.String spec.label);
-                  ("scenarios", J.List (List.map outcome_json outcomes));
-                ])
-            (Rd_study.Population.wanted_specs ?only:pop.only ~master_seed:pop.seed ())
-        in
-        print_endline
-          (J.to_string (J.Obj [ ("networks", J.List networks); ("cache", cache_json engine) ]));
-        close_sinks obs sinks
-      end
-      else begin
-        let root = root_token sup.budget in
-        let checkpoint = open_checkpoint ?metrics sup in
-        let report, failures =
-          Rd_study.Driver.whatif ?metrics ?trace ~cancel:root
-            ?task_timeout:sup.budget.task_timeout ?checkpoint ~resume:sup.resume
-            ?only:pop.only ~master_seed:pop.seed ()
-        in
-        print_string report;
-        (if failures <> [] then
-           let total =
-             List.length (Rd_study.Population.wanted_specs ?only:pop.only ~master_seed:pop.seed ())
-           in
-           print_string (Rd_study.Population.render_failures ~total failures));
-        close_sinks obs sinks;
-        checkpoint_stats checkpoint;
-        exit_interrupted root;
-        if failures <> [] then exit 1
-      end
+      let root = root_token sup.budget in
+      let checkpoint = open_checkpoint ?metrics sup in
+      let engine = Rd_core.Engine.create ?metrics ?trace () in
+      let results =
+        Rd_study.Driver.sweep ?trace ?metrics ~cancel:root ?task_timeout:sup.budget.task_timeout
+          ~jobs:1 ?checkpoint ~resume:sup.resume ?only:pop.only ~master_seed:pop.seed
+          (Rd_study.Driver.whatif engine)
+      in
+      let networks, failures = Rd_study.Population.partition results in
+      (if json then
+         let network (label, summaries) = Rd_study.Experiments.whatif_json label summaries in
+         print_endline
+           (J.to_string
+              (J.Obj
+                 [ ("networks", J.List (List.map network networks)); ("cache", cache_json engine) ]))
+       else print_string (Rd_study.Experiments.render_whatif ~engine networks));
+      if failures <> [] then
+        print_string
+          (Rd_study.Population.render_failures ~total:(List.length results) failures);
+      close_sinks obs sinks;
+      checkpoint_stats checkpoint;
+      exit_interrupted root;
+      if failures <> [] then exit 1
     | Dir d ->
       no_checkpoint sup;
       let root = root_token sup.budget in
@@ -614,13 +561,14 @@ let whatif_cmd =
       let engine = Rd_core.Engine.create ?metrics ?trace ?cancel () in
       let net = Rd_core.Engine.load engine ~name files in
       let outcomes = Rd_core.Engine.run_scenarios engine net scenarios in
+      let summaries = List.map Rd_study.Experiments.summarize outcomes in
       (if json then
          print_endline
            (J.to_string
               (J.Obj
                  [
                    ("network", J.String name);
-                   ("scenarios", J.List (List.map outcome_json outcomes));
+                   ("scenarios", J.List (List.map Rd_study.Experiments.summary_to_json summaries));
                    ("cache", cache_json engine);
                  ]))
        else
@@ -628,7 +576,7 @@ let whatif_cmd =
          | None, [ o ] ->
            (* single inline scenario: the classic detailed diff *)
            print_string (Rd_core.Whatif.render o.diff)
-         | _ -> render_table (Rd_study.Experiments.whatif_rows name outcomes));
+         | _ -> print_string (Rd_study.Experiments.whatif_table [ (name, summaries) ]));
       close_sinks obs sinks;
       exit_interrupted root
   in
@@ -714,31 +662,28 @@ let crosscheck_cmd =
          resumed run under different chaos misses instead of replaying. *)
       let salt = match inject with Some spec -> [ "faults=" ^ spec ] | None -> [] in
       let results =
-        Rd_study.Driver.crosscheck ?faults ~cancel:root ?task_timeout:sup.budget.task_timeout
-          ~salt ~jobs ?checkpoint ~resume:sup.resume ?only:pop.only ~master_seed:pop.seed ()
+        Rd_study.Driver.sweep ?faults ~cancel:root ?task_timeout:sup.budget.task_timeout ~jobs
+          ?checkpoint ~resume:sup.resume ?only:pop.only ~master_seed:pop.seed
+          (Rd_study.Driver.crosscheck ?faults ~salt ())
       in
-      let reports = List.filter_map (fun (_, r) -> Result.to_option r) results in
-      let failures =
-        List.filter_map
-          (fun (_, r) -> match r with Error f -> Some f | Ok _ -> None)
-          results
-      in
+      let reports, failures = Rd_study.Population.partition results in
       if json then
         print_endline (Rd_util.Json.to_string (Rd_check.Crosscheck.to_json reports))
       else print_string (Rd_check.Crosscheck.render reports);
       if failures <> [] then
         print_string
           (Rd_study.Population.render_failures ~total:(List.length results) failures);
-      if shrink then
+      if shrink then begin
+        let specs = Rd_study.Population.specs ~master_seed:pop.seed in
         List.iter
-          (fun ((spec : Rd_study.Population.spec), r) ->
-            match r with
-            | Ok (report : Rd_check.Crosscheck.report) when report.violations <> [] ->
-              shrink_one ~name:spec.label
-                ~files:(Rd_study.Population.generate_one spec)
-                report
-            | _ -> ())
-          results;
+          (fun (report : Rd_check.Crosscheck.report) ->
+            if report.violations <> [] then
+              let spec =
+                List.find (fun (s : Rd_study.Population.spec) -> s.label = report.network) specs
+              in
+              shrink_one ~name:spec.label ~files:(Rd_study.Population.generate_one spec) report)
+          reports
+      end;
       checkpoint_stats checkpoint;
       exit_interrupted root;
       if failures <> [] || Rd_check.Crosscheck.has_errors reports then exit 1
@@ -783,12 +728,14 @@ let netlint_cmd =
           rs;
         Some rs
     in
-    let finish root reports failures total =
+    let finish root results =
+      let reports, failures = Rd_study.Population.partition results in
       if json then
         print_endline (Rd_util.Json.to_string (Rd_core.Netlint.to_json reports))
       else print_string (Rd_core.Netlint.render reports);
       if failures <> [] then
-        print_string (Rd_study.Population.render_failures ~total failures);
+        print_string
+          (Rd_study.Population.render_failures ~total:(List.length results) failures);
       exit_interrupted root;
       if failures <> [] || Rd_core.Netlint.has_errors reports then exit 1
     in
@@ -798,31 +745,13 @@ let netlint_cmd =
       let cancel = Rd_util.Cancel.task ?timeout:budget.task_timeout (Some root) in
       let name = Filename.basename d in
       let files = load_dir d in
-      let reports = [ Rd_core.Netlint.run ?cancel ?rules ~name files ] in
-      finish root reports [] 1
+      finish root [ Ok (Rd_core.Netlint.run ?cancel ?rules ~name files) ]
     | Study pop ->
       let root = root_token budget in
-      let results =
-        Rd_study.Population.build_results ~cancel:root ?task_timeout:budget.task_timeout ~jobs
-          ?only:pop.only ~master_seed:pop.seed ()
-      in
-      (* Lint sequentially over the built analyses; a SIGINT renders
-         whatever finished. *)
-      let reports, failures =
-        List.fold_left
-          (fun (rs, fs) -> function
-            | Ok (nw : Rd_study.Population.network) ->
-              if Rd_util.Cancel.cancelled (Some root) then (rs, fs)
-              else
-                let files = Rd_study.Population.generate_one nw.spec in
-                ( Rd_core.Netlint.run_analysis ~cancel:root ?rules ~files
-                    nw.analysis
-                  :: rs,
-                  fs )
-            | Error f -> (rs, f :: fs))
-          ([], []) results
-      in
-      finish root (List.rev reports) (List.rev failures) (List.length results)
+      finish root
+        (Rd_study.Driver.sweep ~cancel:root ?task_timeout:budget.task_timeout ~jobs
+           ?only:pop.only ~master_seed:pop.seed
+           (Rd_study.Driver.netlint ~jobs ?rules ()))
   in
   let rules_arg =
     Arg.(value & opt (list string) []
@@ -896,9 +825,10 @@ let study_cmd =
     let root = root_token sup.budget in
     let checkpoint = open_checkpoint ?metrics sup in
     let results =
-      Rd_study.Driver.study ?trace ?metrics ?faults ~cancel:root
+      Rd_study.Driver.sweep ?trace ?metrics ?faults ~cancel:root
         ?task_timeout:sup.budget.task_timeout ~retries ~jobs ?checkpoint ~resume:sup.resume
-        ?only:pop.only ~master_seed:pop.seed ()
+        ?only:pop.only ~master_seed:pop.seed
+        (Rd_study.Driver.study ?trace ?metrics ~jobs ?faults ())
     in
     let items, failures = Rd_study.Population.partition results in
     (match failures with

@@ -6,7 +6,8 @@
     [crosscheck.network] or [whatif.network]) and any salt that changes
     the result (fault spec, invariant selection).  Payloads are JSON —
     a {!Netstat.t} for the study, a {!Rd_check.Crosscheck} report for
-    the cross-check, rendered scenario rows for the what-if sweep.
+    the cross-check, the network's scenario summaries
+    ([Experiments.whatif_json]) for the what-if sweep.
 
     The discipline (DESIGN.md §15): entries are written as each network
     finishes, so a SIGINT or deadline loses only in-flight work;

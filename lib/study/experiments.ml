@@ -634,32 +634,109 @@ let scenarios_of_analysis (a : Rd_core.Analysis.t) =
   end;
   List.rev !scenarios
 
-let whatif_rows label outcomes =
-  List.map
-    (fun (o : Rd_core.Engine.outcome) ->
-      [
-        label;
-        o.scenario.label;
-        Printf.sprintf "%d->%d" o.diff.instances_before o.diff.instances_after;
-        string_of_int (List.length o.diff.split_instances);
-        string_of_int (List.length o.diff.lost_reachability);
-        string_of_int (List.length o.touched);
-        Printf.sprintf "%.3f" o.seconds;
-      ])
-    outcomes
+type scenario_summary = {
+  label : string;
+  changes : string list;
+  instances_before : int;
+  instances_after : int;
+  split : int;
+  lost_pairs : int;
+  touched : string list;
+  warnings : string list;
+  seconds : float;
+}
 
-let render_whatif ~engine rows =
+let summarize (o : Rd_core.Engine.outcome) =
+  {
+    label = o.scenario.label;
+    changes = List.map Rd_core.Whatif.change_to_string o.scenario.changes;
+    instances_before = o.diff.instances_before;
+    instances_after = o.diff.instances_after;
+    split = List.length o.diff.split_instances;
+    lost_pairs = List.length o.diff.lost_reachability;
+    touched = o.touched;
+    warnings = o.diff.warnings;
+    seconds = o.seconds;
+  }
+
+(* [exact] writes [seconds] as a [%h] hex float literal, which
+   round-trips; Json's own [Float] prints %.12g, which does not. *)
+let summary_to_json ?(exact = false) s =
+  let strings l = Json.List (List.map (fun x -> Json.String x) l) in
+  Json.Obj
+    [
+      ("label", Json.String s.label);
+      ("changes", strings s.changes);
+      ("instances_before", Json.Int s.instances_before);
+      ("instances_after", Json.Int s.instances_after);
+      ("split_instances", Json.Int s.split);
+      ("lost_pairs", Json.Int s.lost_pairs);
+      ("touched_files", strings s.touched);
+      ("warnings", strings s.warnings);
+      ( "seconds",
+        if exact then Json.String (Printf.sprintf "%h" s.seconds) else Json.Float s.seconds );
+    ]
+
+(* [Some] of every element's decoding, or [None] if any fails. *)
+let decode_all f l =
+  let decoded = List.filter_map f l in
+  if List.length decoded = List.length l then Some decoded else None
+
+let summary_of_json j =
+  let ( let* ) = Option.bind in
+  let field k f = Option.bind (Json.member k j) f in
+  let int = function Json.Int i -> Some i | _ -> None in
+  let str = function Json.String s -> Some s | _ -> None in
+  let strings = function Json.List l -> decode_all str l | _ -> None in
+  let* label = field "label" str in
+  let* changes = field "changes" strings in
+  let* instances_before = field "instances_before" int in
+  let* instances_after = field "instances_after" int in
+  let* split = field "split_instances" int in
+  let* lost_pairs = field "lost_pairs" int in
+  let* touched = field "touched_files" strings in
+  let* warnings = field "warnings" strings in
+  let* seconds = field "seconds" (fun v -> Option.bind (str v) float_of_string_opt) in
+  Some
+    { label; changes; instances_before; instances_after; split; lost_pairs; touched; warnings;
+      seconds }
+
+let whatif_json ?exact network summaries =
+  Json.Obj
+    [
+      ("network", Json.String network);
+      ("scenarios", Json.List (List.map (summary_to_json ?exact) summaries));
+    ]
+
+let whatif_of_json j =
+  match (Json.member "network" j, Json.member "scenarios" j) with
+  | Some (Json.String network), Some (Json.List l) ->
+    Option.map (fun summaries -> (network, summaries)) (decode_all summary_of_json l)
+  | _ -> None
+
+let whatif_table networks =
+  let row network s =
+    [
+      network;
+      s.label;
+      Printf.sprintf "%d->%d" s.instances_before s.instances_after;
+      string_of_int s.split;
+      string_of_int s.lost_pairs;
+      string_of_int (List.length s.touched);
+      Printf.sprintf "%.3f" s.seconds;
+    ]
+  in
+  Table.render
+    ~headers:[ "network"; "scenario"; "instances"; "split"; "lost pairs"; "touched"; "seconds" ]
+    ~aligns:
+      [ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
+    (List.concat_map (fun (network, summaries) -> List.map (row network) summaries) networks)
+
+let render_whatif ~engine networks =
   let buf = Buffer.create 1024 in
   heading buf "What-if sweeps (incremental engine)"
     "§8.1 maintenance scenarios, cached baselines and delta-restarted fixpoints";
-  Buffer.add_string buf
-    (Table.render
-       ~headers:
-         [ "network"; "scenario"; "instances"; "split"; "lost pairs"; "touched"; "seconds" ]
-       ~aligns:
-         [ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-           Table.Right ]
-       rows);
+  Buffer.add_string buf (whatif_table networks);
   let hits, misses =
     List.fold_left
       (fun (h, m) ((_, s) : string * Cache.stats) -> (h + s.hits, m + s.misses))

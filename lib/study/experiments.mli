@@ -65,10 +65,43 @@ val scenarios_of_analysis : Rd_core.Analysis.t -> Rd_core.Whatif.scenario list
     every study network gets applicable scenarios without a hand-written
     sweep file. *)
 
-val whatif_rows : string -> Rd_core.Engine.outcome list -> string list list
-(** One rendered sweep-table row per outcome, first column the network
-    label — the unit a what-if checkpoint entry stores. *)
+type scenario_summary = {
+  label : string;  (** the scenario's label. *)
+  changes : string list;  (** {!Rd_core.Whatif.change_to_string} per change. *)
+  instances_before : int;
+  instances_after : int;
+  split : int;  (** instances the scenario split. *)
+  lost_pairs : int;  (** instance pairs that lost reachability. *)
+  touched : string list;  (** router files the scenario edited. *)
+  warnings : string list;
+  seconds : float;  (** wall-clock for the scenario, caches included. *)
+}
+(** What a what-if report shows of one {!Rd_core.Engine.outcome}: the
+    per-scenario unit of the table, of the JSON report and of a what-if
+    checkpoint entry. *)
 
-val render_whatif : engine:Rd_core.Engine.t -> string list list -> string
-(** The sweep report: heading, row table, and the engine's cache-totals
-    line. *)
+val summarize : Rd_core.Engine.outcome -> scenario_summary
+
+val summary_to_json : ?exact:bool -> scenario_summary -> Rd_util.Json.t
+(** The JSON record [rdna whatif --json] prints per scenario.  [exact]
+    (default [false]) writes [seconds] as a [%h] hex float string
+    instead of a JSON number — the checkpoint form, which
+    {!summary_of_json} reads back bit for bit. *)
+
+val whatif_json : ?exact:bool -> string -> scenario_summary list -> Rd_util.Json.t
+(** One network's what-if record, [{network, scenarios}] — the element
+    of the [networks] array [rdna whatif --study --json] prints and,
+    with [exact], the payload of a what-if checkpoint entry. *)
+
+val whatif_of_json : Rd_util.Json.t -> (string * scenario_summary list) option
+(** Inverse of [whatif_json ~exact:true]; [None] on any shape mismatch,
+    so a stale or foreign checkpoint entry reads as a miss. *)
+
+val whatif_table : (string * scenario_summary list) list -> string
+(** The sweep table over [(network label, summaries)] pairs: one row
+    per scenario, first column the network label. *)
+
+val render_whatif :
+  engine:Rd_core.Engine.t -> (string * scenario_summary list) list -> string
+(** The sweep report: heading, {!whatif_table}, and the engine's
+    cache-totals line. *)

@@ -53,8 +53,7 @@ val supervise :
   ('a, failure) result list
 (** [supervise task wanted] runs [task token spec] for every spec on
     [jobs] pool workers ({!Rd_util.Pool.parallel_map_results}) — the
-    one execution path behind {!build_results} and every
-    [Driver] sweep.  Results stay in [wanted] order; each failure
+    one execution path behind {!build_results} and [Driver.sweep].  Results stay in [wanted] order; each failure
     becomes a {!failure} row and bumps the [network.degraded] metrics
     counter.  [retries] (default 0) re-runs a failed network up to that
     many extra times.

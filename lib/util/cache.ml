@@ -17,12 +17,8 @@ let key ~stage ~version parts =
     parts;
   Sha1.digest_string (Buffer.contents buf)
 
-let key_of_keys ~stage ~version keys = key ~stage ~version keys
-
 let hex = Sha1.to_hex
 let raw (k : key) : Store.key = k
-
-type 'a codec = { encode : 'a -> string; decode : string -> 'a option }
 
 (* [hot] is the second-chance bit: set on every lookup hit, cleared by
    an eviction sweep.  An entry neither found nor inserted between two
@@ -34,20 +30,18 @@ type 'a t = {
   capacity : int;
   mutex : Mutex.t;
   table : (key, 'a entry) Hashtbl.t;
-  durable : (Store.t * 'a codec) option;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable invalidations : int;
 }
 
-let create ?(capacity = 256) ?durable ~name () =
+let create ?(capacity = 256) ~name () =
   {
     name;
     capacity = max 1 capacity;
     mutex = Mutex.create ();
     table = Hashtbl.create 64;
-    durable;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -111,40 +105,14 @@ let find ?metrics c k =
           e.hot <- true;
           c.hits <- c.hits + 1;
           Some e.value
-        | None -> None)
+        | None ->
+          c.misses <- c.misses + 1;
+          None)
   in
-  match r with
-  | Some _ ->
-    Metrics.incr metrics (counter c "hits");
-    r
-  | None ->
-    (* Memory miss: probe the durable backend (outside the lock — the
-       store does its own locking and I/O is slow) and re-admit a
-       verified entry.  A durable restore counts as a hit of the
-       two-level cache; the store's own counters expose the split. *)
-    let restored =
-      match c.durable with
-      | None -> None
-      | Some (store, codec) -> Option.bind (Store.find store k) codec.decode
-    in
-    (match restored with
-     | Some v ->
-       locked c (fun () ->
-           c.hits <- c.hits + 1;
-           insert_locked metrics c k v);
-       Metrics.incr metrics (counter c "hits")
-     | None ->
-       locked c (fun () -> c.misses <- c.misses + 1);
-       Metrics.incr metrics (counter c "misses"));
-    restored
+  Metrics.incr metrics (counter c (if Option.is_none r then "misses" else "hits"));
+  r
 
-let add ?metrics c k v =
-  (* Write-through first: if encoding raises, memory stays consistent
-     and the caller sees the error; the store itself never raises. *)
-  (match c.durable with
-   | Some (store, codec) -> Store.add store k (codec.encode v)
-   | None -> ());
-  locked c (fun () -> insert_locked metrics c k v)
+let add ?metrics c k v = locked c (fun () -> insert_locked metrics c k v)
 
 let find_or_add ?metrics ?trace c k f =
   match find ?metrics c k with

@@ -16,8 +16,7 @@
     stage's version constant invalidates every entry of that stage at
     once (the rule used when an analysis stage's semantics change).
 
-    Stores are process-local by default (attach a durable {!Store}
-    backend via {!create} to persist across runs) and
+    Stores are process-local (nothing outlives the process) and
     domain-safe: lookups and insertions take a per-store mutex, while
     {!find_or_add} computes misses {e outside} the lock, so concurrent
     workers never serialize on a slow computation (a duplicated race
@@ -39,55 +38,35 @@ val key : stage:string -> version:int -> string list -> key
     typically the raw configuration bytes of a network (file names and
     contents), possibly followed by scenario or offer encodings. *)
 
-val key_of_keys : stage:string -> version:int -> key list -> key
-(** Derive a compound key from previously computed keys — e.g. a
-    reachability key from an analysis key plus an external-offer key —
-    without re-digesting the underlying bytes. *)
-
 val hex : key -> string
 (** Lowercase 40-character hexadecimal rendering (for reports and
     JSON). *)
 
 val raw : key -> Store.key
-(** The raw 20-byte digest — the {!Store} key under which a durable
-    entry derived from this cache key lives (checkpoint payloads use
-    exactly this bridge). *)
+(** The raw 20-byte digest, as a {!Store} key — the bridge a study
+    checkpoint entry's key crosses. *)
 
 type 'a t
 (** A mutable, domain-safe content-addressed store of ['a] values. *)
 
-type 'a codec = { encode : 'a -> string; decode : string -> 'a option }
-(** Serialization for the durable backend.  [decode] returns [None] on
-    any malformed payload (it must never raise): the entry is treated
-    as a miss, the same policy the {!Store} applies to corrupt
-    frames. *)
-
-val create : ?capacity:int -> ?durable:Store.t * 'a codec -> name:string -> unit -> 'a t
+val create : ?capacity:int -> name:string -> unit -> 'a t
 (** A fresh store.  [name] labels the store's metrics counters and
     spans.  [capacity] (default 256 entries) bounds memory: inserting
     into a full store runs a segmented second-chance sweep — entries
     not looked up since the previous sweep are evicted first (counted
     as [cache.<name>.evictions]), hot entries survive demoted, and the
     table is cut to half capacity — so a capacity hit during a warm
-    what-if sweep keeps the working set instead of discarding it.
-
-    [durable] chains an on-disk {!Store} behind the memory table:
-    {!add} writes through (encoded by the codec), and a memory miss
-    probes the store, re-admitting a verified entry as a hit.  This is
-    what makes an {!Rd_core.Engine} cache survive a process restart
-    under [--checkpoint]/[--resume]. *)
+    what-if sweep keeps the working set instead of discarding it. *)
 
 val name : 'a t -> string
 
 val find : ?metrics:Metrics.t -> 'a t -> key -> 'a option
-(** Probe the store (memory first, then the durable backend when one is
-    attached).  Bumps [cache.<name>.hits] or [cache.<name>.misses]; a
-    durable restore counts as a hit and re-enters the memory table. *)
+(** Probe the store.  Bumps [cache.<name>.hits] or
+    [cache.<name>.misses]. *)
 
 val add : ?metrics:Metrics.t -> 'a t -> key -> 'a -> unit
 (** Insert (replacing any previous value for the key), evicting first
-    when at capacity and writing through to the durable backend when
-    one is attached.  Updates the [cache.<name>.entries] gauge. *)
+    when at capacity.  Updates the [cache.<name>.entries] gauge. *)
 
 val find_or_add :
   ?metrics:Metrics.t -> ?trace:Trace.t -> 'a t -> key -> (unit -> 'a) -> 'a

@@ -401,7 +401,8 @@ let test_driver_study_resume_identical () =
   let ck1 = Rd_study.Checkpoint.open_dir dir in
   let r1 =
     oks
-      (Rd_study.Driver.study ~jobs:1 ~checkpoint:ck1 ~only:small_subset ~master_seed:seed ())
+      (Rd_study.Driver.sweep ~jobs:1 ~checkpoint:ck1 ~only:small_subset ~master_seed:seed
+         (Rd_study.Driver.study ~jobs:1 ()))
   in
   check_int "all persisted" (List.length small_subset)
     (Rd_util.Store.stats (Rd_study.Checkpoint.store ck1)).writes;
@@ -411,8 +412,8 @@ let test_driver_study_resume_identical () =
   let ck2 = Rd_study.Checkpoint.open_dir dir in
   let r2 =
     oks
-      (Rd_study.Driver.study ~jobs:1 ~checkpoint:ck2 ~resume:true ~only:small_subset
-         ~master_seed:seed ())
+      (Rd_study.Driver.sweep ~jobs:1 ~checkpoint:ck2 ~resume:true ~only:small_subset
+         ~master_seed:seed (Rd_study.Driver.study ~jobs:1 ()))
   in
   let st2 = Rd_util.Store.stats (Rd_study.Checkpoint.store ck2) in
   check_int "every network replayed" (List.length small_subset) st2.hits;
@@ -424,8 +425,8 @@ let test_driver_study_resume_identical () =
   (* resume under a different seed misses: keys cover the spec *)
   let ck3 = Rd_study.Checkpoint.open_dir dir in
   let r3 =
-    Rd_study.Driver.study ~jobs:1 ~checkpoint:ck3 ~resume:true ~only:[ 10 ]
-      ~master_seed:(seed + 1) ()
+    Rd_study.Driver.sweep ~jobs:1 ~checkpoint:ck3 ~resume:true ~only:[ 10 ]
+      ~master_seed:(seed + 1) (Rd_study.Driver.study ~jobs:1 ())
   in
   check_int "different seed misses" 0 (Rd_util.Store.stats (Rd_study.Checkpoint.store ck3)).hits;
   check_int "and rebuilds" 1 (List.length (oks r3))
@@ -435,23 +436,23 @@ let test_driver_crosscheck_resume_identical () =
   let subset = [ 10; 26 ] in
   let reports results =
     List.map
-      (fun ((spec : Rd_study.Population.spec), r) ->
-        match r with
+      (function
         | Ok (rep : Rd_check.Crosscheck.report) -> rep
         | Error (f : Rd_study.Population.failure) ->
-          Alcotest.failf "%s failed: %s" spec.label (Printexc.to_string f.failure.exn))
+          Alcotest.failf "%s failed: %s" f.spec.label (Printexc.to_string f.failure.exn))
       results
   in
   let ck1 = Rd_study.Checkpoint.open_dir dir in
   let r1 =
     reports
-      (Rd_study.Driver.crosscheck ~jobs:1 ~checkpoint:ck1 ~only:subset ~master_seed:seed ())
+      (Rd_study.Driver.sweep ~jobs:1 ~checkpoint:ck1 ~only:subset ~master_seed:seed
+         (Rd_study.Driver.crosscheck ()))
   in
   let ck2 = Rd_study.Checkpoint.open_dir dir in
   let r2 =
     reports
-      (Rd_study.Driver.crosscheck ~jobs:1 ~checkpoint:ck2 ~resume:true ~only:subset
-         ~master_seed:seed ())
+      (Rd_study.Driver.sweep ~jobs:1 ~checkpoint:ck2 ~resume:true ~only:subset
+         ~master_seed:seed (Rd_study.Driver.crosscheck ()))
   in
   check_int "replayed" (List.length subset)
     (Rd_util.Store.stats (Rd_study.Checkpoint.store ck2)).hits;
@@ -461,8 +462,9 @@ let test_driver_crosscheck_resume_identical () =
   (* a different invariant selection must miss (it joins the key) *)
   let ck3 = Rd_study.Checkpoint.open_dir dir in
   ignore
-    (Rd_study.Driver.crosscheck ~jobs:1 ~checkpoint:ck3 ~resume:true
-       ~invariants:[ "sim-subset-static" ] ~only:subset ~master_seed:seed ());
+    (Rd_study.Driver.sweep ~jobs:1 ~checkpoint:ck3 ~resume:true ~only:subset
+       ~master_seed:seed
+       (Rd_study.Driver.crosscheck ~invariants:[ "sim-subset-static" ] ()));
   check_int "different invariants miss" 0
     (Rd_util.Store.stats (Rd_study.Checkpoint.store ck3)).hits
 
@@ -472,8 +474,8 @@ let test_driver_task_timeout_degrades () =
   with_checkpoint_dir @@ fun dir ->
   let ck = Rd_study.Checkpoint.open_dir dir in
   let results =
-    Rd_study.Driver.study ~jobs:1 ~task_timeout:0.0 ~checkpoint:ck ~only:[ 10 ]
-      ~master_seed:seed ()
+    Rd_study.Driver.sweep ~jobs:1 ~task_timeout:0.0 ~checkpoint:ck ~only:[ 10 ]
+      ~master_seed:seed (Rd_study.Driver.study ~jobs:1 ())
   in
   (match results with
    | [ Error (f : Rd_study.Population.failure) ] ->
@@ -487,28 +489,99 @@ let test_driver_task_timeout_degrades () =
 
 let test_driver_whatif_resume_rows_identical () =
   with_checkpoint_dir @@ fun dir ->
-  (* drop the trailing engine cache-totals line: it reflects only what
-     this process computed, which is the point of the comparison — the
-     scenario rows themselves must replay byte-identically *)
-  let rows_only report =
+  (* one shared engine per run, swept sequentially as rdna does; the
+     engine's cache-totals line reflects only what this process
+     computed, so the comparison is over the per-network records *)
+  let run ?resume ck =
+    let engine = Rd_core.Engine.create () in
+    let networks, failures =
+      Rd_study.Population.partition
+        (Rd_study.Driver.sweep ~jobs:1 ~checkpoint:ck ?resume ~only:[ 10 ] ~master_seed:seed
+           (Rd_study.Driver.whatif engine))
+    in
+    check_int "no failures" 0 (List.length failures);
+    networks
+  in
+  let json networks =
     String.concat "\n"
-      (List.filter
-         (fun l -> not (String.length l >= 6 && String.sub l 0 6 = "cache:"))
-         (String.split_on_char '\n' report))
+      (List.map
+         (fun (label, s) -> Rd_util.Json.to_string (Rd_study.Experiments.whatif_json label s))
+         networks)
   in
   let ck1 = Rd_study.Checkpoint.open_dir dir in
-  let report1, failures1 =
-    Rd_study.Driver.whatif ~checkpoint:ck1 ~only:[ 10 ] ~master_seed:seed ()
-  in
-  check_int "no failures" 0 (List.length failures1);
+  let first = run ck1 in
   let ck2 = Rd_study.Checkpoint.open_dir dir in
-  let report2, failures2 =
-    Rd_study.Driver.whatif ~checkpoint:ck2 ~resume:true ~only:[ 10 ] ~master_seed:seed ()
-  in
-  check_int "no failures on resume" 0 (List.length failures2);
+  let resumed = run ~resume:true ck2 in
   check_int "replayed" 1 (Rd_util.Store.stats (Rd_study.Checkpoint.store ck2)).hits;
-  Alcotest.(check string) "scenario rows byte-identical" (rows_only report1)
-    (rows_only report2)
+  Alcotest.(check string) "scenario table identical"
+    (Rd_study.Experiments.whatif_table first)
+    (Rd_study.Experiments.whatif_table resumed);
+  Alcotest.(check string) "JSON records identical, seconds included" (json first)
+    (json resumed);
+  (* %.12g and %.3f renderings would hide a lossy codec *)
+  check_bool "summaries replay bit for bit" true (first = resumed);
+  (* the swept counts are what a fresh engine reports for net10 *)
+  let spec = List.find (fun (s : Rd_study.Population.spec) -> s.net_id = 10) specs in
+  let engine = Rd_core.Engine.create () in
+  let net =
+    Rd_core.Engine.load engine ~name:spec.label (Rd_study.Population.generate_one spec)
+  in
+  let fresh =
+    List.map Rd_study.Experiments.summarize
+      (Rd_core.Engine.run_scenarios engine net
+         (Rd_study.Experiments.scenarios_of_analysis net.analysis))
+  in
+  let counts (s : Rd_study.Experiments.scenario_summary) =
+    ( s.label,
+      (s.changes, s.instances_before, s.instances_after),
+      (s.split, s.lost_pairs, s.touched, s.warnings) )
+  in
+  Alcotest.(check (list string)) "one network, net10" [ "net10" ] (List.map fst first);
+  check_bool "counts equal a fresh engine's" true
+    (List.map counts (snd (List.hd first)) = List.map counts fresh)
+
+(* The netlint sweep builds and lints inside each pooled task: its report
+   is the per-network [run_analysis] over the built population, at any
+   pool size. *)
+let test_driver_netlint_sweep_identical () =
+  let expected =
+    Rd_util.Json.to_string
+      (Rd_core.Netlint.to_json
+         (List.map
+            (fun (n : Rd_study.Population.network) ->
+              Rd_core.Netlint.run_analysis ~files:(Rd_study.Population.generate_one n.spec)
+                n.analysis)
+            (Lazy.force population)))
+  in
+  List.iter
+    (fun jobs ->
+      let reports, failures =
+        Rd_study.Population.partition
+          (Rd_study.Driver.sweep ~jobs ~master_seed:seed (Rd_study.Driver.netlint ~jobs ()))
+      in
+      check_int "no failures" 0 (List.length failures);
+      Alcotest.(check string)
+        (Printf.sprintf "netlint sweep byte-identical at jobs %d" jobs)
+        expected
+        (Rd_util.Json.to_string (Rd_core.Netlint.to_json reports)))
+    [ 1; 2 ]
+
+let test_driver_netlint_task_timeout () =
+  (* the per-network token covers analysis and lint: an immediate
+     deadline degrades every network to one Timed_out row *)
+  let results =
+    Rd_study.Driver.sweep ~jobs:1 ~task_timeout:0.0 ~master_seed:seed
+      (Rd_study.Driver.netlint ())
+  in
+  check_int "one row per network" (List.length specs) (List.length results);
+  List.iter
+    (function
+      | Error (f : Rd_study.Population.failure) -> (
+        match f.failure.cause with
+        | Rd_util.Pool.Timed_out _ -> ()
+        | _ -> Alcotest.failf "%s: expected Timed_out" f.spec.label)
+      | Ok (r : Rd_core.Netlint.report) -> Alcotest.failf "%s: not timed out" r.network)
+    results
 
 (* ------------------------------------------------------------------ lint --- *)
 
@@ -585,5 +658,9 @@ let () =
           Alcotest.test_case "scorecard" `Slow test_scorecard;
           Alcotest.test_case "all 31 networks lint clean" `Slow test_full_study_lints_clean;
           Alcotest.test_case "design rule counts" `Slow test_full_study_design_counts;
+          Alcotest.test_case "netlint sweep byte-identical" `Slow
+            test_driver_netlint_sweep_identical;
+          Alcotest.test_case "netlint task timeout degrades" `Quick
+            test_driver_netlint_task_timeout;
         ] );
     ]

@@ -716,11 +716,7 @@ let test_cache_key_determinism () =
   List.iteri
     (fun i k ->
       check_bool (Printf.sprintf "variant %d differs" i) false (Cache.hex k = Cache.hex k1))
-    different;
-  let c = Cache.key_of_keys ~stage:"reach" ~version:1 [ k1; k2 ] in
-  check_string "compound key deterministic"
-    (Cache.hex (Cache.key_of_keys ~stage:"reach" ~version:1 [ k1; k2 ]))
-    (Cache.hex c)
+    different
 
 let test_cache_hit_after_miss () =
   let c = Cache.create ~name:"t" () in
@@ -1077,30 +1073,6 @@ let test_cache_second_chance_warm_hit_rate () =
     (Printf.sprintf "warm hit rate %.2f stays high under cold churn" rate)
     true (rate >= 0.9)
 
-let test_cache_durable_write_through_restore () =
-  with_store_dir @@ fun dir ->
-  let codec = { Cache.encode = string_of_int; decode = int_of_string_opt } in
-  let store = Store.open_dir dir in
-  let c = Cache.create ~durable:(store, codec) ~name:"d" () in
-  let k = ckey 1 in
-  Cache.add c k 42;
-  check_bool "memory hit" true (Cache.find c k = Some 42);
-  (* the write went through to disk under the raw digest *)
-  check_bool "durable entry" true (Store.find store (Cache.raw k) = Some "42");
-  (* a fresh process: new memory table over the same directory *)
-  let store2 = Store.open_dir dir in
-  let c2 = Cache.create ~durable:(store2, codec) ~name:"d" () in
-  check_bool "restored from disk" true (Cache.find c2 k = Some 42);
-  let disk_hits = (Store.stats store2).hits in
-  (* re-admitted to memory: the next find does not touch the store *)
-  check_bool "second find hits memory" true (Cache.find c2 k = Some 42);
-  check_int "no extra disk read" disk_hits (Store.stats store2).hits;
-  (* a corrupt durable entry degrades to a plain miss *)
-  Out_channel.with_open_bin (Store.entry_path store2 (Cache.raw k)) (fun oc ->
-      Out_channel.output_string oc "junk");
-  let c3 = Cache.create ~durable:(Store.open_dir dir, codec) ~name:"d" () in
-  check_bool "corrupt backend is a miss" true (Cache.find c3 k = None)
-
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "rd_util"
@@ -1200,7 +1172,5 @@ let () =
             test_cache_second_chance_cold_tail_pays;
           Alcotest.test_case "second chance: warm hit rate" `Quick
             test_cache_second_chance_warm_hit_rate;
-          Alcotest.test_case "durable write-through and restore" `Quick
-            test_cache_durable_write_through_restore;
         ] );
     ]
