@@ -38,6 +38,32 @@ let rec remove_at p depth node =
 
 let remove p t = remove_at p 0 t
 
+(* Top-down over the sorted array: within a node's range its own binding
+   comes first, then every prefix whose next bit is 0, then those whose
+   next bit is 1 — the shape [add] would build, without path copying. *)
+let of_bindings bindings =
+  let b = Array.of_list bindings in
+  for i = 1 to Array.length b - 1 do
+    if Prefix.compare (fst b.(i - 1)) (fst b.(i)) >= 0 then
+      invalid_arg "Prefix_trie.of_bindings: bindings not strictly increasing"
+  done;
+  let rec build lo hi depth =
+    let value, lo =
+      if Prefix.len (fst b.(lo)) = depth then (Some (snd b.(lo)), lo + 1) else (None, lo)
+    in
+    let mid = ref lo in
+    while !mid < hi && not (bit_at (Prefix.addr (fst b.(!mid))) depth) do
+      incr mid
+    done;
+    let mid = !mid in
+    {
+      value;
+      zero = (if mid > lo then Some (build lo mid (depth + 1)) else None);
+      one = (if hi > mid then Some (build mid hi (depth + 1)) else None);
+    }
+  in
+  if Array.length b = 0 then empty else build 0 (Array.length b) 0
+
 let rec find_at p depth node =
   if depth = Prefix.len p then node.value
   else begin

@@ -15,6 +15,13 @@ val is_empty : 'a t -> bool
 val add : Prefix.t -> 'a -> 'a t -> 'a t
 (** Bind a prefix, replacing any existing binding of the same prefix. *)
 
+val of_bindings : (Prefix.t * 'a) list -> 'a t
+(** The map holding exactly these bindings, which must be strictly
+    increasing by {!Prefix.compare} (address order, as {!bindings}
+    returns them); built in one pass, without the path copying of
+    repeated {!add}.  Raises [Invalid_argument] on unsorted or duplicate
+    prefixes. *)
+
 val remove : Prefix.t -> 'a t -> 'a t
 (** Drop the exact binding of the prefix, if any. *)
 

@@ -69,8 +69,8 @@ let witnesses prefixes =
    set grants (its network address is inside) is an artifact of
    lowering per-route filters — which match a route by its network
    address — to address sets, and is reported as a warning. *)
-(* The simulation is by far the most expensive step of the oracle
-   (minutes on the larger study networks); [sim] is a lazy shared with
+(* The simulation is the most expensive step of the oracle (seconds
+   on the larger study networks); [sim] is a lazy shared with
    the [netlint-sim-agree] invariant so one cross-check run propagates
    routes at most once. *)
 let sim_subset_static ~approx ~sim (a : Analysis.t) (r : Rd_reach.Reachability.t) =

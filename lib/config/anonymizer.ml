@@ -6,6 +6,8 @@ type t = {
   token_cache : (string, string) Hashtbl.t;
   as_cache : (int, int) Hashtbl.t;
   as_used : (int, unit) Hashtbl.t;
+  flip_cache : (int, int) Hashtbl.t;
+  addr_cache : (int, int) Hashtbl.t;
 }
 
 let create ~key =
@@ -14,6 +16,8 @@ let create ~key =
     token_cache = Hashtbl.create 256;
     as_cache = Hashtbl.create 64;
     as_used = Hashtbl.create 64;
+    flip_cache = Hashtbl.create 1024;
+    addr_cache = Hashtbl.create 256;
   }
 
 (* --- dictionary -------------------------------------------------------- *)
@@ -120,21 +124,36 @@ let class_bits x =
   else if x lsr 29 = 0b110 then 3
   else 4
 
+(* Both caches only memoize: the flip bit is a function of the key, the
+   bit index and the input prefix, so a warm map is byte-identical to a
+   cold one.  Addresses of one network share long prefixes, so most of
+   an uncached address's 32 PRF calls are already in [flip_cache]. *)
+let flip t i prefix =
+  let k = (i lsl 32) lor prefix in
+  match Hashtbl.find_opt t.flip_cache k with
+  | Some b -> b
+  | None ->
+    let b =
+      Int64.to_int (Int64.logand (Sha1.prf ~key:t.key (Printf.sprintf "ip:%d:%d" i prefix)) 1L)
+    in
+    Hashtbl.add t.flip_cache k b;
+    b
+
 let anonymize_addr t a =
   let x = Ipv4.to_int a in
-  let cb = class_bits x in
-  let out = ref 0 in
-  for i = 0 to 31 do
-    let prefix = if i = 0 then 0 else x lsr (32 - i) in
-    let flip =
-      if i < cb then 0
-      else
-        Int64.to_int (Int64.logand (Sha1.prf ~key:t.key (Printf.sprintf "ip:%d:%d" i prefix)) 1L)
-    in
-    let bit = (x lsr (31 - i)) land 1 in
-    out := (!out lsl 1) lor (bit lxor flip)
-  done;
-  Ipv4.of_int !out
+  match Hashtbl.find_opt t.addr_cache x with
+  | Some y -> Ipv4.of_int y
+  | None ->
+    let cb = class_bits x in
+    let out = ref 0 in
+    for i = 0 to 31 do
+      let prefix = if i = 0 then 0 else x lsr (32 - i) in
+      let flip = if i < cb then 0 else flip t i prefix in
+      let bit = (x lsr (31 - i)) land 1 in
+      out := (!out lsl 1) lor (bit lxor flip)
+    done;
+    Hashtbl.add t.addr_cache x !out;
+    Ipv4.of_int !out
 
 let private_as n = n >= 64512 && n <= 65534
 

@@ -31,7 +31,10 @@ val create : key:string -> t
     consistent when anonymized one at a time. *)
 
 val anonymize_addr : t -> Rd_addr.Ipv4.t -> Rd_addr.Ipv4.t
-(** Prefix-preserving address mapping. *)
+(** Prefix-preserving address mapping: output bit [i] is input bit [i]
+    xored with a keyed SHA-1 PRF of the first [i] input bits (class bits
+    excepted).  Memoized per [t], both per address and per (bit, input
+    prefix), so a warm [t] maps exactly like a fresh one. *)
 
 val anonymize_token : t -> string -> string
 (** Replacement for a single free-form token (stable per [t]). *)

@@ -59,6 +59,8 @@ let lookup t a = Prefix_trie.longest_match a t |> Option.map snd
 
 let find t p = Prefix_trie.find p t
 
+let of_routes routes = Prefix_trie.of_bindings (List.map (fun r -> (r.dest, r)) routes)
+
 let routes t = List.map snd (Prefix_trie.bindings t)
 
 let size t = Prefix_trie.cardinal t

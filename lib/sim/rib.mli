@@ -61,10 +61,15 @@ type t
 val empty : t
 (** The RIB with no routes. *)
 
+val better : route -> route -> bool
+(** [better a b]: [a] is strictly preferred to [b] — lower administrative
+    distance, then (among BGP routes) shorter AS path, then lower
+    metric. *)
+
 val add : t -> route -> t
-(** Keep the route if no better route for the same prefix is present.
-    Preference: lower administrative distance, then (among BGP routes)
-    shorter AS path, then lower metric. *)
+(** Keep the route if no better route for the same prefix is present
+    ({!better}); of several equally preferred routes the first added
+    stays. *)
 
 val lookup : t -> Ipv4.t -> route option
 (** Longest-prefix match, then best route. *)
@@ -74,6 +79,11 @@ val find : t -> Prefix.t -> route option
 
 val routes : t -> route list
 (** All installed routes, in prefix order. *)
+
+val of_routes : route list -> t
+(** The RIB holding exactly these routes, given one per destination in
+    prefix order (as {!routes} returns them).  Raises [Invalid_argument]
+    otherwise. *)
 
 val size : t -> int
 (** Number of installed routes (the §6.2 route-load measure). *)

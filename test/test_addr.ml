@@ -506,6 +506,32 @@ let prop_trie_model =
       List.for_all (fun (p, v) -> Prefix_trie.find p trie = Some v) model
       && Prefix_trie.cardinal trie = List.length model)
 
+(* One-pass construction builds exactly the trie repeated [add] builds. *)
+let prop_trie_of_bindings =
+  QCheck.Test.make ~name:"prefix_trie of_bindings = repeated add" ~count:200
+    (QCheck.list_of_size (QCheck.Gen.int_bound 30) (QCheck.pair arb_prefix QCheck.small_int))
+    (fun bindings ->
+      let trie =
+        List.fold_left (fun t (p, v) -> Prefix_trie.add p v t) Prefix_trie.empty bindings
+      in
+      let built = Prefix_trie.of_bindings (Prefix_trie.bindings trie) in
+      built = trie
+      && List.for_all
+           (fun (p, _) ->
+             Prefix_trie.matches (Prefix.addr p) built = Prefix_trie.matches (Prefix.addr p) trie)
+           bindings)
+
+let test_trie_of_bindings_unsorted () =
+  let raises l =
+    match Prefix_trie.of_bindings l with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "out of order" true
+    (raises [ (pfx "10.1.0.0/16", 1); (pfx "10.0.0.0/8", 2) ]);
+  check_bool "duplicate" true (raises [ (pfx "10.0.0.0/8", 1); (pfx "10.0.0.0/8", 2) ]);
+  check_int "empty" 0 (Prefix_trie.cardinal (Prefix_trie.of_bindings []))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "rd_addr"
@@ -568,5 +594,6 @@ let () =
         Alcotest.test_case "basics" `Quick test_trie_basics
         :: Alcotest.test_case "remove/update" `Quick test_trie_remove_update
         :: Alcotest.test_case "covering/covered_by" `Quick test_trie_covering_covered
-        :: qc [ prop_trie_model ] );
+        :: Alcotest.test_case "of_bindings rejects unsorted" `Quick test_trie_of_bindings_unsorted
+        :: qc [ prop_trie_model; prop_trie_of_bindings ] );
     ]

@@ -594,6 +594,47 @@ let prop_prefix_preservation =
       in
       common a b = common (Anonymizer.anonymize_addr t a) (Anonymizer.anonymize_addr t b))
 
+(* The prefix-preserving map written out bit by bit, with no memoization:
+   output bit i is input bit i xored with the low bit of the keyed PRF of
+   the first i input bits, except the leading class bits. *)
+let reference_anonymize_addr ~key a =
+  let x = Ipv4.to_int a in
+  let class_bits =
+    if x lsr 31 = 0 then 1 else if x lsr 30 = 0b10 then 2 else if x lsr 29 = 0b110 then 3 else 4
+  in
+  let out = ref 0 in
+  for i = 0 to 31 do
+    let flip =
+      if i < class_bits then 0
+      else
+        let prefix = if i = 0 then 0 else x lsr (32 - i) in
+        Int64.to_int (Int64.logand (Rd_util.Sha1.prf ~key (Printf.sprintf "ip:%d:%d" i prefix)) 1L)
+    in
+    out := (!out lsl 1) lor (((x lsr (31 - i)) land 1) lxor flip)
+  done;
+  Ipv4.of_int !out
+
+(* Random addresses, half of them inside one /16 so the per-prefix flip
+   cache is exercised on shared prefixes.  Each list is mapped by a fresh
+   state (cold), then again by the same state (warm). *)
+let prop_anonymize_addr_reference =
+  QCheck.Test.make ~name:"memoized address map = per-bit reference, cold and warm" ~count:50
+    QCheck.(list_of_size (Gen.int_range 1 40) (pair bool (int_bound 0xFFFFFFF)))
+    (fun draws ->
+      let addrs =
+        List.map
+          (fun (local, r) ->
+            Ipv4.of_int
+              (if local then 0x0A2A0000 lor (r land 0xFFFF)
+               else (r * 16 + r mod 16) land 0xFFFFFFFF))
+          draws
+      in
+      let t = Anonymizer.create ~key:"memo" in
+      let expected = List.map (reference_anonymize_addr ~key:"memo") addrs in
+      let cold = List.map (Anonymizer.anonymize_addr t) addrs in
+      let warm = List.map (Anonymizer.anonymize_addr t) (List.rev addrs) in
+      List.for_all2 Ipv4.equal expected cold && List.for_all2 Ipv4.equal (List.rev expected) warm)
+
 let prop_roundtrip_random_enterprise =
   QCheck.Test.make ~name:"generated networks round trip (random seeds)" ~count:15
     QCheck.(int_bound 10000)
@@ -660,6 +701,7 @@ let () =
             prop_anonymizer_total;
             prop_anonymize_idempotent_tokens;
             prop_prefix_preservation;
+            prop_anonymize_addr_reference;
             prop_roundtrip_random_enterprise;
           ] );
     ]

@@ -694,6 +694,140 @@ let test_disconnection_scenarios () =
   (* both directions between the two instances *)
   check_int "scenarios" 2 (List.length scenarios)
 
+(* ------------------------------------------------------------ reference --- *)
+
+(* The semi-naive simulator against the round-robin reference
+   (propagate_ref.ml).  Rounds are preserved, so the two must agree not
+   only at the fixpoint but after every round: process RIBs, every
+   router RIB, the round count and [converged]. *)
+
+let graph_of_texts ~name files =
+  Rd_routing.Process_graph.build (Rd_core.Analysis.analyze ~name files).catalog
+
+let disagreement (sim : Rd_sim.Propagate.t) (r : Propagate_ref.t) =
+  let first_diff n f =
+    let rec go i = if i >= n then None else if f i then Some i else go (i + 1) in
+    go 0
+  in
+  let routes = Rd_sim.Rib.routes in
+  if sim.iterations <> r.iterations then
+    Some (Printf.sprintf "%d rounds, reference %d" sim.iterations r.iterations)
+  else if sim.converged <> r.converged then Some "converged flag differs"
+  else
+    match
+      first_diff (Array.length r.proc_ribs) (fun pid ->
+          routes (Rd_sim.Propagate.rib_of_process sim pid) <> routes r.proc_ribs.(pid))
+    with
+    | Some pid -> Some (Printf.sprintf "process %d RIB differs" pid)
+    | None -> (
+      match
+        first_diff (Array.length r.router_ribs) (fun ri ->
+            routes (Rd_sim.Propagate.rib_of_router sim ri) <> routes r.router_ribs.(ri))
+      with
+      | Some ri -> Some (Printf.sprintf "router %d RIB differs" ri)
+      | None -> None)
+
+(* Returns the round count, so callers can sweep the budgets below it. *)
+let check_agrees ?limits ?external_prefixes label graph =
+  let sim = Rd_sim.Propagate.run ?limits ?external_prefixes graph in
+  let r = Propagate_ref.run ?limits ?external_prefixes graph in
+  (match disagreement sim r with
+   | None -> ()
+   | Some d -> Alcotest.failf "%s: %s" label d);
+  sim.iterations
+
+let check_agrees_every_budget ?external_prefixes label graph =
+  let rounds = check_agrees ?external_prefixes label graph in
+  for k = 1 to rounds do
+    let limits = { Rd_util.Limits.default with max_propagate_iterations = k } in
+    let label = Printf.sprintf "%s, %d-round budget" label k in
+    ignore (check_agrees ~limits ?external_prefixes label graph)
+  done
+
+let flavors =
+  Rd_gen.Archetype.[ Backbone; Enterprise; Compartment; Restricted; Tier2; Hub_spoke; Igp_only ]
+
+let flavor_graph arch ~seed ~n =
+  let net = Rd_gen.Archetype.generate arch ~seed ~n ~index:(seed mod 7) () in
+  graph_of_texts ~name:(Rd_gen.Archetype.to_string arch) (Rd_gen.Builder.to_texts net)
+
+let test_ref_flavors () =
+  List.iter
+    (fun arch ->
+      let label = Rd_gen.Archetype.to_string arch in
+      let g = flavor_graph arch ~seed:11 ~n:16 in
+      check_agrees_every_budget label g;
+      check_agrees_every_budget ~external_prefixes:[] (label ^ " without offers") g;
+      check_agrees_every_budget
+        ~external_prefixes:[ pfx "198.18.0.0/15"; pfx "10.0.0.0/8"; Prefix.default ]
+        (label ^ " with specific offers") g)
+    flavors
+
+(* The seed-2004 study networks the benchmark's cross-check covers. *)
+let test_ref_study_networks () =
+  List.iter
+    (fun (spec : Rd_study.Population.spec) ->
+      check_agrees_every_budget spec.label
+        (graph_of_texts ~name:spec.label (Rd_study.Population.generate_one spec)))
+    (List.filter
+       (fun (s : Rd_study.Population.spec) -> s.n <= 110)
+       (Rd_study.Population.specs ~master_seed:2004))
+
+(* One round is one generation: the work counters the round-robin
+   schedule reports (rounds, RIB-changing installs) are unchanged, and
+   the propagate.fixpoint fault site fires once per round in both. *)
+let test_ref_counters_and_fault_site () =
+  List.iter
+    (fun arch ->
+      let label = Rd_gen.Archetype.to_string arch in
+      let g = flavor_graph arch ~seed:5 ~n:14 in
+      let observe run =
+        let m = Rd_util.Metrics.create () in
+        let faults =
+          match Rd_util.Fault.of_spec "seed=1;propagate.fixpoint:delay=0" with
+          | Ok f -> f
+          | Error e -> Alcotest.fail e
+        in
+        let rounds = run ~metrics:m ~faults g in
+        let counter name = Option.value (Rd_util.Metrics.counter_value m name) ~default:0 in
+        ( rounds,
+          List.length (Rd_util.Fault.injections faults),
+          counter "propagate.fixpoint_iterations",
+          counter "propagate.routes_installed" )
+      in
+      let rounds, fired, iters, installs =
+        observe (fun ~metrics ~faults g -> (Rd_sim.Propagate.run ~metrics ~faults g).iterations)
+      in
+      let rounds', fired', iters', installs' =
+        observe (fun ~metrics ~faults g -> (Propagate_ref.run ~metrics ~faults g).iterations)
+      in
+      check_int (label ^ ": rounds") rounds' rounds;
+      check_int (label ^ ": fault site once per round") rounds fired;
+      check_int (label ^ ": fault site as often as the reference") fired' fired;
+      check_int (label ^ ": fixpoint_iterations") iters' iters;
+      check_int (label ^ ": routes_installed") installs' installs)
+    flavors
+
+let arb_flavor_net =
+  QCheck.make
+    ~print:(fun (a, s, n, o) -> Printf.sprintf "arch=%d seed=%d n=%d offers=%d" a s n o)
+    QCheck.Gen.(
+      let* a = int_bound 6 in
+      let* s = int_bound 500 in
+      let* n = int_range 5 14 in
+      let* o = int_bound 2 in
+      return (a, s, n, o))
+
+let prop_ref_random_nets =
+  QCheck.Test.make ~name:"semi-naive = round-robin" ~count:25
+    arb_flavor_net (fun (a, s, n, o) ->
+      let external_prefixes =
+        [| []; [ Prefix.default ]; [ pfx "203.0.113.0/24"; pfx "10.0.0.0/8"; Prefix.default ] |].(o)
+      in
+      check_agrees_every_budget ~external_prefixes "random net"
+        (flavor_graph (List.nth flavors a) ~seed:s ~n);
+      true)
+
 let () =
   Alcotest.run "rd_sim"
     [
@@ -729,6 +863,15 @@ let () =
           Alcotest.test_case "interface-qualified dlist" `Quick test_interface_qualified_dlist;
           Alcotest.test_case "aggregate-address" `Quick test_aggregate_address;
           Alcotest.test_case "aggregate needs component" `Quick test_aggregate_needs_component;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "every flavor, every round budget" `Quick test_ref_flavors;
+          Alcotest.test_case "study networks, every budget" `Slow
+            test_ref_study_networks;
+          Alcotest.test_case "counters, fault site per round" `Quick
+            test_ref_counters_and_fault_site;
+          QCheck_alcotest.to_alcotest prop_ref_random_nets;
         ] );
       ( "failure",
         [
