@@ -55,11 +55,26 @@ type stats_cell = {
 let stats_registry : stats_cell list ref = ref []
 let stats_mutex = Mutex.create ()
 
+(* Every table key is one packed int (see [pack] below), so the tables
+   are monomorphic: a probe allocates no key and pays neither the
+   polymorphic hash nor the polymorphic compare.  Packed keys carry the
+   dense child ids in their low bits, so the hash folds the high half in
+   before mixing. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = (k lxor (k lsr 30)) * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 32)
+end)
+
 type table = {
-  nodes : (int * int, t) Hashtbl.t; (* (uid l, uid r) -> hash-consed node *)
-  memo : (int, t) Hashtbl.t; (* packed (op, id, id) -> result *)
-  memo_subset : (int, bool) Hashtbl.t;
-  memo_count : (int, int) Hashtbl.t; (* packed (id, depth) -> addresses *)
+  nodes : t Int_tbl.t; (* packed (uid l, uid r) -> hash-consed node *)
+  memo : t Int_tbl.t; (* packed (op, id, id) -> result *)
+  memo_subset : bool Int_tbl.t;
+  memo_count : int Int_tbl.t; (* packed (id, depth) -> addresses *)
   cell : stats_cell;
 }
 
@@ -70,23 +85,40 @@ let table_key : table Domain.DLS.key =
       let cell = { s_nodes = 0; s_hits = 0; s_misses = 0 } in
       Mutex.protect stats_mutex (fun () -> stats_registry := cell :: !stats_registry);
       {
-        nodes = Hashtbl.create 4096;
-        memo = Hashtbl.create 4096;
-        memo_subset = Hashtbl.create 256;
-        memo_count = Hashtbl.create 256;
+        nodes = Int_tbl.create 4096;
+        memo = Int_tbl.create 4096;
+        memo_subset = Int_tbl.create 256;
+        memo_count = Int_tbl.create 256;
         cell;
       })
 
 let table () = Domain.DLS.get table_key
 
 let reset_if_oversized tbl =
-  if Hashtbl.length tbl.nodes > cache_limit then Hashtbl.reset tbl.nodes;
-  if Hashtbl.length tbl.memo > cache_limit then Hashtbl.reset tbl.memo;
-  if Hashtbl.length tbl.memo_subset > cache_limit then Hashtbl.reset tbl.memo_subset;
-  if Hashtbl.length tbl.memo_count > cache_limit then Hashtbl.reset tbl.memo_count
+  if Int_tbl.length tbl.nodes > cache_limit then Int_tbl.reset tbl.nodes;
+  if Int_tbl.length tbl.memo > cache_limit then Int_tbl.reset tbl.memo;
+  if Int_tbl.length tbl.memo_subset > cache_limit then Int_tbl.reset tbl.memo_subset;
+  if Int_tbl.length tbl.memo_count > cache_limit then Int_tbl.reset tbl.memo_count
+
+(* Keys pack (op, id, id) into one 63-bit int: 2 op bits + 2×30 id bits
+   (max key 3·2⁶⁰ + …, inside the 63-bit native int); the hash-cons key
+   is the same packing with op 0.  Ids are dense (one global counter),
+   so the packing is exact — never a collision — for the first ~10⁹
+   nodes; beyond that nodes are simply built fresh and ops stop
+   memoizing (correct, just slower: [equal] falls back to structure)
+   rather than risking a packed-key collision between two live nodes. *)
+
+let id_bits = 30
+let id_limit = 1 lsl id_bits
+
+let pack op a b = (((op lsl id_bits) lor a) lsl id_bits) lor b
 
 let empty = Empty
 let full = Full
+
+let fresh tbl l r =
+  tbl.cell.s_nodes <- tbl.cell.s_nodes + 1;
+  Node { id = Atomic.fetch_and_add next_id 1; l; r }
 
 let node l r =
   match (l, r) with
@@ -94,27 +126,18 @@ let node l r =
   | Full, Full -> Full
   | _ ->
     let tbl = table () in
-    let key = (uid l, uid r) in
-    (match Hashtbl.find_opt tbl.nodes key with
-     | Some n -> n
-     | None ->
-       reset_if_oversized tbl;
-       let n = Node { id = Atomic.fetch_and_add next_id 1; l; r } in
-       Hashtbl.add tbl.nodes key n;
-       tbl.cell.s_nodes <- tbl.cell.s_nodes + 1;
-       n)
-
-(* Memo keys pack (op, id, id) into one 63-bit int: 2 op bits + 2×30 id
-   bits (max key 3·2⁶⁰ + …, inside the 63-bit native int).  Ids are
-   dense (one global counter), so the packing is exact — never a
-   collision — for the first ~10⁹ nodes; beyond that the ops simply
-   stop memoizing (correct, just slower) rather than risking a
-   packed-key collision between two live nodes. *)
-
-let id_bits = 30
-let id_limit = 1 lsl id_bits
-
-let pack op a b = (((op lsl id_bits) lor a) lsl id_bits) lor b
+    let il = uid l and ir = uid r in
+    if il >= id_limit || ir >= id_limit then fresh tbl l r
+    else begin
+      let key = pack 0 il ir in
+      match Int_tbl.find_opt tbl.nodes key with
+      | Some n -> n
+      | None ->
+        reset_if_oversized tbl;
+        let n = fresh tbl l r in
+        Int_tbl.add tbl.nodes key n;
+        n
+    end
 
 let op_union = 0
 let op_inter = 1
@@ -126,15 +149,15 @@ let memo_bin tbl op a b compute =
   if ia >= id_limit || ib >= id_limit then compute ()
   else begin
     let key = pack op ia ib in
-    match Hashtbl.find_opt tbl.memo key with
+    match Int_tbl.find_opt tbl.memo key with
     | Some r ->
       tbl.cell.s_hits <- tbl.cell.s_hits + 1;
       r
     | None ->
       tbl.cell.s_misses <- tbl.cell.s_misses + 1;
       let r = compute () in
-      if Hashtbl.length tbl.memo > cache_limit then Hashtbl.reset tbl.memo;
-      Hashtbl.add tbl.memo key r;
+      if Int_tbl.length tbl.memo > cache_limit then Int_tbl.reset tbl.memo;
+      Int_tbl.add tbl.memo key r;
       r
   end
 
@@ -247,16 +270,16 @@ let rec subset a b =
       if ia >= id_limit || ib >= id_limit then subset na.l nb.l && subset na.r nb.r
       else begin
         let key = pack 0 ia ib in
-        match Hashtbl.find_opt tbl.memo_subset key with
+        match Int_tbl.find_opt tbl.memo_subset key with
         | Some r ->
           tbl.cell.s_hits <- tbl.cell.s_hits + 1;
           r
         | None ->
           tbl.cell.s_misses <- tbl.cell.s_misses + 1;
           let r = subset na.l nb.l && subset na.r nb.r in
-          if Hashtbl.length tbl.memo_subset > cache_limit then
-            Hashtbl.reset tbl.memo_subset;
-          Hashtbl.add tbl.memo_subset key r;
+          if Int_tbl.length tbl.memo_subset > cache_limit then
+            Int_tbl.reset tbl.memo_subset;
+          Int_tbl.add tbl.memo_subset key r;
           r
       end
     end
@@ -294,7 +317,7 @@ let rec count_subtree ~depth t =
       count_subtree ~depth:(depth + 1) n.l + count_subtree ~depth:(depth + 1) n.r
     else begin
       let key = (n.id lsl 6) lor depth in
-      match Hashtbl.find_opt tbl.memo_count key with
+      match Int_tbl.find_opt tbl.memo_count key with
       | Some c ->
         tbl.cell.s_hits <- tbl.cell.s_hits + 1;
         c
@@ -303,8 +326,8 @@ let rec count_subtree ~depth t =
         let c =
           count_subtree ~depth:(depth + 1) n.l + count_subtree ~depth:(depth + 1) n.r
         in
-        if Hashtbl.length tbl.memo_count > cache_limit then Hashtbl.reset tbl.memo_count;
-        Hashtbl.add tbl.memo_count key c;
+        if Int_tbl.length tbl.memo_count > cache_limit then Int_tbl.reset tbl.memo_count;
+        Int_tbl.add tbl.memo_count key c;
         c
     end
 

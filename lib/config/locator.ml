@@ -77,17 +77,17 @@ let of_text text =
     (Lexer.lines_of_string text);
   t
 
-type table = (string, t) Hashtbl.t
+(* Each file is indexed on the first [find] that names it; a file no
+   finding cites costs one table entry and is never lexed. *)
+type table = (string, t Lazy.t) Hashtbl.t
 
-let of_files ?files known =
+let of_files ?(files = []) () =
   let table = Hashtbl.create 16 in
-  Option.iter
-    (List.iter (fun (name, text) ->
-         if known name then Hashtbl.replace table name (of_text text)))
-    files;
+  List.iter (fun (name, text) -> Hashtbl.replace table name (lazy (of_text text))) files;
   table
 
-let find table file lookup = Option.bind (Hashtbl.find_opt table file) lookup
+let find table file lookup =
+  Option.bind (Hashtbl.find_opt table file) (fun t -> lookup (Lazy.force t))
 
 let entries tbl name =
   match Hashtbl.find_opt tbl name with Some r -> List.rev !r | None -> []

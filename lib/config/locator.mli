@@ -6,9 +6,10 @@
     point their diagnostics at the line an operator should edit: the
     [neighbor] statement of a mismatched or unfiltered peering, the
     shadowed [access-list] clause, the [redistribute] command closing a
-    loop.  A locator is one extra {!Lexer} pass over
-    the raw text of a file, indexing the definition lines of the
-    entities findings cite.  Lookups are total: anything the index
+    loop.  A locator is a {!Lexer} pass over the raw text of a file,
+    indexing the definition lines of the entities findings cite; a file
+    is indexed on first lookup, so only the files that findings cite
+    are ever lexed.  Lookups are total: anything the index
     cannot resolve (synthetic configurations, entities introduced by a
     transformation) simply yields [None] and the finding goes out
     without a line. *)
@@ -20,16 +21,19 @@ val of_text : string -> t
 (** Index one configuration file's raw text. *)
 
 type table
-(** Per-file indexes of one network, keyed by file name. *)
+(** Per-file indexes of one network, keyed by file name, each built on
+    the first {!find} that names its file.  The indexing is a [Lazy.t],
+    which is not domain-safe: build a table per lint run and use it from
+    the domain that built it; never share one across domains. *)
 
-val of_files : ?files:(string * string) list -> (string -> bool) -> table
-(** [of_files ?files known] indexes each (file name, text) pair whose
-    name satisfies [known] (the files the analysis was built from); no
+val of_files : ?files:(string * string) list -> unit -> table
+(** [of_files ?files ()] holds each (file name, text) pair for indexing
+    on first lookup; a name given twice keeps its last text.  No
     [files], no index. *)
 
 val find : table -> string -> (t -> int option) -> int option
-(** [find table file lookup] runs [lookup] on [file]'s index; [None]
-    when the file was not indexed. *)
+(** [find table file lookup] runs [lookup] on [file]'s index, indexing
+    the file on first use; [None] when [files] did not name [file]. *)
 
 val neighbor_line : t -> Rd_addr.Ipv4.t -> int option
 (** First [neighbor <addr> ...] line for the peer address. *)

@@ -425,7 +425,7 @@ let ospf_area_issues (t : Analysis.t) =
   List.rev !acc
 
 let design ?files (t : Analysis.t) =
-  let locators = Locator.of_files ?files (fun name -> List.mem_assoc name t.configs) in
+  let locators = Locator.of_files ?files () in
   let all =
     unfiltered_peerings ~locators t @ incomplete_adjacencies ~locators t
     @ duplicate_addresses ~locators t @ unresolved_static_next_hops t

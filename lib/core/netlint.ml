@@ -374,15 +374,18 @@ let leaks (a : Analysis.t) =
   Array.iteri (fun i l -> inst_out.(i) <- List.rev l) inst_out;
   Array.iteri (fun i l -> ext_out.(i) <- List.rev l) ext_out;
   let acc = ref [] in
+  (* One BFS per origin, sharing these arrays: [visited.(d) = i] marks
+     [d] reached from origin [i], so nothing is cleared between
+     searches, and [parent] is only read along paths stamped [i]. *)
+  let parent = Array.make n None in
+  let visited = Array.make n (-1) in
   for i = 0 to n - 1 do
     if
       insts.(i).Instance.protocol <> Ast.Bgp
       && not (Prefix_set.is_empty origins.(i))
     then begin
       (* BFS over unfiltered edges; shortest witness path per AS. *)
-      let parent = Array.make n None in
-      let visited = Array.make n false in
-      visited.(i) <- true;
+      visited.(i) <- i;
       let q = Queue.create () in
       Queue.add i q;
       let order = ref [] in
@@ -391,8 +394,8 @@ let leaks (a : Analysis.t) =
         order := s :: !order;
         List.iter
           (fun (d, e) ->
-            if not visited.(d) then begin
-              visited.(d) <- true;
+            if visited.(d) <> i then begin
+              visited.(d) <- i;
               parent.(d) <- Some (s, e);
               Queue.add d q
             end)
@@ -489,7 +492,8 @@ let bgp_peer_findings ~locators (a : Analysis.t) =
               | Some q when q = r -> ()
               | Some q ->
                 let file = router_file a r in
-                let line =
+                (* Resolved only for a finding: most sessions are clean. *)
+                let line () =
                   Locator.find locators file (fun loc ->
                       Locator.neighbor_line loc n.peer)
                 in
@@ -498,7 +502,7 @@ let bgp_peer_findings ~locators (a : Analysis.t) =
                 in
                 if q_asns = [] then
                   findings :=
-                    Diag.make ~file ?line Diag.Warning
+                    Diag.make ~file ?line:(line ()) Diag.Warning
                       ~code:"netlint-peer-one-sided"
                       (Printf.sprintf
                          "neighbor %s: peer router %s runs no BGP process"
@@ -506,7 +510,7 @@ let bgp_peer_findings ~locators (a : Analysis.t) =
                     :: !findings
                 else if not (List.mem n.remote_as q_asns) then
                   findings :=
-                    Diag.make ~file ?line Diag.Error
+                    Diag.make ~file ?line:(line ()) Diag.Error
                       ~code:"netlint-peer-as-mismatch"
                       (Printf.sprintf
                          "neighbor %s remote-as %d, but peer router %s is AS %s"
@@ -515,7 +519,7 @@ let bgp_peer_findings ~locators (a : Analysis.t) =
                     :: !findings
                 else if not (has_session_to q r) then
                   findings :=
-                    Diag.make ~file ?line Diag.Warning
+                    Diag.make ~file ?line:(line ()) Diag.Warning
                       ~code:"netlint-peer-one-sided"
                       (Printf.sprintf
                          "neighbor %s: peer router %s has no neighbor \
@@ -919,7 +923,7 @@ let run_analysis ?trace ?metrics ?cancel ?(rules = all_rules) ?files
       if not (List.mem r all_rules) then
         invalid_arg (Printf.sprintf "Netlint.run_analysis: unknown rule %S" r))
     rules;
-  let locators = Locator.of_files ?files (fun name -> List.mem_assoc name a.configs) in
+  let locators = Locator.of_files ?files () in
   Metrics.incr metrics "netlint.networks";
   let findings =
     List.concat_map

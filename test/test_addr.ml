@@ -437,6 +437,24 @@ let test_kernel_stats_move () =
   ignore (Prefix_set.union a b);
   check_bool "repeat op hits memo" true ((Prefix_set.stats ()).Prefix_set.memo_hits > h0)
 
+(* Hash-consing keys a node by its children's ids: rebuilding a set in
+   the same domain, in any order and by bulk build or by a union fold,
+   hands back the physically same node. *)
+let test_kernel_shares_rebuilt_sets () =
+  let ps =
+    List.map pfx
+      [ "10.0.0.0/8"; "10.64.3.0/24"; "172.16.0.0/12"; "192.168.7.128/25"; "198.51.100.7/32" ]
+  in
+  let built = Prefix_set.of_prefixes ps in
+  let rebuilt = Prefix_set.of_prefixes (List.rev ps) in
+  let folded =
+    List.fold_left (fun acc p -> Prefix_set.union acc (Prefix_set.of_prefix p)) Prefix_set.empty ps
+  in
+  check_bool "bulk rebuild is the same node" true (built == rebuilt);
+  check_bool "union fold is the same node" true (built == folded);
+  check_bool "single prefix is the same node" true
+    (Prefix_set.of_prefix (pfx "10.64.3.0/24") == Prefix_set.of_prefixes [ pfx "10.64.3.0/24" ])
+
 (* ------------------------------------------------------ Prefix_trie --- *)
 
 let test_trie_basics () =
@@ -583,6 +601,7 @@ let () =
       ( "prefix_set kernel",
         Alcotest.test_case "cross-domain pool sets" `Quick test_set_cross_domain
         :: Alcotest.test_case "kernel stats" `Quick test_kernel_stats_move
+        :: Alcotest.test_case "rebuilt sets share nodes" `Quick test_kernel_shares_rebuilt_sets
         :: Alcotest.test_case "of_prefixes makes no memo probes" `Quick test_of_prefixes_no_memo
         :: qc
              [

@@ -1,4 +1,5 @@
-(* Tests for rd_config: lexer, parser, printer round-trip, anonymizer. *)
+(* Tests for rd_config: lexer, parser, printer round-trip, anonymizer,
+   line locators. *)
 
 open Rd_addr
 open Rd_config
@@ -520,6 +521,89 @@ let test_anon_subnet_matching_preserved () =
   let p30 x = Prefix.make x 30 in
   check_bool "same /30 after" true (Prefix.equal (p30 a') (p30 b'))
 
+(* -------------------------------------------------------------- locator --- *)
+
+let locator_cfg =
+  {|hostname r1
+interface Ethernet0
+ ip address 10.0.12.1 255.255.255.0
+interface Serial0
+ ip address 7.0.0.1 255.255.255.252
+router ospf 1
+ network 10.0.12.0 0.0.0.255 area 0
+ redistribute static subnets
+router bgp 65001
+ neighbor 7.0.0.2 remote-as 65002
+ neighbor 10.0.12.2 remote-as 65001
+ redistribute ospf 1
+access-list 10 permit 10.0.0.0 0.255.255.255
+access-list 10 deny any
+ip access-list extended EDGE
+ permit tcp any any eq 22
+ deny ip any any
+ip prefix-list PL seq 5 permit 10.0.0.0/8
+ip prefix-list PL seq 10 deny 0.0.0.0/0 le 32
+ip prefix-list NOSEQ permit 192.168.0.0/16
+route-map RM permit 10
+ match ip address prefix-list PL
+route-map RM deny 20
+|}
+
+(* Every lookup kind, hits and misses alike. *)
+let locator_queries =
+  let addr s = Option.get (Ipv4.of_string s) in
+  [
+    ("neighbor ext", fun t -> Locator.neighbor_line t (addr "7.0.0.2"));
+    ("neighbor int", fun t -> Locator.neighbor_line t (addr "10.0.12.2"));
+    ("neighbor miss", fun t -> Locator.neighbor_line t (addr "10.9.9.9"));
+    ("redist static", fun t -> Locator.redistribute_line t ~proto:"ospf" ~source:"static");
+    ("redist ospf", fun t -> Locator.redistribute_line t ~proto:"bgp" ~source:"ospf");
+    ("redist miss", fun t -> Locator.redistribute_line t ~proto:"rip" ~source:"ospf");
+    ("acl 10 #1", fun t -> Locator.acl_clause_line t "10" 1);
+    ("acl EDGE #0", fun t -> Locator.acl_clause_line t "EDGE" 0);
+    ("acl EDGE #1", fun t -> Locator.acl_clause_line t "EDGE" 1);
+    ("acl EDGE #2", fun t -> Locator.acl_clause_line t "EDGE" 2);
+    ("pl seq 10", fun t -> Locator.prefix_list_line t "PL" ~seq:(Some 10) ~index:0);
+    ("pl index", fun t -> Locator.prefix_list_line t "NOSEQ" ~seq:None ~index:0);
+    ("rm seq 20", fun t -> Locator.route_map_line t "RM" ~seq:(Some 20) ~index:0);
+    ("rm index", fun t -> Locator.route_map_line t "RM" ~seq:(Some 99) ~index:0);
+    ("if Serial0", fun t -> Locator.interface_address_line t "Serial0");
+    ("if miss", fun t -> Locator.interface_address_line t "Loopback0");
+  ]
+
+let test_locator_lazy_table () =
+  let eager = Locator.of_text locator_cfg in
+  let table =
+    Locator.of_files
+      ~files:
+        [
+          ("r1.cfg", locator_cfg);
+          ("never.cfg", figure2);
+          ("dup.cfg", "hostname x\n");
+          ("dup.cfg", locator_cfg);
+        ]
+      ()
+  in
+  let line = Alcotest.(check (option int)) in
+  (* Twice over r1.cfg: the second pass reads the index the first built. *)
+  List.iter
+    (fun pass ->
+      List.iter
+        (fun (label, q) ->
+          line (Printf.sprintf "%s (%s)" label pass) (q eager) (Locator.find table "r1.cfg" q))
+        locator_queries)
+    [ "first lookup"; "second lookup" ];
+  List.iter
+    (fun (label, q) ->
+      line (label ^ " (last text of a name)") (q eager) (Locator.find table "dup.cfg" q))
+    locator_queries;
+  line "hits resolve" (Some 10)
+    (Locator.find table "r1.cfg" (List.assoc "neighbor ext" locator_queries));
+  line "clause in a named block" (Some 17)
+    (Locator.find table "r1.cfg" (List.assoc "acl EDGE #1" locator_queries));
+  line "unknown file" None (Locator.find table "missing.cfg" (fun _ -> Some 1));
+  line "no files" None (Locator.find (Locator.of_files ()) "r1.cfg" (fun _ -> Some 1))
+
 (* ------------------------------------------------------------ properties --- *)
 
 (* printable-ish config-shaped fuzz: the parser must never raise and must
@@ -693,6 +777,7 @@ let () =
           Alcotest.test_case "parse_with_diags codes and lines" `Quick test_parse_with_diags;
           Alcotest.test_case "leading-zero octets rejected" `Quick test_parse_leading_zero_octets;
         ] );
+      ("locator", [ Alcotest.test_case "lazy table = of_text" `Quick test_locator_lazy_table ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

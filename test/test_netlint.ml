@@ -1,8 +1,9 @@
 (* Tests for Rd_core.Netlint: one seeded-defect fixture per rule family
    (asserting stable code, implicated router file, and line), the tag-cut
-   negative case for redistribution loops, a property test that shadowed
-   ACL-clause detection agrees with brute-force evaluation, and clean
-   generated networks. *)
+   negative case for redistribution loops, the route-leak search against
+   its per-origin reference, a property test that shadowed ACL-clause
+   detection agrees with brute-force evaluation, and clean generated
+   networks. *)
 
 open Rd_addr
 open Rd_config
@@ -149,6 +150,152 @@ let test_leaks_structured () =
     check_bool "interior prefixes leak" true
       (Prefix_set.mem_prefix (Prefix.of_string_exn "10.1.0.0/24") l.leak_prefixes)
   | ls -> Alcotest.failf "expected exactly one leak, got %d" (List.length ls)
+
+(* The reference leak search: the per-origin BFS [Netlint.leaks] ran
+   before it shared its [parent] and [visited] arrays across origins,
+   allocating both afresh for every origin. *)
+let reference_leaks (a : Rd_core.Analysis.t) =
+  let module IG = Rd_routing.Instance_graph in
+  let module RF = Rd_policy.Route_filter in
+  let g = a.graph in
+  let insts = IG.instances g in
+  let n = Array.length insts in
+  let origins = Rd_reach.Reachability.origins_bulk g in
+  let inst_out = Array.make n [] in
+  let ext_out = Array.make n [] in
+  List.iter
+    (fun (e : IG.edge) ->
+      if RF.is_unrestricted e.filter then
+        match (e.src, e.dst) with
+        | IG.Inst s, IG.Inst d when s <> d -> inst_out.(s) <- (d, e) :: inst_out.(s)
+        | IG.Inst s, IG.External x -> (
+          match e.via with
+          | IG.Ebgp_session _ -> ext_out.(s) <- (x, e) :: ext_out.(s)
+          | _ -> ())
+        | _ -> ())
+    g.edges;
+  Array.iteri (fun i l -> inst_out.(i) <- List.rev l) inst_out;
+  Array.iteri (fun i l -> ext_out.(i) <- List.rev l) ext_out;
+  let acc = ref [] in
+  for i = 0 to n - 1 do
+    if
+      insts.(i).Rd_routing.Instance.protocol <> Ast.Bgp
+      && not (Prefix_set.is_empty origins.(i))
+    then begin
+      let parent = Array.make n None in
+      let visited = Array.make n false in
+      visited.(i) <- true;
+      let q = Queue.create () in
+      Queue.add i q;
+      let order = ref [] in
+      while not (Queue.is_empty q) do
+        let s = Queue.pop q in
+        order := s :: !order;
+        List.iter
+          (fun (d, e) ->
+            if not visited.(d) then begin
+              visited.(d) <- true;
+              parent.(d) <- Some (s, e);
+              Queue.add d q
+            end)
+          inst_out.(s)
+      done;
+      let seen_as = Hashtbl.create 4 in
+      List.iter
+        (fun s ->
+          List.iter
+            (fun (x, (e : IG.edge)) ->
+              if not (Hashtbl.mem seen_as x) then begin
+                Hashtbl.add seen_as x ();
+                let rec walk v tail =
+                  if v = i then tail
+                  else
+                    match parent.(v) with
+                    | Some (s', e') -> walk s' (e' :: tail)
+                    | None -> tail
+                in
+                let peer =
+                  match e.via with
+                  | IG.Ebgp_session { peer_addr; _ } -> peer_addr
+                  | _ -> assert false
+                in
+                acc :=
+                  {
+                    Rd_core.Netlint.leak_origin = i;
+                    leak_asn = x;
+                    leak_router = IG.via_router e.via;
+                    leak_peer = peer;
+                    leak_path = walk s [] @ [ e ];
+                    leak_prefixes = origins.(i);
+                  }
+                  :: !acc
+              end)
+            ext_out.(s))
+        (List.rev !order)
+    end
+  done;
+  List.rev !acc
+
+(* Field by field; witness paths must be the very same edges. *)
+let assert_leaks_match label (a : Rd_core.Analysis.t) =
+  let got = Rd_core.Netlint.leaks a and want = reference_leaks a in
+  check_int (label ^ ": leak count") (List.length want) (List.length got);
+  List.iter2
+    (fun (g : Rd_core.Netlint.leak) (w : Rd_core.Netlint.leak) ->
+      check_int (label ^ ": origin") w.leak_origin g.leak_origin;
+      check_int (label ^ ": asn") w.leak_asn g.leak_asn;
+      check_int (label ^ ": router") w.leak_router g.leak_router;
+      check_bool (label ^ ": peer") true (Ipv4.equal w.leak_peer g.leak_peer);
+      check_bool (label ^ ": path") true
+        (List.length w.leak_path = List.length g.leak_path
+        && List.for_all2 ( == ) w.leak_path g.leak_path);
+      check_bool (label ^ ": prefixes") true (Prefix_set.equal w.leak_prefixes g.leak_prefixes))
+    got want
+
+(* Two OSPF instances on r2 both redistribute into one BGP instance with
+   an unfiltered external session: the second origin's search passes
+   the instances the first one reached, so a stale visit mark or parent
+   would drop or misroute its witness path. *)
+let shared_leak_r2 =
+  "hostname r2\n\
+   interface Ethernet0\n\
+  \ ip address 10.0.12.2 255.255.255.0\n\
+   interface Ethernet1\n\
+  \ ip address 10.2.0.1 255.255.255.0\n\
+   interface Serial0\n\
+  \ ip address 7.0.0.1 255.255.255.0\n\
+   router ospf 1\n\
+  \ network 10.0.12.0 0.0.0.255 area 0\n\
+   router ospf 2\n\
+  \ network 10.2.0.0 0.0.0.255 area 0\n\
+   router bgp 65001\n\
+  \ neighbor 7.0.0.2 remote-as 65002\n\
+  \ redistribute ospf 1\n\
+  \ redistribute ospf 2\n"
+
+let test_leaks_shared_session () =
+  let a =
+    Rd_core.Analysis.analyze ~name:"t" [ ("r1.cfg", leak_r1); ("r2.cfg", shared_leak_r2) ]
+  in
+  assert_leaks_match "shared session" a;
+  match Rd_core.Netlint.leaks a with
+  | [ l1; l2 ] ->
+    check_bool "distinct origins" true (l1.leak_origin <> l2.leak_origin);
+    List.iter
+      (fun (l : Rd_core.Netlint.leak) ->
+        check_int "same AS" 65002 l.leak_asn;
+        check_int "two hops" 2 (List.length l.leak_path);
+        check_bool "path starts at its origin" true
+          ((List.hd l.leak_path).src = Rd_routing.Instance_graph.Inst l.leak_origin))
+      [ l1; l2 ]
+  | ls -> Alcotest.failf "expected two leaks, got %d" (List.length ls)
+
+let test_leaks_match_reference_study () =
+  List.iter
+    (fun (spec : Rd_study.Population.spec) ->
+      let files = Rd_study.Population.generate_one spec in
+      assert_leaks_match spec.label (Rd_core.Analysis.analyze ~name:spec.label files))
+    (Rd_study.Population.wanted_specs ~master_seed:2004 ())
 
 let test_leak_filter_suppresses () =
   (* The same network with a distribute-list on the external session is
@@ -408,6 +555,9 @@ let () =
           Alcotest.test_case "unfiltered path to eBGP" `Quick test_route_leak;
           Alcotest.test_case "structured leaks" `Quick test_leaks_structured;
           Alcotest.test_case "filter suppresses" `Quick test_leak_filter_suppresses;
+          Alcotest.test_case "two origins, one session" `Quick test_leaks_shared_session;
+          Alcotest.test_case "seed-2004 study = reference" `Slow
+            test_leaks_match_reference_study;
         ] );
       ( "peer-consistency",
         [
