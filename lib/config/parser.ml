@@ -451,12 +451,14 @@ let top_level st (l : Lexer.line) : mode =
         in
         match (act, Prefix.of_string pfx) with
         | Some pl_action, Some pl_prefix -> (
+          (* a mask length as IOS accepts it, 0 to 32 *)
+          let length v =
+            match int_of_string_opt v with Some n when n >= 0 && n <= 32 -> Some n | _ -> None
+          in
           let rec scan ge le = function
             | [] -> Some (ge, le)
-            | "ge" :: v :: rest' when int_of_string_opt v <> None ->
-              scan (int_of_string_opt v) le rest'
-            | "le" :: v :: rest' when int_of_string_opt v <> None ->
-              scan ge (int_of_string_opt v) rest'
+            | "ge" :: v :: rest' when length v <> None -> scan (length v) le rest'
+            | "le" :: v :: rest' when length v <> None -> scan ge (length v) rest'
             | _ -> None
           in
           match scan None None opts with
@@ -681,10 +683,3 @@ let parse_with_diags ?file ?metrics ?cancel text =
   (ast, diags)
 
 let parse text = fst (parse_with_diags text)
-
-let parse_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let content = really_input_string ic len in
-  close_in ic;
-  parse content

@@ -25,7 +25,3 @@ val parse_with_diags :
     [parse.unknown_lines] counters plus one [diag.<code>] counter per
     diagnostic code, batched once per file so pool workers do not
     contend. *)
-
-val parse_file : string -> Ast.t
-(** Read a file from disk and parse it.  Raises [Sys_error] on IO
-    failure. *)

@@ -8,7 +8,6 @@ let parse_version = 1
 let analysis_version = 1
 let reach_version = 1
 let whatif_version = 1
-let sim_version = 1
 
 type t = {
   metrics : Rd_util.Metrics.t option;
@@ -18,7 +17,6 @@ type t = {
   analyses : Analysis.t Cache.t;
   reaches : Rd_reach.Reachability.t Cache.t;
   whatifs : Whatif.delta Cache.t;
-  sims : Rd_sim.Propagate.t Cache.t;
 }
 
 let create ?metrics ?trace ?cancel ?capacity () =
@@ -36,7 +34,6 @@ let create ?metrics ?trace ?cancel ?capacity () =
     analyses = cache "analysis";
     reaches = cache "reach";
     whatifs = cache "whatif";
-    sims = cache "sim";
   }
 
 let with_cancel t cancel = { t with cancel }
@@ -85,15 +82,6 @@ let reachability ?(external_offers = Prefix_set.full) t net =
       Rd_reach.Reachability.compute ?metrics:t.metrics ?cancel:t.cancel ~external_offers
         net.analysis.graph)
 
-let propagate ?(external_prefixes = [ Prefix.default ]) t net =
-  let k =
-    Cache.key ~stage:"sim" ~version:sim_version
-      (Cache.hex net.key :: List.map Prefix.to_string external_prefixes)
-  in
-  memo t t.sims k (fun () ->
-      Rd_sim.Propagate.run ?metrics:t.metrics ?cancel:t.cancel ~external_prefixes
-        (Rd_routing.Process_graph.build net.analysis.catalog))
-
 type outcome = {
   scenario : Whatif.scenario;
   diff : Whatif.diff;
@@ -136,5 +124,4 @@ let stats t =
     ("analysis", Cache.stats t.analyses);
     ("reach", Cache.stats t.reaches);
     ("whatif", Cache.stats t.whatifs);
-    ("sim", Cache.stats t.sims);
   ]

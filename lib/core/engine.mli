@@ -14,9 +14,7 @@
       all file keys;
     - static reachability fixpoints ({!Rd_reach.Reachability.t}), keyed
       by the network key and the external offer;
-    - what-if deltas, keyed by the network key and the scenario text;
-    - route-propagation simulations ({!Rd_sim.Propagate.t}), keyed by
-      the network key and the offered prefixes.
+    - what-if deltas, keyed by the network key and the scenario text.
 
     On top of the caches, {!run_scenario} takes the {e incremental} path
     end to end: the baseline reachability comes from cache, the scenario
@@ -41,10 +39,10 @@ val create :
   ?capacity:int -> unit -> t
 (** A fresh engine with empty stores.  [capacity] bounds each store
     (default {!Rd_util.Cache.create}'s 256 entries).  [cancel] is
-    threaded into every fixpoint, simulation and parse the engine
-    drives, so a deadline or SIGINT stops an in-flight scenario at its
-    next poll point (cached probes are unaffected — a warm engine can
-    still serve hits after cancellation). *)
+    threaded into every fixpoint and parse the engine drives, so a
+    deadline or SIGINT stops an in-flight scenario at its next poll
+    point (cached probes are unaffected — a warm engine can still serve
+    hits after cancellation). *)
 
 val with_cancel : t -> Rd_util.Cancel.t option -> t
 (** The same engine — sharing every store and observability sink —
@@ -82,13 +80,6 @@ val reachability :
     (default full, as {!Rd_reach.Reachability.compute}), from cache when
     the same network and offer were already solved. *)
 
-val propagate :
-  ?external_prefixes:Rd_addr.Prefix.t list -> t -> network -> Rd_sim.Propagate.t
-(** The network's route-propagation simulation (default offer: a single
-    default route, as {!Rd_sim.Propagate.run}), from cache when already
-    run — so a batch sweep can report concrete per-process route loads
-    without re-simulating the unchanged baseline. *)
-
 type outcome = {
   scenario : Whatif.scenario;
   diff : Whatif.diff;
@@ -112,4 +103,4 @@ val run_scenarios : t -> network -> Whatif.scenario list -> outcome list
 
 val stats : t -> (string * Rd_util.Cache.stats) list
 (** Per-store cumulative counters, by store name ([parse], [analysis],
-    [reach], [whatif], [sim]) — for reports and tests. *)
+    [reach], [whatif]) — for reports and tests. *)

@@ -71,5 +71,3 @@ let total_conventional_fraction c =
   let s_total = s_intra + s_inter in
   ( (if igp_total = 0 then 1.0 else float_of_int igp_intra /. float_of_int igp_total),
     if s_total = 0 then 1.0 else float_of_int s_inter /. float_of_int s_total )
-
-let protocol_of_instance (i : Rd_routing.Instance.t) = i.protocol

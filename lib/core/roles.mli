@@ -5,8 +5,6 @@
     speaking on an external-facing link; for EBGP, a session whose peer is
     outside the configuration set.  Everything else is *intra-domain*. *)
 
-open Rd_config
-
 type role = Intra | Inter
 (** Intra-domain vs inter-domain use of a protocol instance. *)
 
@@ -37,6 +35,3 @@ val uses_bgp : Analysis.t -> bool
 val total_conventional_fraction : counts -> float * float
 (** (fraction of IGP instances used intra, fraction of EBGP sessions used
     inter) — the paper reports both near 0.9. *)
-
-val protocol_of_instance : Rd_routing.Instance.t -> Ast.protocol
-(** Protocol of the instance's member processes. *)

@@ -221,25 +221,6 @@ let route_map_prefixes d ~name ~acl ?set_tag action =
         ];
     }
 
-let route_map_tag d ~name ~tag action =
-  Device.add_route_map d
-    {
-      Ast.rm_name = name;
-      entries =
-        [
-          {
-            Ast.seq = 10;
-            rm_action = action;
-            match_acls = [];
-            match_prefix_lists = [];
-            match_tags = [ tag ];
-            set_tag = None;
-            set_metric = None;
-            set_local_pref = None;
-          };
-        ];
-    }
-
 let to_configs t = List.map (fun d -> (Device.name d, Device.to_ast d)) (routers t)
 
 let to_texts t =

@@ -116,9 +116,6 @@ val route_map_prefixes :
   Device.t -> name:string -> acl:string -> ?set_tag:int -> Ast.action -> unit
 (** One-entry route map matching an ACL. *)
 
-val route_map_tag : Device.t -> name:string -> tag:int -> Ast.action -> unit
-(** One-entry route map matching on a route tag. *)
-
 val to_configs : net -> (string * Ast.t) list
 (** Final configurations as (hostname, AST), creation order. *)
 

@@ -110,7 +110,3 @@ let clause_src_set (c : Ast.acl_clause) = wildcard_set c.src
 
 let clause_dst_set (c : Ast.acl_clause) =
   match c.dst with None -> (Prefix_set.full, true) | Some d -> wildcard_set d
-
-let clause_count (acl : Ast.acl) = List.length acl.clauses
-
-let matches_any (c : Ast.acl_clause) = Wildcard.equal c.src Wildcard.any

@@ -53,9 +53,3 @@ val clause_dst_set : Ast.acl_clause -> Prefix_set.t * bool
 (** Destination coverage of one clause ({!Prefix_set.full} for a
     standard clause, which matches any destination), with the same
     exactness flag. *)
-
-val clause_count : Ast.acl -> int
-(** Number of clauses (the paper's 47-clause filters, Fig 11 input). *)
-
-val matches_any : Ast.acl_clause -> bool
-(** Whether the clause is a catch-all (source [any]). *)

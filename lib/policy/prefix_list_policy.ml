@@ -6,7 +6,7 @@ let entry_bounds (e : Ast.prefix_list_entry) =
   let lo = match e.pl_ge with Some g -> max g base_len | None -> base_len in
   let hi =
     match e.pl_le with
-    | Some le -> le
+    | Some le -> min le 32
     | None -> ( match e.pl_ge with Some _ -> 32 | None -> base_len)
   in
   (lo, hi)

@@ -12,9 +12,10 @@ open Rd_config
 val entry_bounds : Ast.prefix_list_entry -> int * int
 (** Effective inclusive [(lo, hi)] route-length bounds the entry can
     match ([lo > hi] for an unsatisfiable entry).  [lo] is never below
-    the entry prefix's own length.  The shadowed-rule analysis
-    ([Rd_core.Netlint]) walks lengths [lo..hi] to compare entries
-    without the address-level approximation of {!permitted_set}. *)
+    the entry prefix's own length, and [hi] never above 32.  The
+    shadowed-rule analysis ([Rd_core.Netlint]) walks lengths [lo..hi] to
+    compare entries without the address-level approximation of
+    {!permitted_set}. *)
 
 val entry_matches : Ast.prefix_list_entry -> Prefix.t -> bool
 (** One entry against one route, per the grammar above (ignoring the

@@ -510,8 +510,6 @@ let process_loads t =
   let loads = Array.to_list (Array.mapi (fun pid rib -> (pid, Rib.size rib)) t.proc_ribs) in
   List.sort (fun (_, a) (_, b) -> Int.compare b a) loads
 
-let total_routes t = Array.fold_left (fun acc rib -> acc + Rib.size rib) 0 t.proc_ribs
-
 let instance_load t (assignment : Instance.assignment) inst_id =
   let sizes =
     List.filter_map
@@ -523,10 +521,6 @@ let instance_load t (assignment : Instance.assignment) inst_id =
   | _ ->
     ( List.fold_left max 0 sizes,
       float_of_int (List.fold_left ( + ) 0 sizes) /. float_of_int (List.length sizes) )
-
-let prefix_set_of_process t pid = Rib.prefixes t.proc_ribs.(pid)
-
-let prefix_set_of_router t router = Rib.prefixes (rib_of_router t router)
 
 let instance_prefix_set t (assignment : Instance.assignment) inst_id =
   let inst = assignment.instances.(inst_id) in

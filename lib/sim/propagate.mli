@@ -66,32 +66,19 @@ val rib_of_router : t -> int -> Rib.t
 val process_loads : t -> (int * int) list
 (** (pid, RIB size) pairs, descending size — the per-process route load. *)
 
-val total_routes : t -> int
-(** Sum of every process RIB's size — the one-number route-load summary a
-    what-if sweep reports per scenario (the quantity §6.2's OSPF-load
-    arguments bound). *)
-
 val instance_load :
   t -> Rd_routing.Instance.assignment -> int -> int * float
 (** [(max, mean)] process-RIB size over an instance's members — the §6.2
     OSPF load prediction.  An instance with no member processes in the
     simulated graph loads to [(0, 0.)]. *)
 
-val prefix_set_of_process : t -> int -> Prefix_set.t
-(** The process RIB lowered to the set of destination prefixes it holds —
-    the concrete counterpart of the static engine's per-instance route
-    set. *)
-
-val prefix_set_of_router : t -> int -> Prefix_set.t
-(** The router RIB (post route selection, via {!rib_of_router}) lowered
-    to a prefix set. *)
-
 val instance_prefix_set :
   t -> Rd_routing.Instance.assignment -> int -> Prefix_set.t
-(** Union of {!prefix_set_of_process} over an instance's member
-    processes — what the concrete simulation says the instance can reach,
-    fed to the sim-subset-of-static cross-check oracle
-    ([Rd_check.Crosscheck]). *)
+(** The destination prefixes held by the RIBs of an instance's member
+    processes ({!Rib.prefixes}, united) — what the concrete simulation
+    says the instance can reach, the counterpart of the static engine's
+    per-instance route set, fed to the sim-subset-of-static cross-check
+    oracle ([Rd_check.Crosscheck]). *)
 
 val forwards_to : t -> router:int -> Ipv4.t -> Rib.route option
 (** The route the router RIB ({!rib_of_router}) selects for a

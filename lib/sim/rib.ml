@@ -31,10 +31,6 @@ let admin_distance = function
   | Proto (Ast.Eigrp, `External) -> 170
   | Proto (Ast.Bgp, `Internal) -> 200
 
-type t = route Prefix_trie.t
-
-let empty = Prefix_trie.empty
-
 let effective_distance r =
   match r.ad_override with Some d -> d | None -> admin_distance r.source
 
@@ -50,21 +46,82 @@ let better (a : route) (b : route) =
     else a.metric < b.metric
   end
 
+(* A RIB is its routes in an array, strictly increasing by
+   [Prefix.compare] on [dest]: one route per destination. *)
+type t = route array
+
+let empty = [||]
+
+(* The index of [p]'s route, or [-(i + 1)] when absent, [i] being where
+   it would go. *)
+let search t p =
+  let rec go lo hi =
+    if lo >= hi then -(lo + 1)
+    else begin
+      let mid = (lo + hi) lsr 1 in
+      let c = Prefix.compare t.(mid).dest p in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+    end
+  in
+  go 0 (Array.length t)
+
+let find t p =
+  let i = search t p in
+  if i >= 0 then Some t.(i) else None
+
 let add t r =
-  match Prefix_trie.find r.dest t with
-  | Some existing when not (better r existing) -> t
-  | _ -> Prefix_trie.add r.dest r t
+  let i = search t r.dest in
+  if i < 0 then begin
+    let i = -(i + 1) in
+    Array.init (Array.length t + 1) (fun j -> if j < i then t.(j) else if j = i then r else t.(j - 1))
+  end
+  else if better r t.(i) then begin
+    let t = Array.copy t in
+    t.(i) <- r;
+    t
+  end
+  else t
 
-let lookup t a = Prefix_trie.longest_match a t |> Option.map snd
+let lookup t a =
+  let rec go len =
+    if len < 0 then None
+    else match find t (Prefix.make a len) with Some _ as r -> r | None -> go (len - 1)
+  in
+  go 32
 
-let find t p = Prefix_trie.find p t
+let of_routes routes =
+  let t = Array.of_list routes in
+  for i = 1 to Array.length t - 1 do
+    if Prefix.compare t.(i - 1).dest t.(i).dest >= 0 then
+      invalid_arg "Rib.of_routes: routes not strictly increasing by prefix"
+  done;
+  t
 
-let of_routes routes = Prefix_trie.of_bindings (List.map (fun r -> (r.dest, r)) routes)
+let routes = Array.to_list
 
-let routes t = List.map snd (Prefix_trie.bindings t)
+let size = Array.length
 
-let size t = Prefix_trie.cardinal t
+let prefixes t = Prefix_set.of_prefixes (Array.fold_right (fun r acc -> r.dest :: acc) t [])
 
-let prefixes t = Prefix_set.of_prefixes (List.map fst (Prefix_trie.bindings t))
-
-let merge a b = Prefix_trie.fold (fun _ r acc -> add acc r) b a
+(* One pass over both arrays; on a shared prefix [b]'s route replaces
+   [a]'s only when strictly better, as [add] would. *)
+let merge a b =
+  let na = Array.length a and nb = Array.length b in
+  let out = ref [] and i = ref 0 and j = ref 0 in
+  while !i < na || !j < nb do
+    let c = if !i = na then 1 else if !j = nb then -1 else Prefix.compare a.(!i).dest b.(!j).dest in
+    if c < 0 then begin
+      out := a.(!i) :: !out;
+      incr i
+    end
+    else if c > 0 then begin
+      out := b.(!j) :: !out;
+      incr j
+    end
+    else begin
+      out := (if better b.(!j) a.(!i) then b.(!j) else a.(!i)) :: !out;
+      incr i;
+      incr j
+    end
+  done;
+  Array.of_list (List.rev !out)

@@ -56,7 +56,11 @@ val effective_distance : route -> int
 (** [ad_override] when present, else the source's default distance. *)
 
 type t
-(** A RIB: maps prefixes to the best route known per source. *)
+(** A RIB: the best route known per destination prefix.  It is an array
+    of routes sorted strictly by {!Prefix.compare} on [dest], so
+    {!find} is a binary search, {!lookup} at most 33 of them, and
+    {!routes}, {!size} and {!prefixes} read the array directly.  RIBs
+    are immutable: {!add} copies. *)
 
 val empty : t
 (** The RIB with no routes. *)
@@ -69,10 +73,12 @@ val better : route -> route -> bool
 val add : t -> route -> t
 (** Keep the route if no better route for the same prefix is present
     ({!better}); of several equally preferred routes the first added
-    stays. *)
+    stays.  O(n): it copies the array, so build large RIBs with
+    {!of_routes}. *)
 
 val lookup : t -> Ipv4.t -> route option
-(** Longest-prefix match, then best route. *)
+(** Longest-prefix match: the route of the longest installed prefix that
+    contains the address. *)
 
 val find : t -> Prefix.t -> route option
 (** The installed route for exactly this prefix, if any. *)
@@ -92,4 +98,6 @@ val prefixes : t -> Prefix_set.t
 (** The set of all installed destination prefixes. *)
 
 val merge : t -> t -> t
-(** Union keeping best routes. *)
+(** Union keeping best routes, in one linear pass: on a prefix both hold,
+    the second RIB's route wins only when strictly {!better}, as folding
+    {!add} over it would. *)

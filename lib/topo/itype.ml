@@ -115,14 +115,6 @@ let of_string = function
   | "Vlan" -> Vlan
   | s -> Other s
 
-(* Table 3 order: ascending count in the paper. *)
-let all_known =
-  [
-    Null; Multilink; Fddi; CBR; Channel; Virtual; Async; Port_channel; Tunnel; BRI;
-    Dialer; TokenRing; GigabitEthernet; Hssi; Ethernet; POS; ATM; FastEthernet; Serial;
-    Loopback; Vlan;
-  ]
-
 let is_physical = function Loopback | Null | Virtual -> false | _ -> true
 
 let compare a b = Stdlib.compare (to_string a) (to_string b)

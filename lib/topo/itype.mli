@@ -42,9 +42,6 @@ val of_string : string -> t
     checkpoint codec; because {!equal} compares display names, decoded
     values behave identically to the originals. *)
 
-val all_known : t list
-(** Every constructor except [Other], in Table 3 display order. *)
-
 val is_physical : t -> bool
 (** Whether interfaces of this type can terminate an inter-router link
     (excludes Loopback, Null, Virtual). *)

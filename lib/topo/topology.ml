@@ -159,9 +159,6 @@ let external_interfaces t =
 let router_links t ri =
   List.filter (fun l -> List.exists (fun e -> e.router = ri) l.endpoints) t.links
 
-let neighbors_on_link _t link self =
-  List.filter (fun e -> not (e.router = self.router && e.if_index = self.if_index)) link.endpoints
-
 let adjacency_pairs t =
   let seen = Hashtbl.create 256 in
   List.iter

@@ -51,9 +51,6 @@ val external_interfaces : t -> iface list
 val router_links : t -> int -> link list
 (** Links with at least one endpoint on the given router. *)
 
-val neighbors_on_link : t -> link -> iface -> iface list
-(** Other endpoints of a link. *)
-
 val adjacency_pairs : t -> (int * int) list
 (** Distinct unordered pairs of router indices connected by at least one
     internal link. *)

@@ -455,101 +455,6 @@ let test_kernel_shares_rebuilt_sets () =
   check_bool "single prefix is the same node" true
     (Prefix_set.of_prefix (pfx "10.64.3.0/24") == Prefix_set.of_prefixes [ pfx "10.64.3.0/24" ])
 
-(* ------------------------------------------------------ Prefix_trie --- *)
-
-let test_trie_basics () =
-  let t =
-    Prefix_trie.empty
-    |> Prefix_trie.add (pfx "10.0.0.0/8") "eight"
-    |> Prefix_trie.add (pfx "10.1.0.0/16") "sixteen"
-    |> Prefix_trie.add (pfx "10.1.2.0/24") "twentyfour"
-  in
-  check_int "cardinal" 3 (Prefix_trie.cardinal t);
-  check_bool "find" true (Prefix_trie.find (pfx "10.1.0.0/16") t = Some "sixteen");
-  check_bool "find-miss" true (Prefix_trie.find (pfx "10.2.0.0/16") t = None);
-  (match Prefix_trie.longest_match (ip "10.1.2.3") t with
-   | Some (p, v) ->
-     check_string "lpm-prefix" "10.1.2.0/24" (Prefix.to_string p);
-     check_string "lpm-value" "twentyfour" v
-   | None -> Alcotest.fail "lpm");
-  (match Prefix_trie.longest_match (ip "10.9.9.9") t with
-   | Some (p, _) -> check_string "lpm-short" "10.0.0.0/8" (Prefix.to_string p)
-   | None -> Alcotest.fail "lpm2");
-  check_bool "lpm-none" true (Prefix_trie.longest_match (ip "11.0.0.0") t = None);
-  check_int "matches" 3 (List.length (Prefix_trie.matches (ip "10.1.2.3") t))
-
-let test_trie_remove_update () =
-  let t = Prefix_trie.add (pfx "10.0.0.0/8") 1 Prefix_trie.empty in
-  let t = Prefix_trie.add (pfx "10.0.0.0/8") 2 t in
-  check_bool "replace" true (Prefix_trie.find (pfx "10.0.0.0/8") t = Some 2);
-  let t = Prefix_trie.remove (pfx "10.0.0.0/8") t in
-  check_bool "removed" true (Prefix_trie.is_empty t);
-  let t = Prefix_trie.update (pfx "1.0.0.0/8") (fun _ -> Some 7) Prefix_trie.empty in
-  check_bool "update-add" true (Prefix_trie.find (pfx "1.0.0.0/8") t = Some 7);
-  let t = Prefix_trie.update (pfx "1.0.0.0/8") (fun _ -> None) t in
-  check_bool "update-del" true (Prefix_trie.is_empty t)
-
-let test_trie_covering_covered () =
-  let t =
-    Prefix_trie.empty
-    |> Prefix_trie.add (pfx "10.0.0.0/8") "a"
-    |> Prefix_trie.add (pfx "10.1.0.0/16") "b"
-    |> Prefix_trie.add (pfx "10.1.2.0/24") "c"
-    |> Prefix_trie.add (pfx "11.0.0.0/8") "d"
-  in
-  (match Prefix_trie.covering (pfx "10.1.2.0/26") t with
-   | Some (p, _) -> check_string "covering" "10.1.2.0/24" (Prefix.to_string p)
-   | None -> Alcotest.fail "covering");
-  (match Prefix_trie.covering (pfx "10.200.0.0/16") t with
-   | Some (p, _) -> check_string "covering-loose" "10.0.0.0/8" (Prefix.to_string p)
-   | None -> Alcotest.fail "covering2");
-  check_int "covered_by" 2 (List.length (Prefix_trie.covered_by (pfx "10.1.0.0/16") t));
-  check_int "bindings" 4 (List.length (Prefix_trie.bindings t))
-
-(* trie vs reference model *)
-let prop_trie_model =
-  QCheck.Test.make ~name:"prefix_trie behaves like assoc model" ~count:100
-    (QCheck.list_of_size (QCheck.Gen.int_bound 20) (QCheck.pair arb_prefix QCheck.small_int))
-    (fun bindings ->
-      let trie =
-        List.fold_left (fun t (p, v) -> Prefix_trie.add p v t) Prefix_trie.empty bindings
-      in
-      (* the model keeps the LAST binding per prefix *)
-      let model =
-        List.fold_left
-          (fun acc (p, v) -> (p, v) :: List.remove_assoc p acc)
-          []
-          (List.map (fun (p, v) -> (p, v)) bindings)
-      in
-      List.for_all (fun (p, v) -> Prefix_trie.find p trie = Some v) model
-      && Prefix_trie.cardinal trie = List.length model)
-
-(* One-pass construction builds exactly the trie repeated [add] builds. *)
-let prop_trie_of_bindings =
-  QCheck.Test.make ~name:"prefix_trie of_bindings = repeated add" ~count:200
-    (QCheck.list_of_size (QCheck.Gen.int_bound 30) (QCheck.pair arb_prefix QCheck.small_int))
-    (fun bindings ->
-      let trie =
-        List.fold_left (fun t (p, v) -> Prefix_trie.add p v t) Prefix_trie.empty bindings
-      in
-      let built = Prefix_trie.of_bindings (Prefix_trie.bindings trie) in
-      built = trie
-      && List.for_all
-           (fun (p, _) ->
-             Prefix_trie.matches (Prefix.addr p) built = Prefix_trie.matches (Prefix.addr p) trie)
-           bindings)
-
-let test_trie_of_bindings_unsorted () =
-  let raises l =
-    match Prefix_trie.of_bindings l with
-    | _ -> false
-    | exception Invalid_argument _ -> true
-  in
-  check_bool "out of order" true
-    (raises [ (pfx "10.1.0.0/16", 1); (pfx "10.0.0.0/8", 2) ]);
-  check_bool "duplicate" true (raises [ (pfx "10.0.0.0/8", 1); (pfx "10.0.0.0/8", 2) ]);
-  check_int "empty" 0 (Prefix_trie.cardinal (Prefix_trie.of_bindings []))
-
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "rd_addr"
@@ -609,10 +514,4 @@ let () =
                prop_kernel_mem_matches_reference;
                prop_of_prefixes_matches_union;
              ] );
-      ( "prefix_trie",
-        Alcotest.test_case "basics" `Quick test_trie_basics
-        :: Alcotest.test_case "remove/update" `Quick test_trie_remove_update
-        :: Alcotest.test_case "covering/covered_by" `Quick test_trie_covering_covered
-        :: Alcotest.test_case "of_bindings rejects unsorted" `Quick test_trie_of_bindings_unsorted
-        :: qc [ prop_trie_model; prop_trie_of_bindings ] );
     ]

@@ -512,6 +512,28 @@ let test_parse_leading_zero_octets () =
   check_bool "diagnosed" true
     (List.exists (fun (d : Diag.t) -> d.code = "parse-bad-address") diags)
 
+(* A ge/le past 32 is rejected as IOS rejects it: the line is dropped
+   with a coded diag, so no analysis meets a route length above 32. *)
+let test_parse_prefix_list_length_range () =
+  let text =
+    {|ip prefix-list P seq 10 permit 10.0.0.0/19 le 44
+ip prefix-list P seq 20 permit 10.0.0.0/8 ge 33
+ip prefix-list P seq 30 permit 10.0.0.0/8 ge 24 le 32
+|}
+  in
+  let c, diags = Parser.parse_with_diags ~file:"r.cfg" text in
+  let bad =
+    List.filter_map
+      (fun (d : Diag.t) -> if d.code = "parse-bad-prefix-list" then d.line else None)
+      diags
+  in
+  Alcotest.(check (list int)) "rejected lines" [ 1; 2 ] (List.sort compare bad);
+  match Ast.find_prefix_list c "P" with
+  | Some pl ->
+    Alcotest.(check (list int)) "in-range entry kept" [ 30 ]
+      (List.map (fun (e : Ast.prefix_list_entry) -> e.pl_seq) pl.pl_entries)
+  | None -> Alcotest.fail "prefix-list lost"
+
 let test_anon_subnet_matching_preserved () =
   (* two interfaces on the same /30 must still share a subnet after
      anonymization — the linchpin of link inference on anonymized data *)
@@ -776,6 +798,7 @@ let () =
         [
           Alcotest.test_case "parse_with_diags codes and lines" `Quick test_parse_with_diags;
           Alcotest.test_case "leading-zero octets rejected" `Quick test_parse_leading_zero_octets;
+          Alcotest.test_case "prefix-list ge/le past 32" `Quick test_parse_prefix_list_length_range;
         ] );
       ("locator", [ Alcotest.test_case "lazy table = of_text" `Quick test_locator_lazy_table ]);
       ( "properties",

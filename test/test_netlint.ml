@@ -474,6 +474,32 @@ let prop_shadowed_matches_brute_force =
           verdicts without = before)
         (Rd_core.Netlint.shadowed_acl_clauses acl))
 
+(* [le 44] is past any route length.  The parser drops the line, and an
+   entry built with it directly (no parser in the way) still analyzes:
+   its lengths stop at 32, so a later entry inside it is shadowed. *)
+let test_prefix_list_le_past_32 () =
+  let text = "hostname r1\nip prefix-list P seq 10 permit 10.0.0.0/19 le 44\n" in
+  let files = [ ("r1.cfg", text) ] in
+  let parsed = Rd_core.Analysis.analyze ~name:"t" files in
+  assert_none ~code:"netlint-shadowed-prefix-list-entry"
+    (Rd_core.Netlint.run_analysis ~files parsed);
+  let entry seq p le =
+    {
+      Ast.pl_seq = seq;
+      pl_action = Ast.Permit;
+      pl_prefix = Prefix.of_string_exn p;
+      pl_ge = None;
+      pl_le = Some le;
+    }
+  in
+  let pl =
+    { Ast.pl_name = "P"; pl_entries = [ entry 10 "10.0.0.0/19" 44; entry 20 "10.0.8.0/24" 40 ] }
+  in
+  let ast = { (Parser.parse text) with prefix_lists = [ pl ] } in
+  let built = Rd_core.Analysis.analyze_asts ~name:"t" [ ("r1.cfg", ast) ] in
+  check_int "inner entry shadowed" 1
+    (List.length (find "netlint-shadowed-prefix-list-entry" (Rd_core.Netlint.run_analysis built)))
+
 (* ------------------------------------------------------------ driver --- *)
 
 let test_rule_selection () =
@@ -572,6 +598,7 @@ let () =
           Alcotest.test_case "acl, prefix-list, route-map" `Quick test_shadowed_rules;
           Alcotest.test_case "first-match order respected" `Quick
             test_shadowed_first_match_not_flagged;
+          Alcotest.test_case "prefix-list le past 32" `Quick test_prefix_list_le_past_32;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_shadowed_matches_brute_force ] );
       ( "driver",

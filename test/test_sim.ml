@@ -102,6 +102,97 @@ let test_rib_merge () =
    | None -> Alcotest.fail "merge lost");
   check_bool "prefixes" true (Prefix_set.mem (ip "10.5.5.5") (prefixes m))
 
+let test_rib_lookup_bounds () =
+  let open Rd_sim.Rib in
+  let rib = add empty (route "0.0.0.0/0" Static) in
+  let rib = add rib (route "10.1.2.3/32" Connected) in
+  let dest a = Option.map (fun r -> Prefix.to_string r.dest) (lookup rib (ip a)) in
+  Alcotest.(check (option string)) "host route" (Some "10.1.2.3/32") (dest "10.1.2.3");
+  Alcotest.(check (option string)) "default" (Some "0.0.0.0/0") (dest "10.1.2.4");
+  check_bool "empty" true (lookup empty (ip "10.1.2.3") = None)
+
+let test_rib_of_routes_rejects () =
+  let open Rd_sim.Rib in
+  let raises l = match of_routes l with _ -> false | exception Invalid_argument _ -> true in
+  let r8 = route "10.0.0.0/8" Static and r16 = route "10.1.0.0/16" Static in
+  check_bool "out of order" true (raises [ r16; r8 ]);
+  check_bool "duplicate" true (raises [ r8; route "10.0.0.0/8" Connected ]);
+  check_bool "sorted" false (raises [ r8; r16 ]);
+  check_int "empty" 0 (size (of_routes []))
+
+(* Routes drawn from a few nested prefixes of 10.0.0.0/14, lengths 0 to
+   32, with sources and metrics that often tie under [better]; the tag
+   numbers each route, so a tie shows which one a RIB kept. *)
+let arb_routes =
+  let open QCheck.Gen in
+  let sources =
+    Rd_sim.Rib.
+      [ Connected; Static; Proto (Ast.Ospf, `Internal); Proto (Ast.Rip, `Internal);
+        Proto (Ast.Bgp, `External) ]
+  in
+  let gen_route =
+    let* third = int_bound 3 and* fourth = int_bound 3 in
+    let* len = frequency [ (4, int_bound 32); (1, return 0); (1, return 32) ] in
+    let* source = oneofl sources and* metric = int_bound 2 and* hops = int_bound 2 in
+    let dest = Prefix.make (Ipv4.of_octets 10 third 0 fourth) len in
+    return (Rd_sim.Rib.mk ~metric ~as_path:(List.init hops Fun.id) dest source)
+  in
+  QCheck.make
+    ~print:(fun rs ->
+      String.concat "; " (List.map (fun (r : Rd_sim.Rib.route) -> Prefix.to_string r.dest) rs))
+    (map
+       (List.mapi (fun i (r : Rd_sim.Rib.route) -> { r with tag = Some i }))
+       (list_size (int_bound 24) gen_route))
+
+(* The list model: one route per destination, replaced only by a
+   strictly better one. *)
+let model_add model (r : Rd_sim.Rib.route) =
+  match List.partition (fun (e : Rd_sim.Rib.route) -> Prefix.equal e.dest r.dest) model with
+  | [ e ], rest -> if Rd_sim.Rib.better r e then r :: rest else model
+  | _, rest -> r :: rest
+
+let rib_of = List.fold_left Rd_sim.Rib.add Rd_sim.Rib.empty
+
+let prop_rib_model =
+  QCheck.Test.make ~name:"rib = list model" ~count:300 arb_routes (fun rs ->
+      let open Rd_sim.Rib in
+      let t = rib_of rs in
+      let model = List.fold_left model_add [] rs in
+      let by_dest (a : route) (b : route) = Prefix.compare a.dest b.dest in
+      let rec increasing = function
+        | a :: (b :: _ as rest) -> by_dest a b < 0 && increasing rest
+        | _ -> true
+      in
+      let probes = List.map (fun (r : route) -> r.dest) rs @ [ Prefix.default ] in
+      let model_lookup a =
+        List.fold_left
+          (fun best (r : route) ->
+            if not (Prefix.mem a r.dest) then best
+            else
+              match best with
+              | Some (b : route) when Prefix.len b.dest >= Prefix.len r.dest -> best
+              | _ -> Some r)
+          None model
+      in
+      routes t = List.sort by_dest model
+      && increasing (routes t)
+      && size t = List.length model
+      && routes (of_routes (routes t)) = routes t
+      && List.for_all
+           (fun p ->
+             find t p = List.find_opt (fun (r : route) -> Prefix.equal r.dest p) model
+             && List.for_all
+                  (fun a -> lookup t a = model_lookup a)
+                  [ Prefix.network p; Prefix.broadcast p; Ipv4.succ (Prefix.broadcast p) ])
+           probes)
+
+let prop_rib_merge =
+  QCheck.Test.make ~name:"merge = fold of add" ~count:300 (QCheck.pair arb_routes arb_routes)
+    (fun (ra, rb) ->
+      let open Rd_sim.Rib in
+      let a = rib_of ra and b = rib_of rb in
+      routes (merge a b) = routes (List.fold_left add a (routes b)))
+
 (* ------------------------------------------------------------ propagate --- *)
 
 let cfg = Rd_config.Parser.parse
@@ -840,6 +931,10 @@ let () =
           Alcotest.test_case "floating static" `Quick test_rib_floating_static;
           Alcotest.test_case "as-path tiebreak" `Quick test_rib_as_path_tiebreak;
           Alcotest.test_case "merge" `Quick test_rib_merge;
+          Alcotest.test_case "lookup /0 and /32" `Quick test_rib_lookup_bounds;
+          Alcotest.test_case "of_routes rejects unsorted" `Quick test_rib_of_routes_rejects;
+          QCheck_alcotest.to_alcotest prop_rib_model;
+          QCheck_alcotest.to_alcotest prop_rib_merge;
         ] );
       ( "propagate",
         [
