@@ -60,10 +60,5 @@ let equal = Int.equal
 let succ x = (x + 1) land (limit - 1)
 let add x n = (x + n) land (limit - 1)
 
-let pp ppf x = Format.pp_print_string ppf (to_string x)
-
-let is_private x =
-  x lsr 24 = 10 || x lsr 20 = (172 lsl 4) lor 1 || x lsr 16 = (192 lsl 8) lor 168
-
 let zero = 0
 let broadcast_all = limit - 1

@@ -43,12 +43,6 @@ val succ : t -> t
 val add : t -> int -> t
 (** [add a n] offsets by [n], clipped into the address space by masking. *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints dotted-quad notation. *)
-
-val is_private : t -> bool
-(** RFC 1918 space: 10/8, 172.16/12, 192.168/16. *)
-
 val zero : t
 (** 0.0.0.0 *)
 

@@ -35,7 +35,6 @@ let of_addr_mask a m =
   if m = mask_bits l then Some (make a l) else None
 
 let to_string t = Printf.sprintf "%s/%d" (Ipv4.to_string t.addr) t.len
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let compare a b =
   match Ipv4.compare a.addr b.addr with 0 -> Int.compare a.len b.len | c -> c
@@ -47,9 +46,6 @@ let hostmask t = Ipv4.of_int (lnot (mask_bits t.len) land 0xFFFFFFFF)
 let network t = t.addr
 let size t = 1 lsl (32 - t.len)
 let broadcast t = Ipv4.of_int (Ipv4.to_int t.addr + size t - 1)
-
-let usable_hosts t =
-  if t.len = 32 then 1 else if t.len = 31 then 2 else size t - 2
 
 let mem a t = Ipv4.to_int a land mask_bits t.len = Ipv4.to_int t.addr
 
@@ -64,13 +60,6 @@ let split t =
   else begin
     let half = size t / 2 in
     Some (make t.addr (t.len + 1), make (Ipv4.add t.addr half) (t.len + 1))
-  end
-
-let sibling t =
-  if t.len = 0 then None
-  else begin
-    let flip = 1 lsl (32 - t.len) in
-    Some (make (Ipv4.of_int (Ipv4.to_int t.addr lxor flip)) t.len)
   end
 
 let nth t i =

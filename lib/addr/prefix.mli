@@ -29,9 +29,6 @@ val of_addr_mask : Ipv4.t -> Ipv4.t -> t option
 val to_string : t -> string
 (** ["a.b.c.d/len"] notation. *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_string} notation. *)
-
 val compare : t -> t -> int
 (** Address order, then mask length (supernets before subnets). *)
 
@@ -53,10 +50,6 @@ val broadcast : t -> Ipv4.t
 val size : t -> int
 (** Number of addresses covered ([2^(32-len)]). *)
 
-val usable_hosts : t -> int
-(** Conventional usable host count: [size - 2] for prefixes shorter than
-    /31, 2 for /31 (RFC 3021), 1 for /32. *)
-
 val mem : Ipv4.t -> t -> bool
 (** Address membership. *)
 
@@ -71,9 +64,6 @@ val parent : t -> t option
 
 val split : t -> (t * t) option
 (** The two halves; [None] for /32. *)
-
-val sibling : t -> t option
-(** The other half of the parent; [None] for /0. *)
 
 val nth : t -> int -> Ipv4.t
 (** [nth p i] is the [i]-th address of the prefix.  Requires

@@ -237,9 +237,6 @@ let of_prefixes ps =
   in
   build 0 0 (Array.length sorted)
 
-let singleton a = of_prefix (Prefix.host a)
-let remove p t = diff t (of_prefix p)
-
 let is_empty = function Empty -> true | _ -> false
 let is_full = function Full -> true | _ -> false
 

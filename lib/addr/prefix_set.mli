@@ -39,9 +39,6 @@ val of_prefixes : Prefix.t list -> t
     {!union} memo traffic, so this is the way to build a set from many
     prefixes rather than a fold of {!union}. *)
 
-val singleton : Ipv4.t -> t
-(** A single host address (a /32). *)
-
 val union : t -> t -> t
 (** Set union.  Memoized; returns an operand physically when the other
     side adds nothing. *)
@@ -54,9 +51,6 @@ val diff : t -> t -> t
 
 val complement : t -> t
 (** All addresses not in the set. *)
-
-val remove : Prefix.t -> t -> t
-(** [remove p s]: [diff s (of_prefix p)]. *)
 
 val is_empty : t -> bool
 (** O(1) thanks to canonicity: only the [Empty] node is empty. *)

@@ -63,21 +63,11 @@ let to_prefixes ?(max_bits = 12) t =
       (prefixes, true)
     end
 
-let matches_prefix t p =
-  (* All addresses of p match iff the fixed (non-wildcard) bits of the
-     wildcard are inside p's network part and agree with p's bits. *)
-  let w = Ipv4.to_int t.wild in
-  let hostbits = Prefix.size p - 1 in
-  (* every host bit of p must be wildcarded *)
-  hostbits land lnot w land 0xFFFFFFFF = 0
-  && Ipv4.to_int (Prefix.addr p) land lnot w land 0xFFFFFFFF = Ipv4.to_int t.base
-
 let any = make Ipv4.zero Ipv4.broadcast_all
 
 let host a = make a Ipv4.zero
 
 let to_string t = Printf.sprintf "%s %s" (Ipv4.to_string t.base) (Ipv4.to_string t.wild)
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let compare a b =
   match Ipv4.compare a.base b.base with 0 -> Ipv4.compare a.wild b.wild | c -> c

@@ -20,11 +20,6 @@ val wild : t -> Ipv4.t
 val matches : t -> Ipv4.t -> bool
 (** Address matches the pattern on every non-wildcarded bit. *)
 
-val matches_prefix : t -> Prefix.t -> bool
-(** [matches_prefix w p]: every address of [p] matches [w].  Exact for
-    contiguous wildcards; for non-contiguous wildcards this holds iff the
-    prefix's free bits are all wildcarded and fixed bits agree. *)
-
 val of_prefix : Prefix.t -> t
 (** The contiguous wildcard equivalent to the prefix. *)
 
@@ -54,11 +49,5 @@ val is_contiguous : t -> bool
 val to_string : t -> string
 (** ["base wild"] in Cisco config notation. *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_string} notation. *)
-
 val equal : t -> t -> bool
 (** Same base and wildcard bits. *)
-
-val compare : t -> t -> int
-(** Total order (base, then wildcard). *)

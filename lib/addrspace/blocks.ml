@@ -82,8 +82,6 @@ let subnets_of_configs configs =
     configs;
   List.sort_uniq Prefix.compare !acc
 
-let block_of blocks a = List.find_opt (fun b -> Prefix.mem a b.prefix) blocks
-
 type suspect = { iface : Rd_topo.Topology.iface; inside : block }
 
 let suspect_missing_routers (topo : Rd_topo.Topology.t) blocks =

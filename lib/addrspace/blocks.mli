@@ -32,9 +32,6 @@ val subnets_of_configs : (string * Rd_config.Ast.t) list -> Prefix.t list
 (** Every subnet mentioned in the configurations: interface subnets and
     static-route destinations (deduplicated). *)
 
-val block_of : block list -> Ipv4.t -> block option
-(** The block containing an address, if any. *)
-
 type suspect = {
   iface : Rd_topo.Topology.iface;
   inside : block;  (** the internal block the lone interface sits in. *)

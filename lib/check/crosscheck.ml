@@ -61,6 +61,46 @@ let witnesses prefixes =
   String.concat ", " (List.map Prefix.to_string shown)
   ^ if List.length prefixes > 3 then Printf.sprintf " (+%d more)" (List.length prefixes - 3) else ""
 
+(* The destinations the simulation installed in an instance's member
+   processes, once each, in prefix order. *)
+let member_dests (sim : Rd_sim.Propagate.t) (inst : Rd_routing.Instance.t) =
+  List.concat_map
+    (fun pid ->
+      List.map
+        (fun (rt : Rd_sim.Rib.route) -> rt.dest)
+        (Rd_sim.Rib.routes (Rd_sim.Propagate.rib_of_process sim pid)))
+    inst.members
+  |> List.sort_uniq Prefix.compare
+
+(* The violations for simulated routes [dests] that escape the static
+   set [static], in two grades: a route whose network address is
+   outside is a hard escape (an error, a warning under [approx]); a
+   route that only covers more addresses than [static] grants is a soft
+   one (a warning).  [hard] and [soft] open the two messages. *)
+let escape_violations ~approx ~invariant ~subject ~hard ~soft static dests =
+  let sticking =
+    List.filter (fun p -> not (Prefix_set.subset (Prefix_set.of_prefix p) static)) dests
+  in
+  let outside, coarser =
+    List.partition (fun p -> not (Prefix_set.mem (Prefix.network p) static)) sticking
+  in
+  let violation severity detail = { severity; invariant; subject; detail } in
+  (if outside = [] then []
+   else
+     [
+       violation
+         (if approx then Diag.Warning else Diag.Error)
+         (Printf.sprintf "%s: %s%s" hard (witnesses outside)
+            (if approx then " (downgraded: config uses approximated policies)" else ""));
+     ])
+  @
+  if coarser = [] then []
+  else
+    [
+      violation Diag.Warning
+        (Printf.sprintf "%s (network address contained): %s" soft (witnesses coarser));
+    ]
+
 (* Soundness relation (DESIGN.md §13): every route the converged
    simulation installs must be inside the static route set of the
    instance holding it.  Two grades of escape: a route whose *network
@@ -85,49 +125,15 @@ let sim_subset_static ~approx ~sim (a : Analysis.t) (r : Rd_reach.Reachability.t
       (fun i (inst : Rd_routing.Instance.t) ->
         let static = Rd_reach.Reachability.routes_of r i in
         let concrete = Rd_sim.Propagate.instance_prefix_set sim a.graph.assignment i in
-        if not (Prefix_set.subset concrete static) then begin
-          let dests =
-            List.concat_map
-              (fun pid ->
-                List.map
-                  (fun (rt : Rd_sim.Rib.route) -> rt.dest)
-                  (Rd_sim.Rib.routes (Rd_sim.Propagate.rib_of_process sim pid)))
-              inst.members
-            |> List.sort_uniq Prefix.compare
-          in
-          let sticking =
-            List.filter
-              (fun p -> not (Prefix_set.subset (Prefix_set.of_prefix p) static))
-              dests
-          in
-          let hard, soft =
-            List.partition (fun p -> not (Prefix_set.mem (Prefix.network p) static)) sticking
-          in
-          if hard <> [] then
-            violations :=
-              {
-                severity = (if approx then Diag.Warning else Diag.Error);
-                invariant = "sim-subset-static";
-                subject = instance_subject a i;
-                detail =
-                  Printf.sprintf "simulated routes outside the static route set: %s%s"
-                    (witnesses hard)
-                    (if approx then " (downgraded: config uses approximated policies)" else "");
-              }
-              :: !violations;
-          if soft <> [] then
-            violations :=
-              {
-                severity = Diag.Warning;
-                invariant = "sim-subset-static";
-                subject = instance_subject a i;
-                detail =
-                  Printf.sprintf
-                    "simulated routes coarser than the static set (network address contained): %s"
-                    (witnesses soft);
-              }
-              :: !violations
-        end)
+        if not (Prefix_set.subset concrete static) then
+          violations :=
+            List.rev_append
+              (escape_violations ~approx ~invariant:"sim-subset-static"
+                 ~subject:(instance_subject a i)
+                 ~hard:"simulated routes outside the static route set"
+                 ~soft:"simulated routes coarser than the static set" static
+                 (member_dests sim inst))
+              !violations)
       a.graph.assignment.instances;
     Ok (List.rev !violations)
   end
@@ -359,54 +365,21 @@ let netlint_sim_agree ~approx (a : Analysis.t) ~sim ~r0 =
           Rd_routing.Instance_graph.External x,
           Rd_routing.Instance_graph.Ebgp_session _ ->
           let expo = exposure x in
-          let inst = a.graph.assignment.instances.(i) in
           let announced =
-            List.concat_map
-              (fun pid ->
-                List.map
-                  (fun (rt : Rd_sim.Rib.route) -> rt.dest)
-                  (Rd_sim.Rib.routes (Rd_sim.Propagate.rib_of_process sim pid)))
-              inst.members
-            |> List.sort_uniq Prefix.compare
-            |> List.filter (fun p ->
-                   Prefix_set.mem (Prefix.network p) internal
-                   && Rd_policy.Route_filter.permits e.filter p)
-          in
-          let sticking =
             List.filter
-              (fun p -> not (Prefix_set.subset (Prefix_set.of_prefix p) expo))
-              announced
+              (fun p ->
+                Prefix_set.mem (Prefix.network p) internal
+                && Rd_policy.Route_filter.permits e.filter p)
+              (member_dests sim a.graph.assignment.instances.(i))
           in
-          let hard, soft =
-            List.partition (fun p -> not (Prefix_set.mem (Prefix.network p) expo)) sticking
-          in
-          if hard <> [] then
-            violations :=
-              {
-                severity = (if approx then Diag.Warning else Diag.Error);
-                invariant = "netlint-sim-agree";
-                subject = Printf.sprintf "AS%d via %s" x (instance_subject a i);
-                detail =
-                  Printf.sprintf
-                    "simulated internal routes announced beyond the static exposure: %s%s"
-                    (witnesses hard)
-                    (if approx then " (downgraded: config uses approximated policies)"
-                     else "");
-              }
-              :: !violations;
-          if soft <> [] then
-            violations :=
-              {
-                severity = Diag.Warning;
-                invariant = "netlint-sim-agree";
-                subject = Printf.sprintf "AS%d via %s" x (instance_subject a i);
-                detail =
-                  Printf.sprintf
-                    "simulated internal routes coarser than the static exposure (network \
-                     address contained): %s"
-                    (witnesses soft);
-              }
-              :: !violations
+          violations :=
+            List.rev_append
+              (escape_violations ~approx ~invariant:"netlint-sim-agree"
+                 ~subject:(Printf.sprintf "AS%d via %s" x (instance_subject a i))
+                 ~hard:"simulated internal routes announced beyond the static exposure"
+                 ~soft:"simulated internal routes coarser than the static exposure" expo
+                 announced)
+              !violations
         | _ -> ())
       a.graph.edges;
     Ok (List.rev !violations)

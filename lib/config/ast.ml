@@ -230,6 +230,13 @@ let find_interface t name =
 (** Find an ACL by name/number. *)
 let find_acl t name = List.find_opt (fun a -> String.equal a.acl_name name) t.acls
 
+(** Numbered ACLs in the extended ranges (100–199, 2000–2699); IOS flags
+    them extended whatever form their clauses take. *)
+let is_extended_number name =
+  match int_of_string_opt name with
+  | Some n -> (n >= 100 && n <= 199) || (n >= 2000 && n <= 2699)
+  | None -> false
+
 let find_route_map t name =
   List.find_opt (fun r -> String.equal r.rm_name name) t.route_maps
 

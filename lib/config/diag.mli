@@ -36,9 +36,6 @@ val create : ?file:string -> unit -> collector
 (** [create ~file ()] — [file] is stamped onto every diagnostic added
     through this collector (unless the addition overrides it). *)
 
-val add : collector -> t -> unit
-(** Append an already-built diagnostic. *)
-
 val report :
   collector -> ?file:string -> ?line:int -> severity -> code:string ->
   ('a, unit, string, unit) format4 -> 'a
@@ -60,9 +57,6 @@ val counts : t list -> int * int * int
 
 val has_errors : t list -> bool
 (** Whether any diagnostic has severity {!Error}. *)
-
-val location : t -> string
-(** ["file:line"], with ["-"] for missing parts. *)
 
 val to_string : t -> string
 (** One line: ["file:line severity code message"]. *)

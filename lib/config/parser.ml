@@ -126,11 +126,6 @@ let acl_clause ~extended action rest =
     | None -> extended_clause action rest
   end
 
-let is_extended_number name =
-  match int_of_string_opt name with
-  | Some n -> (n >= 100 && n <= 199) || (n >= 2000 && n <= 2699)
-  | None -> false
-
 (* --- state mutation helpers ------------------------------------------ *)
 
 let add_acl_clause st name ~extended clause =
@@ -423,7 +418,7 @@ let top_level st (l : Lexer.line) : mode =
       Top)
   | "access-list" :: name :: action :: rest -> (
     let act = match action with "permit" -> Some Ast.Permit | "deny" -> Some Ast.Deny | _ -> None in
-    let extended = is_extended_number name in
+    let extended = Ast.is_extended_number name in
     match act with
     | Some act -> (
       match acl_clause ~extended act rest with

@@ -8,25 +8,3 @@
 val to_string : Ast.t -> string
 (** Whole configuration file, sections in canonical order. *)
 
-(** {1 Section renderers}
-
-    Each returns the configuration lines for one AST fragment, used by
-    {!to_string} and by tests that compare fragments. *)
-
-val interface_to_lines : Ast.interface -> string list
-(** [interface ...] block. *)
-
-val process_to_lines : Ast.router_process -> string list
-(** [router ...] block. *)
-
-val acl_to_lines : Ast.acl -> string list
-(** [access-list ...] lines (numbered or named form). *)
-
-val route_map_to_lines : Ast.route_map -> string list
-(** [route-map ...] entries with match/set sub-lines. *)
-
-val prefix_list_to_lines : Ast.prefix_list -> string list
-(** [ip prefix-list ...] lines. *)
-
-val static_to_line : Ast.static_route -> string
-(** Single [ip route ...] line. *)

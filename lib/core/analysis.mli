@@ -61,7 +61,6 @@ val analyze_asts :
 
 val router_count : t -> int
 val instance_count : t -> int
-val instances : t -> Rd_routing.Instance.t list
 val largest_instance : t -> Rd_routing.Instance.t option
 
 val internal_bgp_asns : t -> int list

@@ -41,6 +41,10 @@ let with_cancel t cancel = { t with cancel }
 let memo t cache k f =
   Cache.find_or_add ?metrics:t.metrics ?trace:t.trace cache k f
 
+(* A file's parse key covers its name and bytes; a network's analysis key
+   covers its name and every file key in order, so editing any file's
+   bytes or reordering the files (file order is analysis-relevant)
+   changes it. *)
 let file_key file text = Cache.key ~stage:"parse" ~version:parse_version [ file; text ]
 
 let network_key ~name files =

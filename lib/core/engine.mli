@@ -59,14 +59,6 @@ type network = {
 (** A loaded network: the analysis together with the content key that
     addresses every derived artifact. *)
 
-val file_key : string -> string -> Rd_util.Cache.key
-(** [file_key file text] — the per-file parse key (stage ["parse"]). *)
-
-val network_key : name:string -> (string * string) list -> Rd_util.Cache.key
-(** Compound key of a network's name and all its file keys (stage
-    ["analysis"]).  Editing any file's bytes changes it; reordering
-    files changes it (file order is analysis-relevant). *)
-
 val load : t -> name:string -> (string * string) list -> network
 (** [load t ~name files] analyzes [files] ((file name, raw text) pairs),
     reusing the per-file parse store and the whole-network analysis

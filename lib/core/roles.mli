@@ -16,9 +16,6 @@ type counts = {
   ebgp_sessions : int * int;  (** (intra, inter) *session* counts. *)
 }
 
-val instance_role : Analysis.t -> Rd_routing.Instance.t -> role
-(** Role of a non-BGP instance. *)
-
 val count : Analysis.t -> counts
 (** Per-protocol (intra, inter) tallies for one network — one row of the
     paper's Table 1. *)

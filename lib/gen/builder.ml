@@ -150,26 +150,13 @@ let redistribute d ~into:(protocol, proc_id) ~src ?route_map ?metric ?(subnets =
           :: p.redistributes;
       })
 
-let distribute_list d ~proto:(protocol, proc_id) ~acl direction =
-  Device.update_process d protocol proc_id (fun p ->
-      {
-        p with
-        Ast.dlists =
-          { Ast.dl_acl = acl; dl_direction = direction; dl_interface = None } :: p.dlists;
-      })
-
-let is_extended_number name =
-  match int_of_string_opt name with
-  | Some n -> (n >= 100 && n <= 199) || (n >= 2000 && n <= 2699)
-  | None -> false
-
 let std_acl d ~name clauses =
   Device.add_acl d
     {
       (* match the parser's convention: extended-range numbers are flagged
          extended even when the clauses are standard-form *)
       Ast.acl_name = name;
-      extended = is_extended_number name;
+      extended = Ast.is_extended_number name;
       clauses =
         List.map
           (fun (action, p) ->
@@ -188,7 +175,7 @@ let acl_permit_any d ~name =
   Device.add_acl d
     {
       Ast.acl_name = name;
-      extended = is_extended_number name;
+      extended = Ast.is_extended_number name;
       clauses =
         [
           {

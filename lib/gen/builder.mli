@@ -23,9 +23,6 @@ val ext_plan : net -> Addr_plan.t
 val add_router : net -> string -> Device.t
 (** Create and register a router. *)
 
-val routers : net -> Device.t list
-(** In creation order. *)
-
 val router_count : net -> int
 (** Number of routers registered so far. *)
 
@@ -102,9 +99,6 @@ val redistribute :
   unit
 (** Add a [redistribute] statement to the [into] process, optionally
     policed by a route-map — the §4 route-exchange primitive. *)
-
-val distribute_list : Device.t -> proto:Ast.protocol * int option -> acl:string -> Ast.direction -> unit
-(** Attach a [distribute-list ACL in/out] to a routing process. *)
 
 val std_acl : Device.t -> name:string -> (Ast.action * Prefix.t) list -> unit
 (** Standard ACL from (action, prefix) clauses, with wildcard form. *)

@@ -82,8 +82,6 @@ let add_prefix_list t pl =
 
 let add_static t s = t.statics <- s :: t.statics
 
-let interface_count t = List.length t.interfaces
-
 let last_interface_name t =
   match t.interfaces with [] -> None | i :: _ -> Some i.Ast.if_name
 

@@ -45,9 +45,6 @@ val add_prefix_list : t -> Ast.prefix_list -> unit
 val add_static : t -> Ast.static_route -> unit
 (** Append an [ip route] statement. *)
 
-val interface_count : t -> int
-(** Number of interfaces added so far. *)
-
 val last_interface_name : t -> string option
 (** Name of the most recently added interface. *)
 

@@ -39,11 +39,6 @@ val apply_filter_to_lan :
   Builder.net -> Device.t -> acl:string -> kind:string -> unit
 (** Attach a fresh LAN whose inbound traffic passes through [acl]. *)
 
-val protocol_weights : (float * Ast.protocol) list
-(** EIGRP-heavy mix used for management instances (Table 1 shows EIGRP as
-    the most common intra-domain protocol). *)
-
 val staging_weights : (float * Ast.protocol) list
 (** OSPF-heavy mix for customer-facing staging instances (Table 1's
     inter-domain IGP column). *)
-

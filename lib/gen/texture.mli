@@ -2,9 +2,6 @@
     per-interface extras.  Depends only on the PRNG so {!Builder} can use
     it without cycles. *)
 
-val token : Rd_util.Prng.t -> string
-(** Random lowercase identifier (passwords, SNMP communities, ...). *)
-
 val boilerplate : Rd_util.Prng.t -> hostname:string -> string
 (** Administrative preamble (version, services, AAA, usernames) that real
     configurations carry; the parser accepts and ignores it.  Contributes

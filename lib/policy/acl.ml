@@ -10,34 +10,6 @@ let eval_addr (acl : Ast.acl) a =
   in
   go acl.clauses
 
-let port_matches pm p =
-  match pm with
-  | None -> true
-  | Some (Ast.Port_eq q) -> p = Some q
-  | Some (Ast.Port_gt q) -> (match p with Some p -> p > q | None -> false)
-  | Some (Ast.Port_lt q) -> (match p with Some p -> p < q | None -> false)
-  | Some (Ast.Port_range (a, b)) -> (match p with Some p -> p >= a && p <= b | None -> false)
-
-let proto_matches clause_proto proto =
-  match clause_proto with
-  | None | Some "ip" -> true
-  | Some cp -> (match proto with Some p -> String.equal cp p | None -> false)
-
-let eval_packet (acl : Ast.acl) ~src ~dst ?proto ?src_port ?dst_port () =
-  let rec go = function
-    | [] -> Ast.Deny
-    | (c : Ast.acl_clause) :: rest ->
-      let m =
-        Wildcard.matches c.src src
-        && (match c.dst with None -> true | Some d -> Wildcard.matches d dst)
-        && proto_matches c.ip_proto proto
-        && port_matches c.src_port src_port
-        && port_matches c.dst_port dst_port
-      in
-      if m then c.clause_action else go rest
-  in
-  go acl.clauses
-
 let eval_route (acl : Ast.acl) p = eval_addr acl (Prefix.network p)
 
 let clause_set ?diag ?acl_name (c : Ast.acl_clause) =

@@ -13,18 +13,6 @@ type verdict = Ast.action  (** [Permit] or [Deny]. *)
 val eval_addr : Ast.acl -> Ipv4.t -> verdict
 (** Match a single source address (standard-ACL semantics). *)
 
-val eval_packet :
-  Ast.acl ->
-  src:Ipv4.t ->
-  dst:Ipv4.t ->
-  ?proto:string ->
-  ?src_port:int ->
-  ?dst_port:int ->
-  unit ->
-  verdict
-(** Match a packet against an extended (or standard) ACL.  A standard ACL
-    inspects only [src]. *)
-
 val eval_route : Ast.acl -> Prefix.t -> verdict
 (** Route-filtering semantics: a clause matches a route if the route's
     network address matches the clause's source spec.  This is how IOS

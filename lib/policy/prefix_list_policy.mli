@@ -17,10 +17,6 @@ val entry_bounds : Ast.prefix_list_entry -> int * int
     compare entries without the address-level approximation of
     {!permitted_set}. *)
 
-val entry_matches : Ast.prefix_list_entry -> Prefix.t -> bool
-(** One entry against one route, per the grammar above (ignoring the
-    entry's permit/deny action). *)
-
 val eval : Ast.prefix_list -> Prefix.t -> Ast.action
 (** First matching entry's action; [Deny] when nothing matches. *)
 

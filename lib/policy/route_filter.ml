@@ -4,7 +4,6 @@ open Rd_config
 type t = Prefix_set.t  (* the permitted destination set *)
 
 let everything = Prefix_set.full
-let nothing = Prefix_set.empty
 
 (* Per-domain policy→set memo keyed by physical identity of the AST
    node.  A named policy is parsed once per config, so the same ACL /
@@ -58,9 +57,6 @@ let of_route_map ?diag rm ~lookup_acl ?lookup_prefix_list () =
   match diag with Some _ -> direct () | None -> Rm_memo.get rm direct
 
 let of_prefix_list pl = Pl_memo.get pl (fun () -> Prefix_list_policy.permitted_set pl)
-
-let of_dlists ?diag acls =
-  List.fold_left (fun acc a -> Prefix_set.inter acc (of_acl ?diag a)) everything acls
 
 let of_prefix_set s = s
 

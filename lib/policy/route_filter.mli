@@ -15,35 +15,11 @@ type t
 val everything : t
 (** The unrestricted filter (permits every route). *)
 
-val nothing : t
-(** The filter that denies every route. *)
-
 val of_acl : ?diag:Diag.collector -> Ast.acl -> t
 (** Lower one access-list: union of permit-clause coverage minus the
     deny clauses that precede each, first match wins.  Non-contiguous
     wildcards may force an over-approximation, reported to [diag] as
     [acl-wildcard-approx]. *)
-
-val of_route_map :
-  ?diag:Diag.collector ->
-  Ast.route_map ->
-  lookup_acl:(string -> Ast.acl option) ->
-  ?lookup_prefix_list:(string -> Ast.prefix_list option) ->
-  unit ->
-  t
-(** Lower a route-map to the destinations its permit clauses admit.
-    [match ip address] names resolve through [lookup_acl] /
-    [lookup_prefix_list]; a clause with no match conditions admits
-    everything, and set/community actions are ignored (only
-    admit/deny matters for address-level reachability). *)
-
-val of_prefix_list : Ast.prefix_list -> t
-(** Lower one prefix list via {!Prefix_list_policy.permitted_set}. *)
-
-val of_dlists : ?diag:Diag.collector -> Ast.acl list -> t
-(** Conjunction of several distribute-lists (all must permit).  [diag]
-    receives [acl-wildcard-approx] warnings when a clause set had to be
-    over-approximated. *)
 
 val compile :
   ?diag:Diag.collector ->

@@ -71,8 +71,8 @@ let origins_bulk_direct (g : Instance_graph.t) =
   origins
 
 (* Per-domain graph→origins memo keyed by physical identity: the study
-   pipeline asks for origins through [compute], [origin_of_instance] and
-   the analysis passes, all against the same built graph.  The cached
+   pipeline asks for origins through [compute] and the analysis passes,
+   all against the same built graph.  The cached
    array is shared — callers must treat it as read-only (the library
    does). *)
 module Graph_tbl = Hashtbl.Make (struct
@@ -96,8 +96,6 @@ let origins_bulk (g : Instance_graph.t) =
     if Graph_tbl.length tbl > origins_limit then Graph_tbl.reset tbl;
     Graph_tbl.add tbl g o;
     o
-
-let origin_of_instance (g : Instance_graph.t) inst_id = (origins_bulk g).(inst_id)
 
 (* What each external AS can hear from us, after fixpoint.  Accumulated
    in a table keyed by AS (the edge list can mention one AS many times),
@@ -454,7 +452,5 @@ let can_reach t ~src ~dst =
   match instance_of_addr t src with
   | None -> false
   | Some i -> Prefix_set.mem dst t.routes.(i)
-
-let two_way t ~a ~b = can_reach t ~src:a ~dst:b && can_reach t ~src:b ~dst:a
 
 let has_default t i = Prefix_set.mem Ipv4.zero t.routes.(i)

@@ -103,12 +103,6 @@ val initial_routes : Rd_routing.Instance_graph.t -> Prefix_set.t array
     structural fixpoint in the test suite) start from the same
     semantics. *)
 
-val origin_of_instance : Rd_routing.Instance_graph.t -> int -> Prefix_set.t
-(** Connected subnets attached to an instance: subnets of interfaces
-    covered by its member processes, plus connected/static redistribution
-    into it.  One cheap array read after the first {!origins_bulk} of the
-    graph. *)
-
 val routes_of : t -> int -> Prefix_set.t
 (** Route set of one instance (by instance id). *)
 
@@ -120,10 +114,6 @@ val can_reach : t -> src:Ipv4.t -> dst:Ipv4.t -> bool
 (** A host at [src] (in some instance's origin set) can send packets
     toward [dst]: its instance holds a route covering [dst].  [false] when
     [src] is not attached to any instance. *)
-
-val two_way : t -> a:Ipv4.t -> b:Ipv4.t -> bool
-(** Both directions hold — the paper's net15 case shows one-way
-    reachability is a real phenomenon. *)
 
 val internal_space : t -> Prefix_set.t
 (** Union of every instance's origins; computed once at construction and

@@ -101,8 +101,3 @@ let render (catalog : Process.catalog) t =
     Printf.bprintf buf "  area border routers: %s\n"
       (String.concat ", " (List.map (fun r -> fst catalog.topo.routers.(r)) t.abrs));
   Buffer.contents buf
-
-let non_backbone_multi_area ts =
-  List.filter_map
-    (fun t -> if List.length t.areas >= 2 && not t.has_backbone then Some t.inst_id else None)
-    ts

@@ -24,7 +24,3 @@ val analyze : Process.catalog -> Instance.assignment -> t list
 
 val render : Process.catalog -> t -> string
 (** Human-readable area census table with ABR list. *)
-
-val non_backbone_multi_area : t list -> int list
-(** Instances with several areas but no area 0 — a design smell: OSPF
-    inter-area routing requires the backbone area. *)

@@ -69,8 +69,6 @@ let compute_by_process_id (catalog : Process.catalog) =
 
 let size t = List.length t.routers
 
-let find assignment ~pid = assignment.instances.(assignment.of_process.(pid))
-
 let to_string t =
   match t.asn with
   | Some asn -> Printf.sprintf "instance %d: bgp AS %d (%d routers)" t.inst_id asn (size t)

@@ -32,8 +32,5 @@ val compute_by_process_id : Process.catalog -> assignment
 val size : t -> int
 (** Number of member routers. *)
 
-val find : assignment -> pid:int -> t
-(** The instance a process belongs to. *)
-
 val to_string : t -> string
 (** Display name, e.g. ["ospf-1"] or ["ebgp-as65001"]. *)

@@ -257,19 +257,7 @@ let external_asns t =
          | _ -> None)
        t.edges)
 
-let edges_between t src dst = List.filter (fun e -> e.src = src && e.dst = dst) t.edges
-
-let out_edges t v = List.filter (fun e -> e.src = v) t.edges
 let in_edges t v = List.filter (fun e -> e.dst = v) t.edges
-
-let redistribution_routers t ~src ~dst =
-  List.sort_uniq Int.compare
-    (List.filter_map
-       (fun e ->
-         match (e.src, e.dst, e.via) with
-         | Inst s, Inst d, Redist { router; _ } when s = src && d = dst -> Some router
-         | _ -> None)
-       t.edges)
 
 let via_router = function
   | Redist { router; _ } | Ebgp_session { router; _ } | Igp_edge { router; _ } -> router

@@ -51,18 +51,8 @@ val instances : t -> Instance.t array
 val external_asns : t -> int list
 (** Distinct outside AS numbers peered with, ascending. *)
 
-val edges_between : t -> endpoint -> endpoint -> edge list
-(** Edges from one endpoint to another. *)
-
-val out_edges : t -> endpoint -> edge list
-(** Edges leaving the endpoint. *)
-
 val in_edges : t -> endpoint -> edge list
 (** Edges entering the endpoint. *)
-
-val redistribution_routers : t -> src:int -> dst:int -> int list
-(** Routers that redistribute routes from instance [src] into instance
-    [dst] — the redundant "glue" routers of the paper's net5 analysis. *)
 
 val via_router : via -> int
 (** The router an edge's mechanism is configured on — where a finding

@@ -63,14 +63,6 @@ let build ?metrics (g : Instance_graph.t) ~router =
   in
   { router; depth_of; edges; reaches_external }
 
-let instances_feeding t =
-  List.sort Int.compare
-    (List.filter_map
-       (function Instance_graph.Inst i, _ -> Some i | Instance_graph.External _, _ -> None)
-       t.depth_of)
-
-let policies_on_path t = List.map (fun (e : Instance_graph.edge) -> (e, e.filter)) t.edges
-
 let endpoint_label (g : Instance_graph.t) = function
   | Instance_graph.Inst i -> Instance.to_string g.assignment.instances.(i)
   | Instance_graph.External 0 -> "External World (igp peer)"
@@ -93,21 +85,3 @@ let render g t =
   Buffer.add_string buf
     (Printf.sprintf "  external world reachable upstream: %b\n" t.reaches_external);
   Buffer.contents buf
-
-let to_dot g t =
-  let d = Rd_util.Dot.create "pathway" in
-  let id = function
-    | Instance_graph.Inst i -> Printf.sprintf "i%d" i
-    | Instance_graph.External a -> Printf.sprintf "x%d" a
-  in
-  List.iter (fun (v, _) -> Rd_util.Dot.node d ~label:(endpoint_label g v) (id v)) t.depth_of;
-  let rname = fst g.Instance_graph.catalog.topo.routers.(t.router) in
-  Rd_util.Dot.node d ~label:(Printf.sprintf "Router RIB %s" rname) ~shape:"box" "rib";
-  List.iter
-    (fun (e : Instance_graph.edge) -> Rd_util.Dot.edge d (id e.src) (id e.dst))
-    t.edges;
-  List.iter
-    (fun (v, depth) ->
-      if depth = 0 then Rd_util.Dot.edge d ~style:"dotted" (id v) "rib")
-    t.depth_of;
-  Rd_util.Dot.to_string d

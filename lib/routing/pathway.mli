@@ -21,16 +21,5 @@ val build : ?metrics:Rd_util.Metrics.t -> Instance_graph.t -> router:int -> t
     [pathway.builds] plus [pathway.frontier_peak] (largest BFS queue)
     and [pathway.vertices] histograms. *)
 
-val instances_feeding : t -> int list
-(** Instance ids on some pathway, ascending. *)
-
-val policies_on_path : t -> (Instance_graph.edge * Rd_policy.Route_filter.t) list
-(** Every traversed edge together with its filter — "locate all the
-    routing policies that affect the routes seen by any particular
-    router, and pinpoint where the policies are applied" (§3.3). *)
-
 val render : Instance_graph.t -> t -> string
 (** Text rendering, deepest sources first. *)
-
-val to_dot : Instance_graph.t -> t -> string
-(** Graphviz DOT rendering of the pathway graph (paper Fig 7/10). *)

@@ -65,12 +65,6 @@ let area_on t a =
   in
   go t.ast.networks
 
-let covered_interfaces catalog t =
-  Array.to_list catalog.topo.ifaces
-  |> List.filter (fun (i : Rd_topo.Topology.iface) ->
-       i.router = t.router
-       && (match i.address with Some (a, _) -> covers t a | None -> false))
-
 let bgp_asn t = if t.protocol = Ast.Bgp then t.proc_id else None
 
 let find_by_peer_addr catalog a =

@@ -34,9 +34,6 @@ val covers : t -> Ipv4.t -> bool
     process attaches to interfaces).  BGP [network ... mask] statements
     announce prefixes rather than attach interfaces and never cover. *)
 
-val covered_interfaces : catalog -> t -> Rd_topo.Topology.iface list
-(** The router's interfaces this process is attached to. *)
-
 val area_on : t -> Ipv4.t -> int option
 (** For OSPF: the area of the network statement covering the address. *)
 

@@ -60,9 +60,6 @@ let vertices t =
   Array.to_list (Array.map (fun (p : Process.t) -> Proc p.pid) t.catalog.processes)
   @ List.concat (List.init n (fun i -> [ Local i; Router_rib i ]))
 
-let out_edges t v = List.filter (fun e -> e.src = v) t.edges
-let in_edges t v = List.filter (fun e -> e.dst = v) t.edges
-
 let redistribution_edges t =
   List.filter (fun e -> match e.kind with Redistribution _ -> true | _ -> false) t.edges
 

@@ -33,17 +33,8 @@ val build : Process.catalog -> t
 val vertices : t -> vertex list
 (** All vertices. *)
 
-val out_edges : t -> vertex -> edge list
-(** Edges leaving the vertex. *)
-
-val in_edges : t -> vertex -> edge list
-(** Edges entering the vertex. *)
-
 val redistribution_edges : t -> edge list
 (** Only the redistribution edges (paper Figure 3's dashed arrows). *)
-
-val vertex_label : t -> vertex -> string
-(** Display label, e.g. ["r1:ospf-1"] or ["r1:RIB"]. *)
 
 val to_dot : t -> string
 (** Graphviz rendering in the style of Figure 5: one cluster per router,

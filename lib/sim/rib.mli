@@ -52,9 +52,6 @@ val admin_distance : source -> int
 (** Cisco defaults: connected 0, static 1, EBGP 20, EIGRP 90, IGRP 100,
     OSPF 110, IS-IS 115, RIP 120, EIGRP external 170, IBGP 200. *)
 
-val effective_distance : route -> int
-(** [ad_override] when present, else the source's default distance. *)
-
 type t
 (** A RIB: the best route known per destination prefix.  It is an array
     of routes sorted strictly by {!Prefix.compare} on [dest], so

@@ -54,7 +54,7 @@ val study :
   ?faults:Rd_util.Fault.t -> unit -> study_item task
 (** The study build ({!Population.build_network}), checkpointed as a
     {!Netstat.t}.  A zero-failure, zero-checkpoint sweep carries the
-    same networks as {!Population.build_results}. *)
+    same networks as {!Population.build}. *)
 
 val crosscheck :
   ?faults:Rd_util.Fault.t -> ?invariants:string list -> ?salt:string list -> unit ->

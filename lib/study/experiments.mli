@@ -86,7 +86,7 @@ val summary_to_json : ?exact:bool -> scenario_summary -> Rd_util.Json.t
 (** The JSON record [rdna whatif --json] prints per scenario.  [exact]
     (default [false]) writes [seconds] as a [%h] hex float string
     instead of a JSON number — the checkpoint form, which
-    {!summary_of_json} reads back bit for bit. *)
+    {!whatif_of_json} reads back bit for bit. *)
 
 val whatif_json : ?exact:bool -> string -> scenario_summary list -> Rd_util.Json.t
 (** One network's what-if record, [{network, scenarios}] — the element

@@ -120,16 +120,12 @@ let supervise ?jobs ?trace ?metrics ?faults ?cancel ?task_timeout ?(retries = 0)
         Error { spec; failure = f })
     wanted results
 
-let build_results ?only ?trace ?metrics ?faults ?cancel ?task_timeout ?limits ?retries ?jobs
-    ~master_seed () =
-  supervise ?jobs ?trace ?metrics ?faults ?cancel ?task_timeout ?retries
-    (fun cancel -> build_network ?trace ?metrics ?jobs ?faults ?cancel ?limits)
-    (wanted_specs ?only ~master_seed ())
-
 let build ?only ?trace ?metrics ?jobs ?faults ?limits ~master_seed () =
   List.map
     (function Ok n -> n | Error f -> Rd_util.Pool.reraise f.failure)
-    (build_results ?only ?trace ?metrics ?jobs ?faults ?limits ~master_seed ())
+    (supervise ?jobs ?trace ?metrics ?faults
+       (fun cancel -> build_network ?trace ?metrics ?jobs ?faults ?cancel ?limits)
+       (wanted_specs ?only ~master_seed ()))
 
 let partition results =
   List.partition_map
@@ -163,6 +159,3 @@ let repository_sizes ~master_seed ~count =
   let rng = Rd_util.Prng.create (master_seed + 777) in
   List.init count (fun _ ->
       min 4000 (Rd_util.Prng.pareto_int rng ~alpha:1.05 ~xmin:2))
-
-let total_routers ~master_seed =
-  List.fold_left (fun acc s -> acc + s.n) 0 (specs ~master_seed)

@@ -53,9 +53,9 @@ val supervise :
   ('a, failure) result list
 (** [supervise task wanted] runs [task token spec] for every spec on
     [jobs] pool workers ({!Rd_util.Pool.parallel_map_results}) — the
-    one execution path behind {!build_results} and [Driver.sweep].  Results stay in [wanted] order; each failure
-    becomes a {!failure} row and bumps the [network.degraded] metrics
-    counter.  [retries] (default 0) re-runs a failed network up to that
+    one execution path behind {!build} and [Driver.sweep].  Results stay
+    in [wanted] order; each failure becomes a {!failure} row and bumps
+    the [network.degraded] metrics counter.  [retries] (default 0) re-runs a failed network up to that
     many extra times.
 
     [cancel] is the run-level token: tripping it (deadline or SIGINT)
@@ -65,29 +65,21 @@ val supervise :
     inside the pool task so its budget clocks from that network's start
     — one slow network degrades alone. *)
 
-val build_results :
-  ?only:int list -> ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t ->
-  ?faults:Rd_util.Fault.t -> ?cancel:Rd_util.Cancel.t -> ?task_timeout:float ->
-  ?limits:Rd_util.Limits.t -> ?retries:int -> ?jobs:int ->
-  master_seed:int -> unit -> (network, failure) result list
-(** Build the population (or the networks whose ids are in [only])
-    under {!supervise}: every requested network flows through the full
-    text pipeline ({!build_network}) and yields [Ok] or a {!failure};
-    one bad network never aborts the other thirty.  Networks build in
-    parallel on [jobs] pool workers (default
-    {!Rd_util.Pool.default_jobs}); because every network is seeded from
-    its own spec, the result is byte-identical to a sequential
-    ([jobs = 1]) build, in net-id order. *)
-
 val build :
   ?only:int list -> ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t -> ?jobs:int ->
   ?faults:Rd_util.Fault.t -> ?limits:Rd_util.Limits.t ->
   master_seed:int -> unit -> network list
-(** {!build_results} for callers that need every network: when any
-    network failed, re-raise the lowest net id's exception with its
-    original backtrace ({!Rd_util.Pool.reraise}).  Every network is
-    attempted first, so which failure escapes never depends on the
-    schedule. *)
+(** Build the population (or the networks whose ids are in [only]):
+    every requested network flows through the full text pipeline
+    ({!build_network}) under {!supervise}, in parallel on [jobs] pool
+    workers (default {!Rd_util.Pool.default_jobs}); because every
+    network is seeded from its own spec, the result is byte-identical to
+    a sequential ([jobs = 1]) build, in net-id order.  When any network
+    failed, re-raise the lowest net id's exception with its original
+    backtrace ({!Rd_util.Pool.reraise}).  Every network is attempted
+    first, so which failure escapes never depends on the schedule.
+    Callers that want the surviving networks and per-network failure
+    rows instead run [Driver.sweep] with [Driver.study]. *)
 
 val partition : ('a, failure) result list -> 'a list * failure list
 (** Split into (survivors, failures), both order-preserving. *)
@@ -101,6 +93,3 @@ val render_failures : total:int -> failure list -> string
 val repository_sizes : master_seed:int -> count:int -> int list
 (** Synthetic sizes for the 2,400-network repository of Figure 8 (heavy-
     tailed, dominated by small networks). *)
-
-val total_routers : master_seed:int -> int
-(** Router count summed over the whole population (paper: 8,035 configs). *)

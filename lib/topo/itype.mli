@@ -46,8 +46,5 @@ val is_physical : t -> bool
 (** Whether interfaces of this type can terminate an inter-router link
     (excludes Loopback, Null, Virtual). *)
 
-val compare : t -> t -> int
-(** Table 3 display order, [Other] last (alphabetically within). *)
-
 val equal : t -> t -> bool
 (** Same interface type. *)

@@ -156,24 +156,6 @@ let external_interfaces t =
   Array.to_list t.ifaces
   |> List.filter (fun i -> facing_of t i.router i.if_index = External)
 
-let router_links t ri =
-  List.filter (fun l -> List.exists (fun e -> e.router = ri) l.endpoints) t.links
-
-let adjacency_pairs t =
-  let seen = Hashtbl.create 256 in
-  List.iter
-    (fun l ->
-      let routers = List.sort_uniq Int.compare (List.map (fun e -> e.router) l.endpoints) in
-      let rec pairs = function
-        | [] -> ()
-        | x :: rest ->
-          List.iter (fun y -> Hashtbl.replace seen (x, y) ()) rest;
-          pairs rest
-      in
-      pairs routers)
-    t.links;
-  Hashtbl.fold (fun k () acc -> k :: acc) seen []
-
 let interface_census t =
   let counts = Hashtbl.create 32 in
   Array.iter

@@ -48,13 +48,6 @@ val facing_of : t -> int -> int -> facing
 val external_interfaces : t -> iface list
 (** Interfaces classified external-facing (§5.2 heuristics). *)
 
-val router_links : t -> int -> link list
-(** Links with at least one endpoint on the given router. *)
-
-val adjacency_pairs : t -> (int * int) list
-(** Distinct unordered pairs of router indices connected by at least one
-    internal link. *)
-
 val interface_census : t -> (Itype.t * int) list
 (** Count of interfaces by type, ascending count (Table 3). *)
 

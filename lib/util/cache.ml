@@ -48,8 +48,6 @@ let create ?(capacity = 256) ~name () =
     invalidations = 0;
   }
 
-let name c = c.name
-
 let locked c f =
   Mutex.lock c.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock c.mutex) f

@@ -58,8 +58,6 @@ val create : ?capacity:int -> name:string -> unit -> 'a t
     table is cut to half capacity — so a capacity hit during a warm
     what-if sweep keeps the working set instead of discarding it. *)
 
-val name : 'a t -> string
-
 val find : ?metrics:Metrics.t -> 'a t -> key -> 'a option
 (** Probe the store.  Bumps [cache.<name>.hits] or
     [cache.<name>.misses]. *)

@@ -70,18 +70,6 @@ let check ~site t =
      | None -> ()
      | Some reason -> raise (Cancelled { site; reason }))
 
-let remaining t =
-  let rec tightest acc t =
-    let acc =
-      match (acc, t.expires) with
-      | None, e -> e
-      | (Some _ as a), None -> a
-      | Some a, Some e -> Some (Float.min a e)
-    in
-    match t.parent with None -> acc | Some p -> tightest acc p
-  in
-  Option.map (fun at -> at -. Unix.gettimeofday ()) (tightest None t)
-
 let site_of_exn = function Cancelled { site; _ } -> Some site | _ -> None
 
 let reason_of_exn = function Cancelled { reason; _ } -> Some reason | _ -> None

@@ -69,13 +69,6 @@ val check : site:string -> t option -> unit
     {!Fault.fault_point} and {!Limits.check} sites, and is what the
     failed-networks table reports. *)
 
-val remaining : t -> float option
-(** Seconds until the tightest deadline on the chain ([None] if no
-    deadline anywhere).  May be negative once expired. *)
-
-val reason_to_string : reason -> string
-(** ["deadline 2.5s exceeded"] / ["stopped: SIGINT"]. *)
-
 val site_of_exn : exn -> string option
 (** The poll site of a {!Cancelled} exception, [None] otherwise —
     composes with [Fault.site_of_exn] and [Limits.site_of_exn] in the

@@ -22,55 +22,30 @@ let eval t x =
     float_of_int (go 0 n) /. float_of_int n
   end
 
-let points t =
-  let n = Array.length t.sorted in
-  List.init n (fun i -> (t.sorted.(i), float_of_int (i + 1) /. float_of_int n))
-
-let render_grid ~width ~height ~xmin ~xmax series =
-  let buf = Buffer.create 1024 in
-  let grid = Array.make_matrix height width ' ' in
-  let plot_one mark samples =
-    let cdf = of_samples samples in
-    for col = 0 to width - 1 do
-      let x = xmin +. ((xmax -. xmin) *. float_of_int col /. float_of_int (width - 1)) in
-      let y = eval cdf x in
-      let row = height - 1 - int_of_float (y *. float_of_int (height - 1)) in
-      let row = max 0 (min (height - 1) row) in
-      if grid.(row).(col) = ' ' then grid.(row).(col) <- mark
-    done
-  in
-  let marks = [| '*'; '+'; 'o'; 'x'; '#' |] in
-  List.iteri (fun i (_, samples) -> plot_one marks.(i mod 5) samples) series;
-  Array.iteri
-    (fun r row ->
-      let frac = 1.0 -. (float_of_int r /. float_of_int (height - 1)) in
-      Buffer.add_string buf (Printf.sprintf "%4.2f |" frac);
-      Array.iter (Buffer.add_char buf) row;
-      Buffer.add_char buf '\n')
-    grid;
-  Buffer.add_string buf ("     +" ^ String.make width '-' ^ "\n");
-  Buffer.add_string buf (Printf.sprintf "      %-8.4g%s%8.4g\n" xmin (String.make (width - 16) ' ') xmax);
-  List.iteri
-    (fun i (name, _) ->
-      Buffer.add_string buf (Printf.sprintf "      [%c] %s\n" marks.(i mod 5) name))
-    series;
-  Buffer.contents buf
-
-let plot ?(width = 60) ?(height = 16) ?(x_label = "") t =
+let plot ?(x_label = "") t =
   if size t = 0 then "(empty cdf)\n"
   else begin
+    let width = 60 and height = 16 in
     let xmin = t.sorted.(0) and xmax = t.sorted.(size t - 1) in
     let xmax = if xmax = xmin then xmin +. 1.0 else xmax in
-    let series = [ ((if x_label = "" then "cdf" else x_label), Array.to_list t.sorted) ] in
-    render_grid ~width ~height ~xmin ~xmax series
+    let grid = Array.make_matrix height width ' ' in
+    for col = 0 to width - 1 do
+      let x = xmin +. ((xmax -. xmin) *. float_of_int col /. float_of_int (width - 1)) in
+      let row = height - 1 - int_of_float (eval t x *. float_of_int (height - 1)) in
+      grid.(max 0 (min (height - 1) row)).(col) <- '*'
+    done;
+    let buf = Buffer.create 1024 in
+    Array.iteri
+      (fun r row ->
+        let frac = 1.0 -. (float_of_int r /. float_of_int (height - 1)) in
+        Buffer.add_string buf (Printf.sprintf "%4.2f |" frac);
+        Array.iter (Buffer.add_char buf) row;
+        Buffer.add_char buf '\n')
+      grid;
+    Buffer.add_string buf ("     +" ^ String.make width '-' ^ "\n");
+    Buffer.add_string buf
+      (Printf.sprintf "      %-8.4g%s%8.4g\n" xmin (String.make (width - 16) ' ') xmax);
+    Buffer.add_string buf
+      (Printf.sprintf "      [*] %s\n" (if x_label = "" then "cdf" else x_label));
+    Buffer.contents buf
   end
-
-let plot_series ?(width = 60) ?(height = 16) series =
-  let all = List.concat_map snd series in
-  match all with
-  | [] -> "(empty cdf)\n"
-  | _ ->
-    let xmin = List.fold_left min (List.hd all) all in
-    let xmax = List.fold_left max (List.hd all) all in
-    let xmax = if xmax = xmin then xmin +. 1.0 else xmax in
-    render_grid ~width ~height ~xmin ~xmax series

@@ -14,16 +14,8 @@ val eval : t -> float -> float
 (** [eval t x] = fraction of samples [<= x], in [\[0,1\]]; 0 for an empty
     CDF. *)
 
-val points : t -> (float * float) list
-(** Sorted (value, cumulative fraction) step points. *)
-
 val size : t -> int
 (** Number of samples the CDF was built from. *)
 
-val plot : ?width:int -> ?height:int -> ?x_label:string -> t -> string
-(** ASCII art rendering of the CDF curve. *)
-
-val plot_series :
-  ?width:int -> ?height:int -> (string * float list) list -> string
-(** Render several named series' CDFs on one set of axes, one mark per
-    series. *)
+val plot : ?x_label:string -> t -> string
+(** ASCII art rendering of the CDF curve, 60 columns by 16 rows. *)

@@ -16,9 +16,6 @@ type t =
 
 val to_string : t -> string
 
-val to_channel : out_channel -> t -> unit
-(** Writes the value followed by a newline. *)
-
 val to_file : string -> t -> unit
 (** Writes (truncating) to [path], value followed by a newline. *)
 

@@ -117,27 +117,3 @@ let min_vertex_cut_set ~n ~edges ~sources ~sinks =
     if reach.(2 * v) && not reach.((2 * v) + 1) then cut := v :: !cut
   done;
   (value, List.rev !cut)
-
-let min_vertex_cut ~n ~edges ~source ~sink =
-  let adjacent =
-    List.exists (fun (u, v) -> (u = source && v = sink) || (u = sink && v = source)) edges
-  in
-  if adjacent then None
-  else begin
-    (* Node splitting: vertex v becomes v_in = 2v, v_out = 2v+1 with an
-       internal edge of capacity 1 (infinite for source/sink).  Each
-       undirected edge (u,v) becomes u_out->v_in and v_out->u_in with
-       infinite capacity. *)
-    let inf = n + 1 in
-    let g = create (2 * n) in
-    for v = 0 to n - 1 do
-      let cap = if v = source || v = sink then inf else 1 in
-      add_edge g (2 * v) ((2 * v) + 1) cap
-    done;
-    List.iter
-      (fun (u, v) ->
-        add_edge g ((2 * u) + 1) (2 * v) inf;
-        add_edge g ((2 * v) + 1) (2 * u) inf)
-      edges;
-    Some (max_flow g ~source:((2 * source) + 1) ~sink:(2 * sink))
-  end

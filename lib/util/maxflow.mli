@@ -18,14 +18,6 @@ val max_flow : t -> source:int -> sink:int -> int
 (** Value of a maximum [source]->[sink] flow.  Destructive: consume the
     network once. *)
 
-val min_vertex_cut :
-  n:int -> edges:(int * int) list -> source:int -> sink:int -> int option
-(** [min_vertex_cut ~n ~edges ~source ~sink] is the minimum number of
-    vertices (excluding [source] and [sink]) whose removal disconnects
-    [sink] from [source] in the undirected graph given by [edges].
-    [None] when [source] and [sink] are directly adjacent (no finite
-    vertex cut separates adjacent vertices). *)
-
 val min_vertex_cut_set :
   n:int ->
   edges:(int * int) list ->

@@ -199,5 +199,3 @@ let to_json t =
       ("gauges", Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) s.gauges));
       ("histograms", Json.Obj (List.map (fun (n, h) -> (n, histo_json h)) s.histograms));
     ]
-
-let reset t = Mutex.protect t.mutex (fun () -> Hashtbl.reset t.cells)

@@ -69,6 +69,3 @@ val to_json : t -> Json.t
 (** [{"counters": {...}, "gauges": {...}, "histograms": {...}}]; each
     histogram carries its full bucket list as [{"le": bound, "n": count}]
     rows, with [le = null] for the overflow bucket. *)
-
-val reset : t -> unit
-(** Forget every metric (names, kinds, and bucket boundaries included). *)

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 output function: mix the advanced counter. *)
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -13,8 +11,6 @@ let bits64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let split t = { state = bits64 t }
 
 (* Non-negative 61-bit int from the top bits; 2^61 stays well inside
    OCaml's 63-bit native int range. *)
@@ -50,17 +46,6 @@ let bernoulli t p = float t 1.0 < p
 let choice t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))
-
-(* Single traversal (Array.of_list) instead of List.length + List.nth;
-   the PRNG draw is unchanged so streams stay bit-identical.  Hot loops
-   that draw repeatedly from a fixed set should hoist an array and use
-   [choice]. *)
-let choice_list t l =
-  match l with
-  | [] -> invalid_arg "Prng.choice_list: empty list"
-  | _ ->
-    let a = Array.of_list l in
-    a.(int t (Array.length a))
 
 let weighted t choices =
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 choices in

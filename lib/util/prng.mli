@@ -11,13 +11,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)
 
-val copy : t -> t
-(** [copy t] duplicates the state; the copy evolves independently. *)
-
-val split : t -> t
-(** [split t] derives a new, statistically independent generator and
-    advances [t].  Use to give sub-tasks their own streams. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -39,9 +32,6 @@ val bernoulli : t -> float -> bool
 
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val choice_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
 
 val weighted : t -> (float * 'a) list -> 'a
 (** [weighted t choices] picks proportionally to the non-negative weights.

@@ -19,14 +19,6 @@ let percentile p = function
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
     a.(max 0 (min (n - 1) (rank - 1)))
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let var = mean (List.map (fun x -> (x -. m) ** 2.0) xs) in
-    sqrt var
-
 let floats = List.map float_of_int
 
 let imean xs = mean (floats xs)

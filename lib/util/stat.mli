@@ -10,9 +10,6 @@ val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [\[0,100\]], nearest-rank on the sorted
     sample; 0 on the empty list. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0 on lists shorter than 2. *)
-
 val imean : int list -> float
 (** {!mean} over integer samples. *)
 

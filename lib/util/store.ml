@@ -45,8 +45,6 @@ let open_dir ?metrics dir =
     seq = Atomic.make 0;
   }
 
-let dir t = t.dir
-
 let counted t what =
   Mutex.protect t.mutex (fun () ->
       match what with
@@ -102,8 +100,6 @@ let find t k =
   | `Corrupt ->
     counted t `Corrupt;
     None
-
-let mem t k = Option.is_some (find t k)
 
 let add t k payload =
   let tmp =

@@ -30,14 +30,8 @@ val open_dir : ?metrics:Metrics.t -> string -> t
     Raises [Sys_error] only when the directory cannot be created at
     all — after that, per-entry problems never escape. *)
 
-val dir : t -> string
-(** The backing directory. *)
-
 val find : t -> key -> string option
 (** Verified payload of an entry, [None] on absent/corrupt/truncated. *)
-
-val mem : t -> key -> bool
-(** Does a verified entry exist?  (Reads and checks the frame.) *)
 
 val add : t -> key -> string -> unit
 (** Durably persist a payload under a key (write-temp-fsync-rename).

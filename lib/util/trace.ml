@@ -116,20 +116,6 @@ let span ?cat ?args t name f =
     let h = begin_span ?cat ?args t name in
     Fun.protect ~finally:(fun () -> end_span h) f
 
-let span_with ?cat ?args t name post f =
-  match t with
-  | None -> f ()
-  | Some _ -> (
-    let h = begin_span ?cat ?args t name in
-    match f () with
-    | v ->
-      end_span ~args:(post v) h;
-      v
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      end_span h;
-      Printexc.raise_with_backtrace e bt)
-
 let spans t =
   flush_from (local t) t;
   let merged = Mutex.protect t.mutex (fun () -> t.merged) in
@@ -199,8 +185,3 @@ let to_json t =
   Json.Obj [ ("traceEvents", Json.List events); ("displayTimeUnit", Json.String "ms") ]
 
 let to_file t path = Json.to_file path (to_json t)
-
-let reset t =
-  let l = local t in
-  l.buf <- [];
-  Mutex.protect t.mutex (fun () -> t.merged <- [])

@@ -73,14 +73,6 @@ val span : ?cat:string -> ?args:(string * value) list -> t option -> string -> (
 (** [span t name f] runs [f] inside a span, closing it even when [f]
     raises.  [span None name f] is exactly [f ()]. *)
 
-val span_with :
-  ?cat:string ->
-  ?args:(string * value) list ->
-  t option -> string -> ('a -> (string * value) list) -> (unit -> 'a) -> 'a
-(** [span_with t name post f] is {!span}, but on success attaches
-    [post result] as additional attributes — for sizes and counts that
-    are only known once the stage has run. *)
-
 val flush_current_domain : unit -> unit
 (** Merge the calling domain's buffered spans (for every recorder it has
     touched) into the shared recorders.  {!Pool} workers call this as
@@ -109,7 +101,3 @@ val to_json : t -> Json.t
 
 val to_file : t -> string -> unit
 (** Write {!to_json} to a file. *)
-
-val reset : t -> unit
-(** Drop all merged spans and the calling domain's buffer.  Only call
-    between runs, after every pool has shut down. *)

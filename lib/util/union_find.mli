@@ -16,11 +16,5 @@ val find : t -> int -> int
 val union : t -> int -> int -> unit
 (** Merge two sets.  No-op if already together. *)
 
-val same : t -> int -> int -> bool
-(** [same t a b] iff [a] and [b] are currently in one set. *)
-
-val count : t -> int
-(** Number of distinct sets. *)
-
 val groups : t -> (int, int list) Hashtbl.t
 (** Map from representative to the members of its set. *)

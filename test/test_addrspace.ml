@@ -81,13 +81,6 @@ let test_blocks_cover_subnets () =
       check_int (Prefix.to_string s ^ " covered once") 1 (List.length covering))
     subnets
 
-let test_block_of () =
-  let blocks = Rd_addrspace.Blocks.discover [ pfx "10.0.0.0/24" ] in
-  check_bool "hit" true
-    (Rd_addrspace.Blocks.block_of blocks (Ipv4.of_string_exn "10.0.0.7") <> None);
-  check_bool "miss" true
-    (Rd_addrspace.Blocks.block_of blocks (Ipv4.of_string_exn "11.0.0.7") = None)
-
 let test_subnets_of_configs () =
   let c =
     Rd_config.Parser.parse
@@ -148,7 +141,6 @@ let () =
           Alcotest.test_case "threshold sweep" `Quick test_discover_threshold;
           Alcotest.test_case "empty and duplicates" `Quick test_discover_empty_and_dup;
           Alcotest.test_case "blocks cover subnets" `Quick test_blocks_cover_subnets;
-          Alcotest.test_case "block_of" `Quick test_block_of;
           Alcotest.test_case "subnets of configs" `Quick test_subnets_of_configs;
           Alcotest.test_case "missing-router heuristic" `Quick test_missing_router_heuristic;
           Alcotest.test_case "render" `Quick test_render;

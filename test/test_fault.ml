@@ -24,6 +24,15 @@ let spec_of id =
 
 let files_of id = Rd_study.Population.generate_one (spec_of id)
 
+(* The supervised study sweep on two workers: the path [rdna study -j 2]
+   runs. *)
+let study_sweep ?metrics ?faults ?retries only =
+  Rd_study.Driver.sweep ~jobs:2 ?metrics ?faults ?retries ~only ~master_seed:seed
+    (Rd_study.Driver.study ?metrics ~jobs:2 ?faults ())
+
+(* the networks a sweep built in-process *)
+let networks items = List.filter_map (fun (i : Rd_study.Driver.study_item) -> i.network) items
+
 let diag_codes (a : Rd_core.Analysis.t) =
   List.map (fun (d : Rd_config.Diag.t) -> d.code) a.diags
 
@@ -208,10 +217,9 @@ let test_study_degrades_one_network () =
   let metrics = Metrics.create () in
   let faults = plan "seed=5;study.network:raise:key=net4" in
   Fault.set_metrics faults (Some metrics);
-  let results =
-    Rd_study.Population.build_results ~only ~jobs:2 ~metrics ~faults ~master_seed:seed ()
-  in
-  let survivors, failures = Rd_study.Population.partition results in
+  let results = study_sweep ~metrics ~faults only in
+  let items, failures = Rd_study.Population.partition results in
+  let survivors = networks items in
   check_int "two survivors" 2 (List.length survivors);
   check_int "one failure" 1 (List.length failures);
   let f = List.hd failures in
@@ -239,24 +247,17 @@ let test_study_retry_recovers_network () =
   (* max=1: the network fails once, the retry succeeds, nothing degrades *)
   let metrics = Metrics.create () in
   let faults = plan "seed=6;study.network:raise:key=net3:max=1" in
-  let results =
-    Rd_study.Population.build_results ~only:[ 3 ] ~jobs:2 ~metrics ~faults ~retries:1
-      ~master_seed:seed ()
-  in
-  let survivors, failures = Rd_study.Population.partition results in
+  let results = study_sweep ~metrics ~faults ~retries:1 [ 3 ] in
+  let items, failures = Rd_study.Population.partition results in
   check_int "no failures after retry" 0 (List.length failures);
-  check_int "network recovered" 1 (List.length survivors);
+  check_int "network recovered" 1 (List.length (networks items));
   check_bool "task.retried counted" true
     (Metrics.counter_value metrics "task.retried" = Some 1)
 
 let test_failure_report_matches_golden () =
   (* the failed-network report for the CI chaos smoke scenario matches
      the checked-in golden file byte for byte *)
-  let results =
-    Rd_study.Population.build_results ~only:[ 3; 4; 8 ] ~jobs:2
-      ~faults:(plan "seed=5;study.network:raise:key=net4")
-      ~master_seed:seed ()
-  in
+  let results = study_sweep ~faults:(plan "seed=5;study.network:raise:key=net4") [ 3; 4; 8 ] in
   let _, failures = Rd_study.Population.partition results in
   let report = Rd_study.Population.render_failures ~total:(List.length results) failures in
   (* cwd is the test dir under `dune runtest`, the repo root under

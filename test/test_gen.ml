@@ -72,7 +72,7 @@ let test_device_interface_naming () =
   Alcotest.(check string) "fifth rolls slot" "Serial1/0" !n5;
   let l = Rd_gen.Device.add_interface d ~kind:"Loopback" () in
   Alcotest.(check string) "loopback flat" "Loopback0" l;
-  check_int "count" 6 (Rd_gen.Device.interface_count d)
+  check_int "count" 6 (List.length (Rd_gen.Device.to_ast d).interfaces)
 
 let test_device_process_update () =
   let d = Rd_gen.Device.create "r" in

@@ -43,75 +43,6 @@ let test_acl_implicit_deny () =
   check_bool "implicit deny" true (Rd_policy.Acl.eval_addr acl (ip "11.0.0.0") = Ast.Deny);
   check_bool "empty denies" true (Rd_policy.Acl.eval_addr (mk_std "3" []) (ip "1.1.1.1") = Ast.Deny)
 
-let test_acl_packet_eval () =
-  let acl =
-    {
-      Ast.acl_name = "110";
-      extended = true;
-      clauses =
-        [
-          {
-            Ast.clause_action = Ast.Deny;
-            src = Wildcard.any;
-            ip_proto = Some "tcp";
-            dst = Some Wildcard.any;
-            src_port = None;
-            dst_port = Some (Ast.Port_eq 23);
-          };
-          {
-            Ast.clause_action = Ast.Deny;
-            src = Wildcard.any;
-            ip_proto = Some "pim";
-            dst = Some Wildcard.any;
-            src_port = None;
-            dst_port = None;
-          };
-          {
-            Ast.clause_action = Ast.Permit;
-            src = Wildcard.any;
-            ip_proto = Some "ip";
-            dst = Some Wildcard.any;
-            src_port = None;
-            dst_port = None;
-          };
-        ];
-    }
-  in
-  let eval ?proto ?dst_port () =
-    Rd_policy.Acl.eval_packet acl ~src:(ip "1.1.1.1") ~dst:(ip "2.2.2.2") ?proto ?dst_port ()
-  in
-  check_bool "telnet denied" true (eval ~proto:"tcp" ~dst_port:23 () = Ast.Deny);
-  check_bool "http permitted" true (eval ~proto:"tcp" ~dst_port:80 () = Ast.Permit);
-  check_bool "pim denied" true (eval ~proto:"pim" () = Ast.Deny);
-  check_bool "udp permitted" true (eval ~proto:"udp" () = Ast.Permit)
-
-(* port matching edge cases exercised through eval_packet *)
-let test_acl_port_matchers () =
-  let clause pm =
-    {
-      Ast.clause_action = Ast.Permit;
-      src = Wildcard.any;
-      ip_proto = Some "tcp";
-      dst = Some Wildcard.any;
-      src_port = None;
-      dst_port = Some pm;
-    }
-  in
-  let acl pm = { Ast.acl_name = "t"; extended = true; clauses = [ clause pm ] } in
-  let hits pm port =
-    Rd_policy.Acl.eval_packet (acl pm) ~src:(ip "1.1.1.1") ~dst:(ip "2.2.2.2") ~proto:"tcp"
-      ~dst_port:port ()
-    = Ast.Permit
-  in
-  check_bool "eq hit" true (hits (Ast.Port_eq 80) 80);
-  check_bool "eq miss" false (hits (Ast.Port_eq 80) 81);
-  check_bool "gt" true (hits (Ast.Port_gt 1023) 2000);
-  check_bool "gt miss" false (hits (Ast.Port_gt 1023) 1023);
-  check_bool "lt" true (hits (Ast.Port_lt 1024) 80);
-  check_bool "range lo" true (hits (Ast.Port_range (10, 20)) 10);
-  check_bool "range hi" true (hits (Ast.Port_range (10, 20)) 20);
-  check_bool "range miss" false (hits (Ast.Port_range (10, 20)) 21)
-
 let test_acl_permitted_set () =
   let acl =
     mk_std "5" [ (Ast.Deny, "10.1.0.0/16"); (Ast.Permit, "10.0.0.0/8") ]
@@ -420,9 +351,7 @@ let test_route_filter () =
     Rd_policy.Route_filter.apply f (Prefix_set.of_prefixes [ pfx "10.1.0.0/16"; pfx "11.0.0.0/8" ])
   in
   check_bool "apply keeps" true (Prefix_set.mem (ip "10.1.0.0") applied);
-  check_bool "apply drops" false (Prefix_set.mem (ip "11.0.0.0") applied);
-  check_bool "dlists conj" true
-    (Rd_policy.Route_filter.permits (Rd_policy.Route_filter.of_dlists [ acl ]) (pfx "10.0.0.0/8"))
+  check_bool "apply drops" false (Prefix_set.mem (ip "11.0.0.0") applied)
 
 (* ------------------------------------------------------------ prefix_list --- *)
 
@@ -569,8 +498,6 @@ let () =
         [
           Alcotest.test_case "first match" `Quick test_acl_first_match;
           Alcotest.test_case "implicit deny" `Quick test_acl_implicit_deny;
-          Alcotest.test_case "packet evaluation" `Quick test_acl_packet_eval;
-          Alcotest.test_case "port matchers" `Quick test_acl_port_matchers;
           Alcotest.test_case "permitted set" `Quick test_acl_permitted_set;
           Alcotest.test_case "non-contiguous wildcard set" `Quick test_acl_noncontiguous_wildcard;
           Alcotest.test_case "wildcard over-approximation" `Quick test_acl_wildcard_over_approx;

@@ -15,7 +15,8 @@ let population = lazy (Rd_study.Population.build ~master_seed:seed ())
 
 let test_population_shape () =
   check_int "31 networks" 31 (List.length specs);
-  check_int "8035 routers" 8035 (Rd_study.Population.total_routers ~master_seed:seed)
+  check_int "8035 routers" 8035
+    (List.fold_left (fun acc (s : Rd_study.Population.spec) -> acc + s.n) 0 specs)
 
 let test_population_case_studies () =
   let net5 = List.find (fun (s : Rd_study.Population.spec) -> s.net_id = 5) specs in
@@ -264,9 +265,13 @@ let test_degraded_full_study () =
     | Ok f -> f
     | Error e -> Alcotest.failf "fault spec: %s" e
   in
-  let results = Rd_study.Population.build_results ~metrics ~faults ~master_seed:seed () in
+  let results =
+    Rd_study.Driver.sweep ~metrics ~faults ~master_seed:seed
+      (Rd_study.Driver.study ~metrics ~faults ())
+  in
   check_int "31 results" 31 (List.length results);
-  let survivors, failures = Rd_study.Population.partition results in
+  let items, failures = Rd_study.Population.partition results in
+  let survivors = List.filter_map (fun (i : Rd_study.Driver.study_item) -> i.network) items in
   check_int "30 survivors" 30 (List.length survivors);
   (match failures with
    | [ f ] ->

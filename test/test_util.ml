@@ -41,16 +41,6 @@ let test_prng_int_uniformish () =
         (c > (n / 10) - 400 && c < (n / 10) + 400))
     counts
 
-let test_prng_split_independent () =
-  let rng = Prng.create 3 in
-  let s = Prng.split rng in
-  (* split stream differs from parent's continuation *)
-  let differs = ref false in
-  for _ = 1 to 10 do
-    if Prng.bits64 s <> Prng.bits64 rng then differs := true
-  done;
-  check_bool "split independent" true !differs
-
 let test_prng_helpers () =
   let rng = Prng.create 5 in
   check_bool "bernoulli 0" false (Prng.bernoulli rng 0.0);
@@ -237,9 +227,7 @@ let test_trace_nesting () =
      check_bool "nonnegative" true (inner_s >= 0.0)
    | sts -> Alcotest.failf "unexpected stage table: %d entries" (List.length sts));
   check_bool "total sums" true (Trace.total t >= 0.0);
-  check_bool "render has stages" true (String.length (Trace.render_stages t) > 0);
-  Trace.reset t;
-  check_int "reset clears" 0 (List.length (Trace.spans t))
+  check_bool "render has stages" true (String.length (Trace.render_stages t) > 0)
 
 let test_trace_exception_safe () =
   let t = Trace.create () in
@@ -250,7 +238,6 @@ let test_trace_exception_safe () =
 
 let test_trace_none_is_noop () =
   check_int "span on None" 7 (Trace.span None "x" (fun () -> 7));
-  check_int "span_with on None" 8 (Trace.span_with None "x" (fun _ -> []) (fun () -> 8));
   Trace.end_span (Trace.begin_span None "y")
 
 let test_trace_merge_at_join () =
@@ -316,9 +303,7 @@ let test_metrics_counters_gauges () =
   (* None registry is a no-op *)
   Metrics.incr None "x";
   Metrics.set None "x" 0.0;
-  Metrics.observe None "x" 0.0;
-  Metrics.reset m;
-  check_bool "reset forgets" true (Metrics.counter_value m "a.count" = None)
+  Metrics.observe None "x" 0.0
 
 let test_metrics_histogram_bucketing () =
   let m = Metrics.create () in
@@ -467,16 +452,19 @@ let test_sha1_prf () =
 
 (* --------------------------------------------------------- Union_find --- *)
 
+let uf_same uf a b = Union_find.find uf a = Union_find.find uf b
+let uf_sets uf n = List.length (List.sort_uniq compare (List.init n (Union_find.find uf)))
+
 let test_uf_basic () =
   let uf = Union_find.create 10 in
-  check_int "initial sets" 10 (Union_find.count uf);
+  check_int "initial sets" 10 (uf_sets uf 10);
   Union_find.union uf 0 1;
   Union_find.union uf 1 2;
-  check_bool "same" true (Union_find.same uf 0 2);
-  check_bool "not same" false (Union_find.same uf 0 3);
-  check_int "sets after" 8 (Union_find.count uf);
+  check_bool "same" true (uf_same uf 0 2);
+  check_bool "not same" false (uf_same uf 0 3);
+  check_int "sets after" 8 (uf_sets uf 10);
   Union_find.union uf 0 2;
-  check_int "idempotent union" 8 (Union_find.count uf)
+  check_int "idempotent union" 8 (uf_sets uf 10)
 
 let test_uf_groups () =
   let uf = Union_find.create 6 in
@@ -498,13 +486,8 @@ let prop_uf_transitive =
     (fun unions ->
       let uf = Union_find.create 20 in
       List.iter (fun (a, b) -> Union_find.union uf a b) unions;
-      (* reflexive closure check: same is an equivalence *)
-      List.for_all
-        (fun (a, b) -> Union_find.same uf a b)
-        unions
-      &&
-      let reps = List.init 20 (fun i -> Union_find.find uf i) in
-      List.length (List.sort_uniq compare reps) = Union_find.count uf)
+      (* every union joins its pair, through any chain of unions *)
+      List.for_all (fun (a, b) -> uf_same uf a b) unions)
 
 (* ------------------------------------------------------------ Maxflow --- *)
 
@@ -522,15 +505,6 @@ let test_maxflow_disconnected () =
   Maxflow.add_edge g 0 1 5;
   Maxflow.add_edge g 2 3 5;
   check_int "no path" 0 (Maxflow.max_flow g ~source:0 ~sink:3)
-
-let test_min_vertex_cut () =
-  (* diamond: 0 - {1,2} - 3: removing both middles disconnects *)
-  let edges = [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
-  (match Maxflow.min_vertex_cut ~n:4 ~edges ~source:0 ~sink:3 with
-   | Some k -> check_int "diamond cut" 2 k
-   | None -> Alcotest.fail "unexpected adjacency");
-  (* adjacent source and sink: no finite cut *)
-  check_bool "adjacent" true (Maxflow.min_vertex_cut ~n:2 ~edges:[ (0, 1) ] ~source:0 ~sink:1 = None)
 
 let test_min_vertex_cut_set () =
   (* two cliques joined through routers 4 and 5; several minimising sets
@@ -641,7 +615,6 @@ let test_stat () =
   check_bool "p1" true (Stat.percentile 1.0 [ 1.0; 9.0; 5.0 ] = 1.0);
   check_int "imin" 1 (Stat.imin [ 3; 1; 2 ]);
   check_int "imax" 3 (Stat.imax [ 3; 1; 2 ]);
-  check_bool "stddev const" true (Stat.stddev [ 4.0; 4.0; 4.0 ] = 0.0);
   let h = Stat.histogram ~edges:[ 10.0; 20.0 ] [ 5.0; 10.0; 15.0; 25.0 ] in
   Alcotest.(check (array int)) "histogram" [| 2; 1; 1 |] h
 
@@ -653,12 +626,9 @@ let test_cdf () =
   check_bool "eval below" true (Cdf.eval c 0.5 = 0.0);
   check_bool "eval above" true (Cdf.eval c 10.0 = 1.0);
   check_int "size" 4 (Cdf.size c);
-  check_int "points" 4 (List.length (Cdf.points c));
   check_bool "empty" true (Cdf.eval (Cdf.of_samples []) 1.0 = 0.0);
   (* plots render without exceptions and contain axes *)
-  check_bool "plot nonempty" true (String.length (Cdf.plot c) > 0);
-  check_bool "series plot" true
-    (String.length (Cdf.plot_series [ ("a", [ 1.0; 2.0 ]); ("b", [ 3.0 ]) ]) > 0)
+  check_bool "plot nonempty" true (String.length (Cdf.plot c) > 0)
 
 (* -------------------------------------------------------------- Table --- *)
 
@@ -816,17 +786,11 @@ let test_cancel_latch_and_check () =
 let test_cancel_deadline_expires () =
   let t = Cancel.create ~deadline:0.05 () in
   check_bool "live before expiry" false (Cancel.cancelled (Some t));
-  (match Cancel.remaining t with
-   | Some r -> check_bool "remaining positive" true (r > 0.0 && r <= 0.05)
-   | None -> Alcotest.fail "deadline must report remaining");
   wait_until (Trace.now () +. 0.06);
   check_bool "expired" true (Cancel.cancelled (Some t));
-  (match Cancel.status t with
-   | Some (Cancel.Deadline b) -> check_bool "budget recorded" true (b > 0.0)
-   | _ -> Alcotest.fail "expected Deadline");
-  match Cancel.remaining t with
-  | Some r -> check_bool "negative once expired" true (r <= 0.0)
-  | None -> Alcotest.fail "deadline must keep reporting remaining"
+  match Cancel.status t with
+  | Some (Cancel.Deadline b) -> check_bool "budget recorded" true (b > 0.0)
+  | _ -> Alcotest.fail "expected Deadline"
 
 let test_cancel_child_inherits () =
   (* parent cancellation reaches the child; child cancellation stays local *)
@@ -842,9 +806,6 @@ let test_cancel_child_inherits () =
   (* the child's effective deadline is the tighter of child and parent *)
   let p3 = Cancel.create ~deadline:60.0 () in
   let c3 = Cancel.child ~deadline:0.05 p3 in
-  (match Cancel.remaining c3 with
-   | Some r -> check_bool "tighter child budget wins" true (r <= 0.05)
-   | None -> Alcotest.fail "child must have a deadline");
   wait_until (Trace.now () +. 0.06);
   check_bool "child expired" true (Cancel.cancelled (Some c3));
   check_bool "parent still live" false (Cancel.cancelled (Some p3))
@@ -857,7 +818,6 @@ let test_cancel_task_token () =
   (match Cancel.task (Some run) with
    | None -> Alcotest.fail "a run token must yield a task token"
    | Some t ->
-     check_bool "no deadline of its own" true (Cancel.remaining t = None);
      Cancel.cancel ~reason:"SIGINT" run;
      check_bool "run stop reaches the task" true (Cancel.cancelled (Some t)));
   (* the timeout trips the task alone *)
@@ -871,11 +831,7 @@ let test_cancel_task_token () =
   (* a timeout without a run token still bounds the task *)
   match Cancel.task ~timeout:60.0 None with
   | None -> Alcotest.fail "a timeout must yield a task token"
-  | Some t -> (
-    check_bool "live" false (Cancel.cancelled (Some t));
-    match Cancel.remaining t with
-    | Some r -> check_bool "budget from the timeout" true (r <= 60.0 && r > 0.0)
-    | None -> Alcotest.fail "the timeout must set a deadline")
+  | Some t -> check_bool "live" false (Cancel.cancelled (Some t))
 
 (* -------------------------------------------------------------- Store --- *)
 
@@ -899,11 +855,10 @@ let test_store_roundtrip () =
   let s = Store.open_dir dir in
   let k = store_key "a" in
   check_bool "absent" true (Store.find s k = None);
-  check_bool "not mem" false (Store.mem s k);
   let payload = "binary \x00 payload\nwith newlines" in
   Store.add s k payload;
   check_bool "found verbatim" true (Store.find s k = Some payload);
-  check_bool "mem" true (Store.mem s k);
+  check_bool "other key absent" true (Store.find s (store_key "b") = None);
   (* overwrite is atomic and wins *)
   Store.add s k "second";
   check_bool "overwritten" true (Store.find s k = Some "second");
@@ -1082,7 +1037,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "int ranges" `Quick test_prng_int_range;
           Alcotest.test_case "roughly uniform" `Quick test_prng_int_uniformish;
-          Alcotest.test_case "split" `Quick test_prng_split_independent;
           Alcotest.test_case "helpers" `Quick test_prng_helpers;
           Alcotest.test_case "shuffle is permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "pareto" `Quick test_prng_pareto;
@@ -1153,7 +1107,6 @@ let () =
       ( "maxflow",
         Alcotest.test_case "simple network" `Quick test_maxflow_simple
         :: Alcotest.test_case "disconnected" `Quick test_maxflow_disconnected
-        :: Alcotest.test_case "min vertex cut" `Quick test_min_vertex_cut
         :: Alcotest.test_case "cut set" `Quick test_min_vertex_cut_set
         :: Alcotest.test_case "shared source/sink member" `Quick test_min_vertex_cut_shared_member
         :: qc [ prop_mincut_vs_bruteforce ] );
