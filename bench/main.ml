@@ -34,18 +34,19 @@ let () =
     master_seed;
   let find id = List.find (fun (n : Rd_study.Population.network) -> n.spec.net_id = id) nets in
   let net5 = find 5 and net15 = find 15 in
+  let stats = List.map Rd_study.Netstat.of_network nets in
   section "Figure 4";
   print_string (Rd_study.Experiments.fig4 net5);
   section "Figure 8";
   print_string (Rd_study.Experiments.fig8 ~master_seed nets);
   section "Table 1";
-  print_string (Rd_study.Experiments.table1 nets);
+  print_string (Rd_study.Experiments.table1_stats stats);
   section "Table 3";
-  print_string (Rd_study.Experiments.table3 nets);
+  print_string (Rd_study.Experiments.table3_stats stats);
   section "Figure 11";
-  print_string (Rd_study.Experiments.fig11 nets);
+  print_string (Rd_study.Experiments.fig11_stats stats);
   section "Section 7";
-  print_string (Rd_study.Experiments.sec7 nets);
+  print_string (Rd_study.Experiments.sec7_stats stats);
   section "net5 case study (Figures 9 and 10)";
   print_string (Rd_study.Experiments.net5_case net5);
   section "net15 case study (Figure 12 and Table 2)";

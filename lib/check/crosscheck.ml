@@ -245,21 +245,7 @@ let remove_router_monotone ?limits ?cancel (a : Analysis.t) ~r0 =
       Rd_reach.Reachability.compute ?limits ?cancel ~external_offers:Prefix_set.empty
         after.graph
     in
-    let hosts = Whatif.sample_hosts rb in
-    let gained =
-      List.concat_map
-        (fun src ->
-          List.filter_map
-            (fun dst ->
-              if
-                (not (Ipv4.equal src dst))
-                && Rd_reach.Reachability.can_reach ra ~src ~dst
-                && not (Rd_reach.Reachability.can_reach rb ~src ~dst)
-              then Some (src, dst)
-              else None)
-            hosts)
-        hosts
-    in
+    let gained = Whatif.lost_pairs (Whatif.sample_hosts rb) ra rb in
     Ok
       (List.map
          (fun (src, dst) ->
@@ -550,70 +536,53 @@ let report_to_json (r : report) =
    read as a miss, never crash a resume). *)
 let report_of_json j =
   let open Rd_util.Json in
-  let str = function Some (String s) -> Some s | _ -> None in
-  let int = function Some (Int i) -> Some i | _ -> None in
-  let bool = function Some (Bool b) -> Some b | _ -> None in
-  let list = function Some (List l) -> Some l | _ -> None in
-  let all_or_none xs = if List.exists Option.is_none xs then None else Some (List.map Option.get xs) in
-  let severity_of_string = function
+  let ( let* ) = Option.bind in
+  let str = function String s -> Some s | _ -> None in
+  let int = function Int i -> Some i | _ -> None in
+  let bool = function Bool b -> Some b | _ -> None in
+  let list_of f = function
+    | List l ->
+      List.fold_right
+        (fun x acc ->
+          let* acc = acc in
+          let* x = f x in
+          Some (x :: acc))
+        l (Some [])
+    | _ -> None
+  in
+  let field k f j =
+    let* v = member k j in
+    f v
+  in
+  let severity v =
+    let* s = str v in
+    match s with
     | "error" -> Some Diag.Error
     | "warning" -> Some Diag.Warning
     | "info" -> Some Diag.Info
     | _ -> None
   in
   let violation v =
-    match
-      ( Option.bind (str (member "severity" v)) severity_of_string,
-        str (member "invariant" v),
-        str (member "subject" v),
-        str (member "detail" v) )
-    with
-    | Some severity, Some invariant, Some subject, Some detail ->
-      Some { severity; invariant; subject; detail }
-    | _ -> None
+    let* severity = field "severity" severity v in
+    let* invariant = field "invariant" str v in
+    let* subject = field "subject" str v in
+    let* detail = field "detail" str v in
+    Some { severity; invariant; subject; detail }
   in
   let skip s =
-    match (str (member "invariant" s), str (member "reason" s)) with
-    | Some inv, Some reason -> Some (inv, reason)
-    | _ -> None
+    let* inv = field "invariant" str s in
+    let* reason = field "reason" str s in
+    Some (inv, reason)
   in
-  match
-    ( str (member "network" j),
-      int (member "routers" j),
-      int (member "instances" j),
-      bool (member "converged" j),
-      bool (member "approx" j) )
-  with
-  | Some network, Some routers, Some instances, Some converged, Some approx ->
-    Option.bind
-      (list (member "checked" j))
-      (fun checked ->
-        Option.bind
-          (all_or_none (List.map (fun c -> str (Some c)) checked))
-          (fun checked ->
-            Option.bind
-              (list (member "skipped" j))
-              (fun skipped ->
-                Option.bind
-                  (all_or_none (List.map skip skipped))
-                  (fun skipped ->
-                    Option.bind
-                      (list (member "violations" j))
-                      (fun violations ->
-                        Option.map
-                          (fun violations ->
-                            {
-                              network;
-                              routers;
-                              instances;
-                              converged;
-                              approx;
-                              checked;
-                              skipped;
-                              violations;
-                            })
-                          (all_or_none (List.map violation violations)))))))
-  | _ -> None
+  let* network = field "network" str j in
+  let* routers = field "routers" int j in
+  let* instances = field "instances" int j in
+  let* converged = field "converged" bool j in
+  let* approx = field "approx" bool j in
+  let* checked = field "checked" (list_of str) j in
+  let* skipped = field "skipped" (list_of skip) j in
+  let* violations = field "violations" (list_of violation) j in
+  Some { network; routers; instances; converged; approx; checked; skipped; violations }
 
 let to_json reports =
   let open Rd_util.Json in

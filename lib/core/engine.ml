@@ -104,15 +104,10 @@ let run_scenario t net (scenario : Whatif.scenario) =
       [ Cache.hex net.key; Whatif.scenario_to_string scenario ]
   in
   let d = memo t t.whatifs dkey (fun () -> Whatif.apply net.analysis scenario.changes) in
+  (* Keyed by the scenario, so a repeated sweep probes the reach store. *)
   let ra =
-    (* The restart from [rb] is semantically identical to a from-scratch
-       compute of the scenario graph, so the result is addressable by the
-       scenario key alone. *)
-    memo t t.reaches
-      (reach_key ~of_key:dkey Prefix_set.empty)
-      (fun () ->
-        Rd_reach.Reachability.compute ?metrics:t.metrics ?cancel:t.cancel
-          ~external_offers:Prefix_set.empty ~previous:rb d.analysis.graph)
+    reachability ~external_offers:Prefix_set.empty t
+      { name = net.name; key = dkey; analysis = d.analysis }
   in
   let diff =
     Whatif.compare ~warnings:d.warnings ~reach_before:rb ~reach_after:ra

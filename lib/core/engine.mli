@@ -16,12 +16,10 @@
       by the network key and the external offer;
     - what-if deltas, keyed by the network key and the scenario text.
 
-    On top of the caches, {!run_scenario} takes the {e incremental} path
-    end to end: the baseline reachability comes from cache, the scenario
-    re-analysis reports its touched files, and the after-reachability is
-    a {!Rd_reach.Reachability.compute} restart seeded with the baseline
-    solution as [previous] — semantically identical to a from-scratch
-    computation, but only the dirtied frontier iterates.
+    On top of the caches, {!run_scenario} reuses every artifact a sweep
+    shares: the baseline reachability comes from cache, and the scenario
+    re-analysis and its reachability are stored under the scenario's
+    key, so a repeated sweep is answered by cache probes alone.
 
     Cache activity is observable through the engine's optional
     {!Rd_util.Metrics} registry ([cache.<store>.hits] / [.misses] /
@@ -81,10 +79,10 @@ type outcome = {
 }
 
 val run_scenario : t -> network -> Whatif.scenario -> outcome
-(** Evaluate one scenario incrementally: cached baseline reachability
-    (empty external offer, per {!Whatif.compare}'s scoring rule), cached
-    scenario re-analysis via {!Whatif.apply}, after-reachability via
-    {!Rd_reach.Reachability.compute} restarted from the baseline,
+(** Evaluate one scenario through the stores: cached baseline
+    reachability (empty external offer, per {!Whatif.compare}'s scoring
+    rule), cached scenario re-analysis via {!Whatif.apply}, cached
+    scenario reachability via {!reachability} under the scenario's key,
     then {!Whatif.compare} over the pair.  The diff is equal to
     {!Whatif.run}'s on the same inputs. *)
 

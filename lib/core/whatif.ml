@@ -30,8 +30,7 @@ let shutdown_iface (cfg : Ast.t) pred =
 (* Each change reports the targets it failed to match — a typoed router
    or interface name must not silently turn a maintenance scenario into a
    no-op that reports "no impact" — and the configuration files it did
-   touch, which is the dirty set the incremental reachability path
-   ([Rd_reach.Reachability.compute ?previous]) restarts from. *)
+   touch, which reports list per scenario. *)
 let apply_change_checked configs = function
   | Remove_router name ->
     let kept, removed = List.partition (fun rc -> not (matches_router rc name)) configs in
@@ -199,6 +198,20 @@ let sample_hosts (r : Rd_reach.Reachability.t) =
   |> List.filteri (fun i _ -> i < 24)
   |> List.map (fun p -> Prefix.nth p (Prefix.size p / 2))
 
+let lost_pairs hosts r1 r2 =
+  List.concat_map
+    (fun src ->
+      List.filter_map
+        (fun dst ->
+          if
+            (not (Ipv4.equal src dst))
+            && Rd_reach.Reachability.can_reach r1 ~src ~dst
+            && not (Rd_reach.Reachability.can_reach r2 ~src ~dst)
+          then Some (src, dst)
+          else None)
+        hosts)
+    hosts
+
 let compare ?(warnings = []) ?reach_before ?reach_after ~(before : Analysis.t)
     ~(after : Analysis.t) () =
   (* map a process to its instance in the new analysis by (router name,
@@ -240,28 +253,13 @@ let compare ?(warnings = []) ?reach_before ?reach_after ~(before : Analysis.t)
     | Some r -> r
     | None -> Rd_reach.Reachability.compute ~external_offers:Prefix_set.empty after.graph
   in
-  let hosts = sample_hosts rb in
-  let lost =
-    List.concat_map
-      (fun src ->
-        List.filter_map
-          (fun dst ->
-            if
-              (not (Ipv4.equal src dst))
-              && Rd_reach.Reachability.can_reach rb ~src ~dst
-              && not (Rd_reach.Reachability.can_reach ra ~src ~dst)
-            then Some (src, dst)
-            else None)
-          hosts)
-      hosts
-  in
   {
     before;
     after;
     instances_before = Analysis.instance_count before;
     instances_after = Analysis.instance_count after;
     split_instances;
-    lost_reachability = lost;
+    lost_reachability = lost_pairs (sample_hosts rb) rb ra;
     warnings;
   }
 

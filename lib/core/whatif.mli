@@ -31,9 +31,7 @@ type delta = {
   analysis : Analysis.t;  (** the re-analyzed network. *)
   touched : string list;
       (** configuration file names a change actually modified or removed,
-          sorted and deduplicated — the dirty set an incremental
-          reachability restart ({!Rd_reach.Reachability.compute} with
-          [previous]) grows its frontier from. *)
+          sorted and deduplicated (reports list them per scenario). *)
   warnings : string list;
       (** one warning per change target that matched nothing. *)
 }
@@ -82,6 +80,13 @@ val sample_hosts : Rd_reach.Reachability.t -> Rd_addr.Ipv4.t list
 (** The hosts {!compare} scores: one representative address per origin
     prefix, in instance order, capped at 24. *)
 
+val lost_pairs :
+  Rd_addr.Ipv4.t list -> Rd_reach.Reachability.t -> Rd_reach.Reachability.t ->
+  (Rd_addr.Ipv4.t * Rd_addr.Ipv4.t) list
+(** [lost_pairs hosts r1 r2]: the pairs of distinct [hosts] that can
+    reach each other in [r1] but not in [r2], in host order (source
+    major, destination minor). *)
+
 val compare :
   ?warnings:string list ->
   ?reach_before:Rd_reach.Reachability.t ->
@@ -95,10 +100,11 @@ val compare :
     whose peer was removed look external-facing afterwards, and the
     default full offer would mask every loss behind the unknown outside
     world.  [reach_before]/[reach_after] let a caller supply
-    already-computed solutions (the incremental engine passes its cached
-    baseline and a {!Rd_reach.Reachability.compute} [?previous] restart);
-    they must have been computed with empty external offers over the
-    corresponding graphs, or the loss sampling is meaningless. *)
+    already-computed solutions (the engine passes its cached ones); they
+    must have been computed with empty external offers over the
+    corresponding graphs, or the loss sampling is meaningless.
+    [lost_reachability] is {!lost_pairs} over {!sample_hosts} of the
+    baseline. *)
 
 val run : Analysis.t -> change list -> diff
 (** {!apply} + {!compare}. *)

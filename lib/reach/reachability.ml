@@ -2,13 +2,11 @@ open Rd_addr
 open Rd_routing
 
 type t = {
-  graph : Instance_graph.t;
   origins : Prefix_set.t array;
   routes : Prefix_set.t array;
   advertised : (int * Prefix_set.t) list;
   iterations : int;
   internal : Prefix_set.t;
-  external_offers : Prefix_set.t;
 }
 
 (* Compute every instance's origin set in one pass over the interfaces,
@@ -153,7 +151,7 @@ let initial_routes (g : Instance_graph.t) = seed_routes g (origins_bulk g)
 
 let fixpoint_site = "reach.fixpoint"
 
-let finish ?metrics ~stats0 ~external_offers g origins routes iterations =
+let finish ?metrics ~stats0 g origins routes iterations =
   let advertised = advertised_of g routes in
   let internal = Array.fold_left Prefix_set.union Prefix_set.empty origins in
   (match metrics with
@@ -172,7 +170,7 @@ let finish ?metrics ~stats0 ~external_offers g origins routes iterations =
      Rd_util.Metrics.incr metrics
        ~by:(stats1.Prefix_set.memo_misses - stats0.Prefix_set.memo_misses)
        "pset.memo_misses");
-  { graph = g; origins; routes; advertised; iterations; internal; external_offers }
+  { origins; routes; advertised; iterations; internal }
 
 (* The legacy fixpoint: sweep every edge in rounds until a round changes
    nothing.  Retained as executable reference semantics for the worklist
@@ -209,127 +207,7 @@ let compute_rounds ?cancel ?(limits = Rd_util.Limits.default)
           end)
       g.edges
   done;
-  finish ~stats0 ~external_offers g origins routes !iterations
-
-(* --- carry-over from a previous solution: dirty-set worklist restart ---- *)
-
-(* Instance ids and process indices are dense per-build artifacts with no
-   meaning across two analyses of the "same" network.  A process is
-   identified across builds by (router file name, protocol, configured
-   process id); an instance by the sorted set of its member process
-   keys. *)
-let member_keys (g : Instance_graph.t) (inst : Instance.t) =
-  List.sort Stdlib.compare
-    (List.map
-       (fun pid ->
-         let p = g.catalog.processes.(pid) in
-         (fst g.catalog.topo.routers.(p.router), p.protocol, p.proc_id))
-       inst.members)
-
-(* Every instance's in-edges as (source endpoint, admitted set) pairs —
-   exactly the inputs of its fixpoint equation. *)
-let in_profile (g : Instance_graph.t) =
-  let n = Array.length g.assignment.instances in
-  let inx = Array.make n [] in
-  List.iter
-    (fun (e : Instance_graph.edge) ->
-      match e.dst with
-      | Instance_graph.External _ -> ()
-      | Instance_graph.Inst d ->
-        inx.(d) <- (e.src, Rd_policy.Route_filter.permitted e.filter) :: inx.(d))
-    g.edges;
-  inx
-
-(* Multiset equality of a new instance's in-edges against an old one's,
-   with new [Inst] sources translated through [mapping].  In-degrees are
-   small, so the quadratic matching is fine. *)
-let profile_matches mapping old_list new_list =
-  let translate = function
-    | Instance_graph.External a -> Some (Instance_graph.External a)
-    | Instance_graph.Inst s ->
-      Option.map (fun j -> Instance_graph.Inst j) mapping.(s)
-  in
-  let rec pick src set = function
-    | [] -> None
-    | (osrc, oset) :: rest ->
-      if osrc = src && Prefix_set.equal oset set then Some rest
-      else Option.map (fun r -> (osrc, oset) :: r) (pick src set rest)
-  in
-  let rec go old = function
-    | [] -> old = []
-    | (nsrc, nset) :: rest -> (
-      match translate nsrc with
-      | None -> false
-      | Some src -> (
-        match pick src nset old with
-        | None -> false
-        | Some old' -> go old' rest))
-  in
-  List.length old_list = List.length new_list && go old_list new_list
-
-(* The fixpoint is the least solution of
-
-     routes(i) ⊇ seed(i) ∪ ⋃ filter_e(routes(src e))   for in-edges e of i
-
-   An instance of the new graph may carry its value over from the old
-   solution when its equation is identical — same seeded origins, same
-   in-edge multiset — AND every [Inst] input is itself carried over
-   (closure under predecessors).  The carried subset then has no inflow
-   from recomputed instances, so its old values solve its sub-system
-   exactly, and restarting the worklist with dirty instances at their
-   seeds converges to the same least fixpoint as a from-scratch solve
-   (DESIGN.md §14).  Returns which instances are carried and overwrites
-   their entries of [routes] (the new graph's seeds) with the previous
-   solution's values. *)
-let carry_over ~(previous : t) (g : Instance_graph.t) routes =
-  let og = previous.graph in
-  let n = Array.length g.assignment.instances in
-  let old_by_key = Hashtbl.create (Array.length og.assignment.instances) in
-  Array.iter
-    (fun (inst : Instance.t) ->
-      Hashtbl.replace old_by_key (member_keys og inst) inst.inst_id)
-    og.assignment.instances;
-  let mapping =
-    Array.map
-      (fun (inst : Instance.t) -> Hashtbl.find_opt old_by_key (member_keys g inst))
-      g.assignment.instances
-  in
-  let seeds_old = seed_routes og (origins_bulk og) in
-  let old_in = in_profile og and new_in = in_profile g in
-  let clean = Array.make n false in
-  Array.iteri
-    (fun i m ->
-      match m with
-      | None -> ()
-      | Some j ->
-        if
-          Prefix_set.equal routes.(i) seeds_old.(j)
-          && profile_matches mapping old_in.(j) new_in.(i)
-        then clean.(i) <- true)
-    mapping;
-  (* Close under predecessors: an instance hearing routes from a
-     recomputed instance must be recomputed itself. *)
-  let shrunk = ref true in
-  while !shrunk do
-    shrunk := false;
-    Array.iteri
-      (fun i ok ->
-        if
-          ok
-          && List.exists
-               (fun (src, _) ->
-                 match src with
-                 | Instance_graph.Inst s -> not clean.(s)
-                 | Instance_graph.External _ -> false)
-               new_in.(i)
-        then begin
-          clean.(i) <- false;
-          shrunk := true
-        end)
-      clean
-  done;
-  Array.iteri (fun i c -> if c then routes.(i) <- previous.routes.(Option.get mapping.(i))) clean;
-  clean
+  finish ~stats0 g origins routes !iterations
 
 (* Worklist fixpoint.  Instead of sweeping the whole edge list until a
    quiet round, keep a frontier of instances whose route set changed and
@@ -337,38 +215,20 @@ let carry_over ~(previous : t) (g : Instance_graph.t) routes =
    frontier generation counts as one iteration and visits the
    fault/budget hooks exactly like one round of the legacy sweep, so
    fault plans and [max_fixpoint_iterations] budgets keep their observable
-   meaning (budget 0 still raises before any edge is processed).
-
-   Carried instances (see [carry_over]; none without [previous]) never
-   enter the frontier: edges out of them into dirty instances are applied
-   once ([carried_in]), and dirty-to-carried edges cannot exist
-   (closure), so the worklist only ever touches dirty instances. *)
+   meaning (budget 0 still raises before any edge is processed). *)
 let compute ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default)
-    ?(external_offers = Prefix_set.full) ?previous (g : Instance_graph.t) =
+    ?(external_offers = Prefix_set.full) (g : Instance_graph.t) =
   let stats0 = Prefix_set.stats () in
   let origins = origins_bulk g in
   let n = Array.length origins in
   let routes = seed_routes g origins in
-  let carried =
-    match previous with
-    | Some p when Prefix_set.equal external_offers p.external_offers ->
-      Some (carry_over ~previous:p g routes)
-    | _ ->
-      (* No previous solution, or one computed under a different
-         external offer: nothing can be carried over. *)
-      None
-  in
-  let clean = match carried with Some c -> c | None -> Array.make n false in
   let out_index = Array.make n [] in
-  let external_in = ref [] and carried_in = ref [] in
+  let external_in = ref [] in
   List.iter
     (fun (e : Instance_graph.edge) ->
       match (e.src, e.dst) with
-      | Instance_graph.Inst s, Instance_graph.Inst d ->
-        if not clean.(s) then out_index.(s) <- e :: out_index.(s)
-        else if not clean.(d) then carried_in := e :: !carried_in
-      | Instance_graph.External _, Instance_graph.Inst d ->
-        if not clean.(d) then external_in := e :: !external_in
+      | Instance_graph.Inst s, Instance_graph.Inst _ -> out_index.(s) <- e :: out_index.(s)
+      | Instance_graph.External _, Instance_graph.Inst _ -> external_in := e :: !external_in
       | _, Instance_graph.External _ -> ())
     g.edges;
   Array.iteri (fun i l -> out_index.(i) <- List.rev l) out_index;
@@ -400,17 +260,11 @@ let compute ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default)
       !iterations;
     work ()
   in
-  (* Generation 1 seeds the pool: constant inflows (external offers,
-     carried neighbours) flow in once, so those edges never need
-     revisiting, then every instance pushes its routes out. *)
+  (* Generation 1 seeds the pool: the constant external offers flow in
+     once, so those edges never need revisiting, then every instance
+     pushes its routes out. *)
   generation (fun () ->
       List.iter (fun e -> flow e external_offers) (List.rev !external_in);
-      List.iter
-        (fun (e : Instance_graph.edge) ->
-          match e.src with
-          | Instance_graph.Inst s -> flow e routes.(s)
-          | Instance_graph.External _ -> ())
-        (List.rev !carried_in);
       for i = 0 to n - 1 do
         dirty.(i) <- false;
         List.iter (fun e -> flow e routes.(i)) out_index.(i)
@@ -428,14 +282,7 @@ let compute ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default)
             List.iter (fun e -> flow e routes.(i)) out_index.(i))
           work)
   done;
-  (match carried with
-   | None -> ()
-   | Some c ->
-     let k = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 c in
-     Rd_util.Metrics.incr metrics "reach.delta.computations";
-     Rd_util.Metrics.incr metrics ~by:k "reach.delta.carried";
-     Rd_util.Metrics.incr metrics ~by:(n - k) "reach.delta.dirty");
-  finish ?metrics ~stats0 ~external_offers g origins routes !iterations
+  finish ?metrics ~stats0 g origins routes !iterations
 
 let routes_of t i = t.routes.(i)
 

@@ -12,7 +12,6 @@
 open Rd_addr
 
 type t = {
-  graph : Rd_routing.Instance_graph.t;
   origins : Prefix_set.t array;  (** per instance: subnets it originates. *)
   routes : Prefix_set.t array;
       (** per instance: destinations it can have routes for at fixpoint. *)
@@ -22,16 +21,12 @@ type t = {
   internal : Prefix_set.t;
       (** union of every instance's origins, computed once at
           construction (see {!internal_space}). *)
-  external_offers : Prefix_set.t;
-      (** the external offer this solution was computed under — recorded
-          so a later {!compute} [?previous] can tell whether this
-          solution is reusable. *)
 }
 
 val compute :
   ?metrics:Rd_util.Metrics.t -> ?faults:Rd_util.Fault.t -> ?cancel:Rd_util.Cancel.t ->
   ?limits:Rd_util.Limits.t ->
-  ?external_offers:Prefix_set.t -> ?previous:t -> Rd_routing.Instance_graph.t -> t
+  ?external_offers:Prefix_set.t -> Rd_routing.Instance_graph.t -> t
 (** Worklist fixpoint: keeps a frontier of instances whose route set
     changed and only pushes along their outgoing edges (indexed once per
     call), instead of sweeping the whole edge list until a quiet round.
@@ -46,29 +41,6 @@ val compute :
     [reach.iterations] histogram, and attributes the prefix-set kernel's
     work to this call as [pset.nodes] / [pset.memo_hits] /
     [pset.memo_misses] deltas.
-
-    {b Restart from a previous solution.}  [previous] is a solution for
-    an earlier build of the network (typically before a what-if
-    configuration delta).  The worklist then restarts from only the
-    {e dirtied} frontier — the abstract-interpretation restart strategy
-    of Komondoor et al.'s packet-flow analysis.  An instance of the new
-    graph {e carries over} its route set from [previous] when its
-    fixpoint equation is provably unchanged: its member processes
-    (identified by router file name, protocol, and configured process
-    id), its seeded origin set, and its in-edge multiset (source
-    endpoints and admitted sets) are identical, and — closing under
-    predecessors — every instance it hears routes from is itself carried
-    over.  All remaining instances restart from their seeds, with carried
-    neighbours' values flowing in once as constants.  Because route sets
-    only grow along the worklist and the carried subsystem already sits
-    at its least fixpoint, the result is semantically identical to a
-    solve without [previous] (proved per-field by the test suite on every
-    archetype and on random networks); only [iterations] may differ.
-    With [previous], [metrics] additionally accumulates
-    [reach.delta.computations], [reach.delta.carried], and
-    [reach.delta.dirty] counters.  When [external_offers] differs from
-    [previous.external_offers] nothing can be carried, and the call is
-    exactly a solve without [previous].
 
     The fixpoint is budgeted: when the generation count exceeds
     [limits.max_fixpoint_iterations] (default {!Rd_util.Limits.default},

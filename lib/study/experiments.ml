@@ -62,9 +62,8 @@ let fig8 ~master_seed (nets : Population.network list) =
 
 (* -------------------------------------------------------------- table 1 *)
 
-(* The [*_stats] variants consume checkpointable {!Netstat.t} digests;
-   the legacy network-list entry points are wrappers, so a resumed
-   (checkpoint-replayed) study renders byte-identically by
+(* The study tables consume checkpointable {!Netstat.t} digests, so a
+   resumed (checkpoint-replayed) study renders byte-identically by
    construction. *)
 
 let table1_stats (stats : Netstat.t list) =
@@ -95,8 +94,6 @@ let table1_stats (stats : Netstat.t list) =
   let no_bgp = List.length (List.filter (fun (s : Netstat.t) -> not s.uses_bgp) stats) in
   bprintf buf "networks without BGP: %d (paper: 3)\n" no_bgp;
   Buffer.contents buf
-
-let table1 nets = table1_stats (List.map Netstat.of_network nets)
 
 (* -------------------------------------------------------------- table 3 *)
 
@@ -135,8 +132,6 @@ let table3_stats (stats : Netstat.t list) =
     bprintf buf "(plus %d loopback/VLAN interfaces, which the paper's table omits)\n" hidden_total;
   Buffer.contents buf
 
-let table3 nets = table3_stats (List.map Netstat.of_network nets)
-
 (* --------------------------------------------------------------- fig 11 *)
 
 let fig11_stats (stats : Netstat.t list) =
@@ -151,8 +146,6 @@ let fig11_stats (stats : Netstat.t list) =
   bprintf buf "fraction of networks with >=40%% internal rules: %.0f%%\n\n" (100.0 *. at40);
   bprintf buf "%s" (Cdf.plot ~x_label:"% of filter rules on internal links" cdf);
   Buffer.contents buf
-
-let fig11 nets = fig11_stats (List.map Netstat.of_network nets)
 
 (* ---------------------------------------------------------------- sec 7 *)
 
@@ -218,8 +211,6 @@ let sec7_stats (nstats : Netstat.t list) =
         (Rd_core.Design_class.design_to_string s.design))
     nstats;
   Buffer.contents buf
-
-let sec7 nets = sec7_stats (List.map Netstat.of_network nets)
 
 (* ----------------------------------------------------------- net5 case *)
 
@@ -735,7 +726,7 @@ let whatif_table networks =
 let render_whatif ~engine networks =
   let buf = Buffer.create 1024 in
   heading buf "What-if sweeps (incremental engine)"
-    "§8.1 maintenance scenarios, cached baselines and delta-restarted fixpoints";
+    "§8.1 maintenance scenarios, cached baselines and per-scenario fixpoints";
   Buffer.add_string buf (whatif_table networks);
   let hits, misses =
     List.fold_left

@@ -230,7 +230,52 @@ let test_report_json_roundtrip () =
   (* foreign payloads decode to None, never raise *)
   check_bool "wrong shape is None" true
     (Rd_check.Crosscheck.report_of_json (Rd_util.Json.Obj [ ("x", Rd_util.Json.Int 1) ])
-     = None)
+     = None);
+  (* a report with every severity and a skip survives print + parse *)
+  let violation severity subject =
+    { Rd_check.Crosscheck.severity; invariant = "sim-subset-static"; subject; detail = "d" }
+  in
+  let full =
+    {
+      Rd_check.Crosscheck.network = "netH";
+      routers = 3;
+      instances = 2;
+      converged = false;
+      approx = true;
+      checked = [ "sim-subset-static"; "anonymize-structure" ];
+      skipped = [ ("deny-filter-monotone", "no filters") ];
+      violations =
+        [
+          violation Rd_config.Diag.Error "i0";
+          violation Rd_config.Diag.Warning "i1";
+          violation Rd_config.Diag.Info "i2";
+        ];
+    }
+  in
+  (match
+     Rd_util.Json.of_string (Rd_util.Json.to_string (Rd_check.Crosscheck.report_to_json full))
+   with
+   | Ok j ->
+     check_bool "hand-built report round-trips" true
+       (Rd_check.Crosscheck.report_of_json j = Some full)
+   | Error e -> Alcotest.failf "parse failed: %s" e);
+  (* one unknown severity among valid violations is a shape mismatch *)
+  let fatal =
+    let open Rd_util.Json in
+    match Rd_check.Crosscheck.report_to_json full with
+    | Obj fields ->
+      Obj
+        (List.map
+           (function
+             | "violations", List (Obj v :: rest) ->
+               ( "violations",
+                 List (Obj (("severity", String "fatal") :: List.remove_assoc "severity" v) :: rest)
+               )
+             | field -> field)
+           fields)
+    | _ -> Alcotest.fail "report_to_json is not an object"
+  in
+  check_bool "fatal severity is None" true (Rd_check.Crosscheck.report_of_json fatal = None)
 
 (* A pre-cancelled token makes the per-network oracle fail fast with the
    crosscheck.network site — the failure mode behind --task-timeout. *)

@@ -378,10 +378,10 @@ let test_worklist_matches_rounds_study () =
         (structural_fixpoint g))
     nets
 
-(* The incremental fixpoint must land on the same least fixpoint as a
-   from-scratch compute of the edited network — checked with the same
-   field-by-field rigour as worklist-vs-rounds, across every generator
-   archetype and a representative change of each kind. *)
+(* The engine serves each scenario from its stores (baseline fixpoint
+   shared across the sweep, scenario fixpoint keyed by the scenario); its
+   diff must render exactly what a cold [Whatif.run] renders — across
+   every generator archetype and a representative change of each kind. *)
 let all_archetypes =
   [
     Rd_gen.Archetype.Backbone;
@@ -398,9 +398,10 @@ let test_delta_matches_scratch_archetypes () =
     (fun arch ->
       let label = Rd_gen.Archetype.to_string arch in
       let net = Rd_gen.Archetype.generate arch ~seed:17 ~n:16 ~index:3 () in
-      let a = Rd_core.Analysis.analyze ~name:label (Rd_gen.Builder.to_texts net) in
-      let offers = Prefix_set.empty in
-      let previous = Rd_reach.Reachability.compute ~external_offers:offers a.graph in
+      let files = Rd_gen.Builder.to_texts net in
+      let a = Rd_core.Analysis.analyze ~name:label files in
+      let engine = Rd_core.Engine.create () in
+      let loaded = Rd_core.Engine.load engine ~name:label files in
       let last_router = fst a.topo.routers.(Array.length a.topo.routers - 1) in
       let changes =
         [
@@ -420,48 +421,17 @@ let test_delta_matches_scratch_archetypes () =
         ]
       in
       List.iter
-        (fun change ->
-          if change <> [] then begin
-            let d = Rd_core.Whatif.apply a change in
-            same_fixpoint
-              (Printf.sprintf "%s/%s" label
-                 (String.concat ";" (List.map Rd_core.Whatif.change_to_string change)))
-              (Rd_reach.Reachability.compute ~external_offers:offers ~previous
-                 d.analysis.graph)
-              (Rd_reach.Reachability.compute ~external_offers:offers d.analysis.graph)
+        (fun changes ->
+          if changes <> [] then begin
+            let scenario = { Rd_core.Whatif.label = "s"; changes } in
+            let o = Rd_core.Engine.run_scenario engine loaded scenario in
+            Alcotest.(check string)
+              (Printf.sprintf "%s/%s" label (Rd_core.Whatif.scenario_to_string scenario))
+              (Rd_core.Whatif.render (Rd_core.Whatif.run a changes))
+              (Rd_core.Whatif.render o.diff)
           end)
         changes)
     all_archetypes
-
-let test_delta_identity_carries_everything () =
-  (* re-analyzing unchanged configs must carry every instance over *)
-  let net = Rd_gen.Archetype.generate Rd_gen.Archetype.Enterprise ~seed:4 ~n:12 ~index:1 () in
-  let files = Rd_gen.Builder.to_texts net in
-  let a = Rd_core.Analysis.analyze ~name:"i" files in
-  let previous = Rd_reach.Reachability.compute a.graph in
-  let a2 = Rd_core.Analysis.analyze ~name:"i" files in
-  let m = Rd_util.Metrics.create () in
-  let r = Rd_reach.Reachability.compute ~metrics:m ~previous a2.graph in
-  same_fixpoint "identity" r previous;
-  let counter name = Option.value ~default:0 (Rd_util.Metrics.counter_value m name) in
-  check_int "all instances carried" (Array.length a2.graph.assignment.instances)
-    (counter "reach.delta.carried");
-  check_int "none dirty" 0 (counter "reach.delta.dirty")
-
-let test_delta_offer_mismatch_degrades () =
-  (* a previous solution under different offers must not poison the result *)
-  let net = Rd_gen.Archetype.generate Rd_gen.Archetype.Compartment ~seed:9 ~n:14 ~index:2 () in
-  let a = Rd_core.Analysis.analyze ~name:"o" (Rd_gen.Builder.to_texts net) in
-  let previous = Rd_reach.Reachability.compute ~external_offers:Prefix_set.empty a.graph in
-  let d = Rd_core.Whatif.apply a [ Rd_core.Whatif.Remove_router (fst a.topo.routers.(0)) ] in
-  let m = Rd_util.Metrics.create () in
-  let r = Rd_reach.Reachability.compute ~metrics:m ~previous d.analysis.graph in
-  let scratch = Rd_reach.Reachability.compute d.analysis.graph in
-  same_fixpoint "offer mismatch" r scratch;
-  (* nothing carried: exactly the solve without [previous] *)
-  check_int "same iterations" scratch.iterations r.iterations;
-  check_bool "no carry-over analysis ran" true
-    (Rd_util.Metrics.counter_value m "reach.delta.computations" = None)
 
 (* ------------------------------------------------------------ properties --- *)
 
@@ -504,8 +474,6 @@ let test_reach_cancel_site () =
   expect_cancelled "compute_rounds" (fun () ->
       Rd_reach.Reachability.compute_rounds ~cancel:(tripped ()) g);
   let base = Rd_reach.Reachability.compute g in
-  expect_cancelled "compute ~previous" (fun () ->
-      Rd_reach.Reachability.compute ~cancel:(tripped ()) ~previous:base g);
   (* a live token leaves the fixpoint untouched *)
   let live = Rd_util.Cancel.create ~deadline:600.0 () in
   let w = Rd_reach.Reachability.compute ~cancel:live g in
@@ -537,31 +505,6 @@ let prop_routes_include_origins =
       let g = graph_of spec in
       let r = Rd_reach.Reachability.compute g in
       Array.for_all2 (fun o routes -> Prefix_set.subset o routes) r.origins r.routes)
-
-let equal_fixpoint (w : Rd_reach.Reachability.t) (r : Rd_reach.Reachability.t) =
-  Array.length w.routes = Array.length r.routes
-  && Array.for_all2 Prefix_set.equal w.routes r.routes
-  && Array.for_all2 Prefix_set.equal w.origins r.origins
-  && List.length w.advertised = List.length r.advertised
-  && List.for_all2 (fun (a, s) (b, t) -> a = b && Prefix_set.equal s t) w.advertised r.advertised
-
-let prop_delta_matches_scratch =
-  QCheck.Test.make ~name:"delta fixpoint = scratch fixpoint" ~count:10 arb_seed_net
-    (fun (ai, s, n) ->
-      let arch =
-        [| Rd_gen.Archetype.Enterprise; Rd_gen.Archetype.Compartment; Rd_gen.Archetype.Hub_spoke |]
-          .(ai)
-      in
-      let net = Rd_gen.Archetype.generate arch ~seed:s ~n ~index:(s mod 13) () in
-      let a = Rd_core.Analysis.analyze ~name:"p" (Rd_gen.Builder.to_texts net) in
-      let previous = Rd_reach.Reachability.compute ~external_offers:Prefix_set.empty a.graph in
-      let nr = Array.length a.topo.routers in
-      let victim = fst a.topo.routers.(s mod nr) in
-      let d = Rd_core.Whatif.apply a [ Rd_core.Whatif.Remove_router victim ] in
-      equal_fixpoint
-        (Rd_reach.Reachability.compute ~external_offers:Prefix_set.empty ~previous
-           d.analysis.graph)
-        (Rd_reach.Reachability.compute ~external_offers:Prefix_set.empty d.analysis.graph))
 
 let prop_internal_reachability_symmetric_origin =
   QCheck.Test.make ~name:"hosts reach their own instance" ~count:15 arb_seed_net (fun spec ->
@@ -602,16 +545,11 @@ let () =
         [
           Alcotest.test_case "delta = scratch on all archetypes" `Quick
             test_delta_matches_scratch_archetypes;
-          Alcotest.test_case "identity delta carries every instance" `Quick
-            test_delta_identity_carries_everything;
-          Alcotest.test_case "offer mismatch degrades to full compute" `Quick
-            test_delta_offer_mismatch_degrades;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_worklist_matches_rounds;
-            prop_delta_matches_scratch;
             prop_offers_monotone;
             prop_routes_include_origins;
             prop_internal_reachability_symmetric_origin;

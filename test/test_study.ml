@@ -151,10 +151,11 @@ let test_full_study () =
   let net5 = List.find (fun (n : Rd_study.Population.network) -> n.spec.net_id = 5) nets in
   check_bool "fig4" true (String.length (Rd_study.Experiments.fig4 net5) > 0);
   check_bool "fig8" true (String.length (Rd_study.Experiments.fig8 ~master_seed:seed nets) > 0);
-  check_bool "table1" true (String.length (Rd_study.Experiments.table1 nets) > 0);
-  check_bool "table3" true (String.length (Rd_study.Experiments.table3 nets) > 0);
-  check_bool "fig11" true (String.length (Rd_study.Experiments.fig11 nets) > 0);
-  check_bool "sec7" true (String.length (Rd_study.Experiments.sec7 nets) > 0);
+  let stats = List.map Rd_study.Netstat.of_network nets in
+  check_bool "table1" true (String.length (Rd_study.Experiments.table1_stats stats) > 0);
+  check_bool "table3" true (String.length (Rd_study.Experiments.table3_stats stats) > 0);
+  check_bool "fig11" true (String.length (Rd_study.Experiments.fig11_stats stats) > 0);
+  check_bool "sec7" true (String.length (Rd_study.Experiments.sec7_stats stats) > 0);
   check_bool "net5 case" true (String.length (Rd_study.Experiments.net5_case net5) > 0);
   check_bool "ablation instances" true
     (String.length (Rd_study.Experiments.ablation_instances [ net5 ]) > 0);
@@ -177,10 +178,13 @@ let test_parallel_build_deterministic () =
         (Rd_core.Analysis.summary b.analysis))
     seq par;
   (* experiment tables built from both populations agree *)
-  Alcotest.(check string) "table1 identical" (Rd_study.Experiments.table1 seq)
-    (Rd_study.Experiments.table1 par);
-  Alcotest.(check string) "fig11 identical" (Rd_study.Experiments.fig11 seq)
-    (Rd_study.Experiments.fig11 par)
+  let stats = List.map Rd_study.Netstat.of_network in
+  Alcotest.(check string) "table1 identical"
+    (Rd_study.Experiments.table1_stats (stats seq))
+    (Rd_study.Experiments.table1_stats (stats par));
+  Alcotest.(check string) "fig11 identical"
+    (Rd_study.Experiments.fig11_stats (stats seq))
+    (Rd_study.Experiments.fig11_stats (stats par))
 
 let test_traced_build_identical () =
   (* tracing and metrics are purely observational: a traced build's
@@ -351,16 +355,16 @@ let test_netstat_codec_roundtrip () =
   (* the aggregate renderers see no difference between fresh and
      replayed stats — the byte-identity --resume relies on *)
   Alcotest.(check string) "sec7 identical"
-    (Rd_study.Experiments.sec7 nets)
+    (Rd_study.Experiments.sec7_stats stats)
     (Rd_study.Experiments.sec7_stats roundtripped);
   Alcotest.(check string) "table1 identical"
-    (Rd_study.Experiments.table1 nets)
+    (Rd_study.Experiments.table1_stats stats)
     (Rd_study.Experiments.table1_stats roundtripped);
   Alcotest.(check string) "table3 identical"
-    (Rd_study.Experiments.table3 nets)
+    (Rd_study.Experiments.table3_stats stats)
     (Rd_study.Experiments.table3_stats roundtripped);
   Alcotest.(check string) "fig11 identical"
-    (Rd_study.Experiments.fig11 nets)
+    (Rd_study.Experiments.fig11_stats stats)
     (Rd_study.Experiments.fig11_stats roundtripped);
   List.iter2
     (fun (n : Rd_study.Population.network) st ->
