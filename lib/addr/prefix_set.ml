@@ -55,26 +55,76 @@ type stats_cell = {
 let stats_registry : stats_cell list ref = ref []
 let stats_mutex = Mutex.create ()
 
-(* Every table key is one packed int (see [pack] below), so the tables
-   are monomorphic: a probe allocates no key and pays neither the
-   polymorphic hash nor the polymorphic compare.  Packed keys carry the
-   dense child ids in their low bits, so the hash folds the high half in
-   before mixing. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
+(* Every table key is one packed int (see [pack] below), never negative,
+   so the tables are flat open-addressing arrays: a probe allocates
+   nothing (no key, no option, no closure) and pays neither the
+   polymorphic hash nor the polymorphic compare, and a hit costs one
+   cache line of keys plus one of values.
+   Capacity is a power of two, probing is linear, and [-1] marks a free
+   slot.  Tables only grow (at 3/4 load) and are discarded wholesale
+   past [cache_limit] entries, so there is no deletion and no tombstone.
+   Packed keys carry the dense child ids in their low bits, so the hash
+   folds the high half in before mixing. *)
+module Tbl = struct
+  type 'a t = {
+    mutable keys : int array;
+    mutable vals : 'a array;
+    mutable length : int;
+    initial : int; (* a power of two *)
+    dummy : 'a; (* the value of a free slot *)
+  }
 
-  let equal = Int.equal
+  let create initial dummy =
+    { keys = Array.make initial (-1); vals = Array.make initial dummy; length = 0; initial; dummy }
 
   let hash k =
     let h = (k lxor (k lsr 30)) * 0x2545F4914F6CDD1D in
     h lxor (h lsr 32)
-end)
+
+  let rec probe keys mask key i =
+    let k = keys.(i) in
+    if k = key || k < 0 then i else probe keys mask key ((i + 1) land mask)
+
+  (* The slot holding [key], or else the free slot where it would go. *)
+  let slot t key =
+    let mask = Array.length t.keys - 1 in
+    probe t.keys mask key (hash key land mask)
+
+  let found t i = t.keys.(i) >= 0
+  let value t i = t.vals.(i)
+
+  let reset t =
+    t.keys <- Array.make t.initial (-1);
+    t.vals <- Array.make t.initial t.dummy;
+    t.length <- 0
+
+  let grow t =
+    let keys = t.keys and vals = t.vals in
+    t.keys <- Array.make (2 * Array.length keys) (-1);
+    t.vals <- Array.make (2 * Array.length keys) t.dummy;
+    Array.iteri
+      (fun i k ->
+        if k >= 0 then begin
+          let j = slot t k in
+          t.keys.(j) <- k;
+          t.vals.(j) <- vals.(i)
+        end)
+      keys
+
+  (* [key] must be absent. *)
+  let add t key v =
+    if 4 * (t.length + 1) > 3 * Array.length t.keys then grow t;
+    let i = slot t key in
+    t.keys.(i) <- key;
+    t.vals.(i) <- v;
+    t.length <- t.length + 1
+end
 
 type table = {
-  nodes : t Int_tbl.t; (* packed (uid l, uid r) -> hash-consed node *)
-  memo : t Int_tbl.t; (* packed (op, id, id) -> result *)
-  memo_subset : bool Int_tbl.t;
-  memo_count : int Int_tbl.t; (* packed (id, depth) -> addresses *)
+  nodes : t Tbl.t; (* packed (uid l, uid r) -> hash-consed node *)
+  memo : t Tbl.t; (* packed (op, id, id) -> result *)
+  memo_subset : bool Tbl.t;
+  memo_count : int Tbl.t; (* packed (id, depth) -> addresses *)
   cell : stats_cell;
 }
 
@@ -85,20 +135,20 @@ let table_key : table Domain.DLS.key =
       let cell = { s_nodes = 0; s_hits = 0; s_misses = 0 } in
       Mutex.protect stats_mutex (fun () -> stats_registry := cell :: !stats_registry);
       {
-        nodes = Int_tbl.create 4096;
-        memo = Int_tbl.create 4096;
-        memo_subset = Int_tbl.create 256;
-        memo_count = Int_tbl.create 256;
+        nodes = Tbl.create 4096 Empty;
+        memo = Tbl.create 4096 Empty;
+        memo_subset = Tbl.create 256 false;
+        memo_count = Tbl.create 256 0;
         cell;
       })
 
 let table () = Domain.DLS.get table_key
 
 let reset_if_oversized tbl =
-  if Int_tbl.length tbl.nodes > cache_limit then Int_tbl.reset tbl.nodes;
-  if Int_tbl.length tbl.memo > cache_limit then Int_tbl.reset tbl.memo;
-  if Int_tbl.length tbl.memo_subset > cache_limit then Int_tbl.reset tbl.memo_subset;
-  if Int_tbl.length tbl.memo_count > cache_limit then Int_tbl.reset tbl.memo_count
+  if tbl.nodes.length > cache_limit then Tbl.reset tbl.nodes;
+  if tbl.memo.length > cache_limit then Tbl.reset tbl.memo;
+  if tbl.memo_subset.length > cache_limit then Tbl.reset tbl.memo_subset;
+  if tbl.memo_count.length > cache_limit then Tbl.reset tbl.memo_count
 
 (* Keys pack (op, id, id) into one 63-bit int: 2 op bits + 2×30 id bits
    (max key 3·2⁶⁰ + …, inside the 63-bit native int); the hash-cons key
@@ -130,13 +180,14 @@ let node l r =
     if il >= id_limit || ir >= id_limit then fresh tbl l r
     else begin
       let key = pack 0 il ir in
-      match Int_tbl.find_opt tbl.nodes key with
-      | Some n -> n
-      | None ->
+      let i = Tbl.slot tbl.nodes key in
+      if Tbl.found tbl.nodes i then Tbl.value tbl.nodes i
+      else begin
         reset_if_oversized tbl;
         let n = fresh tbl l r in
-        Int_tbl.add tbl.nodes key n;
+        Tbl.add tbl.nodes key n;
         n
+      end
     end
 
 let op_union = 0
@@ -144,49 +195,62 @@ let op_inter = 1
 let op_diff = 2
 let op_compl = 3
 
-let memo_bin tbl op a b compute =
-  let ia = uid a and ib = uid b in
-  if ia >= id_limit || ib >= id_limit then compute ()
-  else begin
-    let key = pack op ia ib in
-    match Int_tbl.find_opt tbl.memo key with
-    | Some r ->
-      tbl.cell.s_hits <- tbl.cell.s_hits + 1;
-      r
-    | None ->
-      tbl.cell.s_misses <- tbl.cell.s_misses + 1;
-      let r = compute () in
-      if Int_tbl.length tbl.memo > cache_limit then Int_tbl.reset tbl.memo;
-      Int_tbl.add tbl.memo key r;
-      r
+(* [memoize cell memo key f a b] is [f a b], looked up in (or else added
+   to) [memo] under [key] and counted in [cell] as a hit or a miss.
+   Every [f] is a top-level function, so a probe allocates no closure. *)
+let memoize cell memo key f a b =
+  let i = Tbl.slot memo key in
+  if Tbl.found memo i then begin
+    cell.s_hits <- cell.s_hits + 1;
+    Tbl.value memo i
   end
+  else begin
+    cell.s_misses <- cell.s_misses + 1;
+    let r = f a b in
+    if memo.Tbl.length > cache_limit then Tbl.reset memo;
+    Tbl.add memo key r;
+    r
+  end
+
+let memo_bin tbl op ia ib split a b =
+  if ia >= id_limit || ib >= id_limit then split a b
+  else memoize tbl.cell tbl.memo (pack op ia ib) split a b
 
 (* union/inter are commutative: normalize the key order so [a op b] and
    [b op a] share one cache line. *)
-let memo_comm tbl op a b compute =
-  if uid a <= uid b then memo_bin tbl op a b compute else memo_bin tbl op b a compute
+let memo_comm tbl op split a b =
+  let ia = uid a and ib = uid b in
+  if ia <= ib then memo_bin tbl op ia ib split a b else memo_bin tbl op ib ia split a b
+
+(* The two halves of a set below its root bit: [Empty] and [Full] are
+   their own halves. *)
+let left = function Node n -> n.l | s -> s
+let right = function Node n -> n.r | s -> s
 
 let rec union a b =
   match (a, b) with
   | Full, _ | _, Full -> Full
   | Empty, x | x, Empty -> x
   | Node na, Node nb ->
-    if na.id = nb.id then a
-    else memo_comm (table ()) op_union a b (fun () -> node (union na.l nb.l) (union na.r nb.r))
+    if na.id = nb.id then a else memo_comm (table ()) op_union union_split a b
+
+and union_split a b = node (union (left a) (left b)) (union (right a) (right b))
 
 let rec inter a b =
   match (a, b) with
   | Empty, _ | _, Empty -> Empty
   | Full, x | x, Full -> x
   | Node na, Node nb ->
-    if na.id = nb.id then a
-    else memo_comm (table ()) op_inter a b (fun () -> node (inter na.l nb.l) (inter na.r nb.r))
+    if na.id = nb.id then a else memo_comm (table ()) op_inter inter_split a b
+
+and inter_split a b = node (inter (left a) (left b)) (inter (right a) (right b))
 
 let rec complement = function
   | Empty -> Full
   | Full -> Empty
-  | Node n as a ->
-    memo_bin (table ()) op_compl a Empty (fun () -> node (complement n.l) (complement n.r))
+  | Node n as a -> memo_bin (table ()) op_compl n.id 0 complement_split a Empty
+
+and complement_split a _ = node (complement (left a)) (complement (right a))
 
 let rec diff a b =
   match (a, b) with
@@ -194,8 +258,9 @@ let rec diff a b =
   | x, Empty -> x
   | Full, x -> complement x
   | Node na, Node nb ->
-    if na.id = nb.id then Empty
-    else memo_bin (table ()) op_diff a b (fun () -> node (diff na.l nb.l) (diff na.r nb.r))
+    if na.id = nb.id then Empty else memo_bin (table ()) op_diff na.id nb.id diff_split a b
+
+and diff_split a b = node (diff (left a) (left b)) (diff (right a) (right b))
 
 let of_prefix p =
   let addr = Ipv4.to_int (Prefix.addr p) in
@@ -261,25 +326,13 @@ let rec subset a b =
   | _, Empty -> false (* a is Full or a Node: non-empty by canonicity *)
   | Node na, Node nb ->
     if na.id = nb.id then true
+    else if na.id >= id_limit || nb.id >= id_limit then subset_split a b
     else begin
       let tbl = table () in
-      let ia = na.id and ib = nb.id in
-      if ia >= id_limit || ib >= id_limit then subset na.l nb.l && subset na.r nb.r
-      else begin
-        let key = pack 0 ia ib in
-        match Int_tbl.find_opt tbl.memo_subset key with
-        | Some r ->
-          tbl.cell.s_hits <- tbl.cell.s_hits + 1;
-          r
-        | None ->
-          tbl.cell.s_misses <- tbl.cell.s_misses + 1;
-          let r = subset na.l nb.l && subset na.r nb.r in
-          if Int_tbl.length tbl.memo_subset > cache_limit then
-            Int_tbl.reset tbl.memo_subset;
-          Int_tbl.add tbl.memo_subset key r;
-          r
-      end
+      memoize tbl.cell tbl.memo_subset (pack 0 na.id nb.id) subset_split a b
     end
+
+and subset_split a b = subset (left a) (left b) && subset (right a) (right b)
 
 let rec mem_bits addr depth = function
   | Empty -> false
@@ -309,24 +362,14 @@ let rec count_subtree ~depth t =
   | Empty -> 0
   | Full -> 1 lsl (32 - depth)
   | Node n ->
-    let tbl = table () in
-    if n.id >= id_limit then
-      count_subtree ~depth:(depth + 1) n.l + count_subtree ~depth:(depth + 1) n.r
+    if n.id >= id_limit then count_halves (depth + 1) t
     else begin
-      let key = (n.id lsl 6) lor depth in
-      match Int_tbl.find_opt tbl.memo_count key with
-      | Some c ->
-        tbl.cell.s_hits <- tbl.cell.s_hits + 1;
-        c
-      | None ->
-        tbl.cell.s_misses <- tbl.cell.s_misses + 1;
-        let c =
-          count_subtree ~depth:(depth + 1) n.l + count_subtree ~depth:(depth + 1) n.r
-        in
-        if Int_tbl.length tbl.memo_count > cache_limit then Int_tbl.reset tbl.memo_count;
-        Int_tbl.add tbl.memo_count key c;
-        c
+      let tbl = table () in
+      memoize tbl.cell tbl.memo_count ((n.id lsl 6) lor depth) count_halves (depth + 1) t
     end
+
+(* The addresses of [t]'s two halves, rooted [depth] bits down. *)
+and count_halves depth t = count_subtree ~depth (left t) + count_subtree ~depth (right t)
 
 let count_addresses t = count_subtree ~depth:0 t
 

@@ -170,25 +170,29 @@ let structure (a : Analysis.t) =
 
 let anonymize_structure ?limits ?cancel (a : Analysis.t) = function
   | None -> Error "raw configuration texts not available"
-  | Some files ->
+  | Some files -> (
     let anonymizer = Anonymizer.create ~key:("crosscheck-" ^ a.name) in
-    let anon =
+    (* More distinct public ASes than anonymized slots is a budget trip:
+       the invariant cannot be checked, so it is skipped. *)
+    match
       List.map (fun (name, text) -> (name, Anonymizer.anonymize_config anonymizer text)) files
-    in
-    let a' = Analysis.analyze ?limits ?cancel ~name:(a.name ^ "+anon") anon in
-    Ok
-      (List.filter_map
-         (fun ((what, before), (_, after)) ->
-           if String.equal before after then None
-           else
-             Some
-               {
-                 severity = Diag.Error;
-                 invariant = "anonymize-structure";
-                 subject = what;
-                 detail = Printf.sprintf "%s -> %s after anonymization" before after;
-               })
-         (List.combine (structure a) (structure a')))
+    with
+    | exception (Rd_util.Limits.Budget_exceeded _ as e) -> Error (Printexc.to_string e)
+    | anon ->
+      let a' = Analysis.analyze ?limits ?cancel ~name:(a.name ^ "+anon") anon in
+      Ok
+        (List.filter_map
+           (fun ((what, before), (_, after)) ->
+             if String.equal before after then None
+             else
+               Some
+                 {
+                   severity = Diag.Error;
+                   invariant = "anonymize-structure";
+                   subject = what;
+                   detail = Printf.sprintf "%s -> %s after anonymization" before after;
+                 })
+           (List.combine (structure a) (structure a'))))
 
 (* Conjoining every edge filter with a deny set can only shrink the
    fixpoint: the static analysis is monotone in its filters. *)

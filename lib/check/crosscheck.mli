@@ -59,7 +59,9 @@ val run_analysis :
 (** Cross-check an already-analyzed network.  [invariants] restricts the
     catalogue (default: all).  [files] supplies the raw configuration
     texts; without them the [anonymize-structure] invariant (which must
-    re-anonymize and re-parse the text) is skipped with a reason.
+    re-anonymize and re-parse the text) is skipped with a reason, as it
+    is when the texts name more public ASes than the anonymizer has
+    slots (the budget trip's message is the reason).
     [limits] bounds both fixpoints and the simulation rounds.  [cancel]
     is polled on entry (site ["crosscheck.network"]), between
     invariants (site ["crosscheck.invariant"]) and inside every

@@ -165,16 +165,24 @@ let private_as n = n >= 64512 && n <= 65534
    value only picks the *starting* slot; linear probing finds the first
    slot not already handed out by this state, which makes the mapping
    injective per [t] while staying deterministic. *)
+let as_slots = 64511
+
+(* The public inputs (1-64511 and 65535) outnumber the slots by one, so
+   once one [t] has handed out every slot the next new input has nowhere
+   to go: that is a budget trip, not a probe that never ends. *)
 let anonymize_as t n =
   if n = 0 || private_as n || n > 65535 then n
   else
     match Hashtbl.find_opt t.as_cache n with
     | Some v -> v
     | None ->
+      Limits.check ~site:"anonymize.as-space" ~budget:as_slots (Hashtbl.length t.as_used + 1);
       let h = Sha1.prf ~key:t.key (Printf.sprintf "as:%d" n) in
-      let start = Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) 64511L) in
+      let start =
+        Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int as_slots))
+      in
       let rec probe i =
-        let v = 1 + ((start + i) mod 64511) in
+        let v = 1 + ((start + i) mod as_slots) in
         if Hashtbl.mem t.as_used v then probe (i + 1) else v
       in
       let v = probe 0 in

@@ -43,7 +43,10 @@ val anonymize_as : t -> int -> int
 (** Public AS numbers are remapped into [\[1, 64511\]]; private AS numbers
     and 0 are returned unchanged.  The mapping is injective per [t]
     (PRF-chosen slot, deterministic linear probing on collision), so
-    distinct peer ASes never merge under anonymization. *)
+    distinct peer ASes never merge under anonymization.  The public
+    inputs outnumber the slots by one, so a [t] that has already handed
+    out all 64,511 slots raises {!Rd_util.Limits.Budget_exceeded} (site
+    ["anonymize.as-space"]) for a new input. *)
 
 val anonymize_config : t -> string -> string
 (** Anonymize a whole configuration file. *)

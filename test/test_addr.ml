@@ -446,6 +446,59 @@ let test_kernel_shares_rebuilt_sets () =
   check_bool "single prefix is the same node" true
     (Prefix_set.of_prefix (pfx "10.64.3.0/24") == Prefix_set.of_prefixes [ pfx "10.64.3.0/24" ])
 
+(* The kernel's tables are discarded wholesale once they pass 2^20
+   entries.  One fresh domain folds enough random hosts into one set to
+   push both the hash-cons table and the operation memo past that, so
+   both reset mid-run: sets built before the reset, the set built across
+   it and sets rebuilt after it must still agree with each other and with
+   the structural reference. *)
+let test_kernel_tables_reset () =
+  let limit = 1 lsl 20 in
+  let spec = [ "10.0.0.0/9"; "10.200.0.0/16"; "172.16.4.0/22"; "192.0.2.77/32" ] in
+  let other = [ "10.64.0.0/10"; "172.16.0.0/12"; "203.0.113.0/24" ] in
+  let build l = Prefix_set.of_prefixes (List.map pfx l) in
+  Domain.join
+  @@ Domain.spawn (fun () ->
+       let rng = Random.State.make [| 25 |] in
+       let a = build spec and b = build other in
+       let s0 = Prefix_set.stats () in
+       let rec churn acc hosts =
+         let s = Prefix_set.stats () in
+         if s.nodes - s0.nodes > limit + 1 && s.memo_misses - s0.memo_misses > limit + 1
+         then (acc, hosts)
+         else begin
+           let x = (Random.State.bits rng lsl 2) lor Random.State.int rng 4 in
+           let h = Prefix.host (Ipv4.of_int x) in
+           churn (Prefix_set.union acc (Prefix_set.of_prefix h)) (h :: hosts)
+         end
+       in
+       let acc, hosts = churn Prefix_set.empty [] in
+       let a' = build spec and b' = build other in
+       check_bool "rebuilt after the reset under fresh ids" false (a == a' || b == b');
+       List.iter
+         (fun (x, y) ->
+           check_bool "equal across the reset" true (Prefix_set.equal x y);
+           check_bool "subset one way" true (Prefix_set.subset x y);
+           check_bool "subset the other way" true (Prefix_set.subset y x))
+         [ (a, a'); (b, b') ];
+       let strings ps = List.map Prefix.to_string ps in
+       let agree name k r =
+         Alcotest.(check (list string)) name
+           (strings (R.to_prefixes r))
+           (strings (Prefix_set.to_prefixes k));
+         List.iter
+           (fun p ->
+             let addr = Prefix.addr p in
+             check_bool (name ^ " mem") (R.mem addr r) (Prefix_set.mem addr k))
+           (List.filteri (fun i _ -> i mod 97 = 0) hosts @ List.map pfx (spec @ other))
+       in
+       let ra = R.of_prefixes (List.map pfx spec) and rb = R.of_prefixes (List.map pfx other) in
+       agree "built before" a ra;
+       agree "rebuilt after" a' ra;
+       agree "folded across" acc (R.of_prefixes hosts);
+       agree "union across" (Prefix_set.union a b') (R.union ra rb);
+       agree "diff across" (Prefix_set.diff a' b) (R.diff ra rb))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "rd_addr"
@@ -498,6 +551,7 @@ let () =
         :: Alcotest.test_case "kernel stats" `Quick test_kernel_stats_move
         :: Alcotest.test_case "rebuilt sets share nodes" `Quick test_kernel_shares_rebuilt_sets
         :: Alcotest.test_case "of_prefixes makes no memo probes" `Quick test_of_prefixes_no_memo
+        :: Alcotest.test_case "tables reset past the limit" `Quick test_kernel_tables_reset
         :: qc
              [
                prop_kernel_matches_reference;

@@ -57,6 +57,29 @@ let test_report_shape () =
   let only = Rd_check.Crosscheck.run_analysis ~invariants:[ "worklist-equals-rounds" ] a in
   check_sl "restricted catalogue" [ "worklist-equals-rounds" ] only.checked
 
+let test_anon_as_budget_skips () =
+  (* a file naming more distinct public ASes than the anonymizer has
+     slots cannot be anonymized: the invariant is skipped with the
+     budget trip as its reason *)
+  let a =
+    Rd_core.Analysis.analyze ~name:"as-space" [ ("r1.cfg", "hostname r1\nrouter bgp 65001\n") ]
+  in
+  let neighbors =
+    List.init 64512 (fun i ->
+        let n = if i < 64511 then i + 1 else 65535 in
+        Printf.sprintf " neighbor 192.0.2.1 remote-as %d" n)
+  in
+  let files = [ ("r1.cfg", String.concat "\n" ("router bgp 65001" :: neighbors)) ] in
+  let report =
+    Rd_check.Crosscheck.run_analysis ~invariants:[ "anonymize-structure" ] ~files a
+  in
+  check_sl "nothing checked" [] report.checked;
+  match report.skipped with
+  | [ ("anonymize-structure", reason) ] ->
+    check_bool "reason names the budget" true
+      (contains_sub ~needle:"anonymize.as-space" reason)
+  | _ -> Alcotest.fail "expected anonymize-structure skipped"
+
 let test_render_and_json () =
   let net = Rd_gen.Archetype.generate Rd_gen.Archetype.Igp_only ~seed:3 ~n:6 ~index:4 () in
   let report = Rd_check.Crosscheck.run ~name:"tiny" (Rd_gen.Builder.to_texts net) in
@@ -319,6 +342,7 @@ let () =
         [
           Alcotest.test_case "all archetype flavors" `Quick test_oracle_all_flavors;
           Alcotest.test_case "report shape" `Quick test_report_shape;
+          Alcotest.test_case "AS space budget skips" `Quick test_anon_as_budget_skips;
           Alcotest.test_case "render and json" `Quick test_render_and_json;
           Alcotest.test_case "report json round trip" `Quick test_report_json_roundtrip;
           Alcotest.test_case "cancellation fails fast" `Quick test_crosscheck_cancelled;

@@ -405,6 +405,24 @@ let test_anon_as_injective () =
     check_int "memoized" v (Anonymizer.anonymize_as t n)
   done
 
+let test_anon_as_space_exhausted () =
+  (* 64,512 public inputs (1-64511 and 65535) for 64,511 slots: once every
+     slot is handed out there is no free slot left to probe for, so the
+     next new input is a budget trip *)
+  let t = Anonymizer.create ~key:"k" in
+  let seen = Hashtbl.create 65536 in
+  for n = 1 to 64511 do
+    Hashtbl.replace seen (Anonymizer.anonymize_as t n) ()
+  done;
+  check_int "every slot handed out" 64511 (Hashtbl.length seen);
+  (match Anonymizer.anonymize_as t 65535 with
+   | v -> Alcotest.failf "AS 65535 anonymized to %d with every slot taken" v
+   | exception Rd_util.Limits.Budget_exceeded { site; budget } ->
+     check_string "site" "anonymize.as-space" site;
+     check_int "budget" 64511 budget);
+  check_bool "mapped inputs still answer" true (Hashtbl.mem seen (Anonymizer.anonymize_as t 7018));
+  check_int "private still kept" 65001 (Anonymizer.anonymize_as t 65001)
+
 let test_anon_config_structure () =
   let t = Anonymizer.create ~key:"k" in
   let anon = Anonymizer.anonymize_config t figure2 in
@@ -788,6 +806,7 @@ let () =
           Alcotest.test_case "prefix preservation" `Quick test_anon_prefix_preserving;
           Alcotest.test_case "AS number policy" `Quick test_anon_as_numbers;
           Alcotest.test_case "AS mapping injective" `Quick test_anon_as_injective;
+          Alcotest.test_case "AS space exhausted" `Quick test_anon_as_space_exhausted;
           Alcotest.test_case "structure preserved" `Quick test_anon_config_structure;
           Alcotest.test_case "subnet matching preserved" `Quick test_anon_subnet_matching_preserved;
           Alcotest.test_case "anonymize->parse round trip (archetypes)" `Quick
