@@ -133,9 +133,8 @@ let flip t i prefix =
   match Hashtbl.find_opt t.flip_cache k with
   | Some b -> b
   | None ->
-    let b =
-      Int64.to_int (Int64.logand (Sha1.prf ~key:t.key (Printf.sprintf "ip:%d:%d" i prefix)) 1L)
-    in
+    let input = String.concat "" [ "ip:"; string_of_int i; ":"; string_of_int prefix ] in
+    let b = Int64.to_int (Int64.logand (Sha1.prf ~key:t.key input) 1L) in
     Hashtbl.add t.flip_cache k b;
     b
 

@@ -720,7 +720,8 @@ let prop_prefix_preservation =
 
 (* The prefix-preserving map written out bit by bit, with no memoization:
    output bit i is input bit i xored with the low bit of the keyed PRF of
-   the first i input bits, except the leading class bits. *)
+   the first i input bits, except the leading class bits.  The PRF is the
+   reference SHA-1's, so the oracle shares no code with the map it checks. *)
 let reference_anonymize_addr ~key a =
   let x = Ipv4.to_int a in
   let class_bits =
@@ -732,7 +733,7 @@ let reference_anonymize_addr ~key a =
       if i < class_bits then 0
       else
         let prefix = if i = 0 then 0 else x lsr (32 - i) in
-        Int64.to_int (Int64.logand (Rd_util.Sha1.prf ~key (Printf.sprintf "ip:%d:%d" i prefix)) 1L)
+        Int64.to_int (Int64.logand (Sha1_ref.prf ~key (Printf.sprintf "ip:%d:%d" i prefix)) 1L)
     in
     out := (!out lsl 1) lor (((x lsr (31 - i)) land 1) lxor flip)
   done;

@@ -1,6 +1,6 @@
 (* Tests for rd_util: PRNG, pool, trace spans, metrics registry, JSON
-   (emit + parse), SHA-1 (RFC 3174 vectors), union-find, max-flow,
-   statistics, CDF, tables, DOT. *)
+   (emit + parse), SHA-1 (RFC 3174 vectors, agreement with the reference
+   kernel), union-find, max-flow, statistics, CDF, tables, DOT. *)
 
 open Rd_util
 
@@ -450,6 +450,54 @@ let test_sha1_prf () =
   check_bool "key matters" true (a <> Sha1.prf ~key:"k2" "data");
   check_bool "data matters" true (a <> Sha1.prf ~key:"k1" "data2")
 
+(* The straight-line kernel against the round-by-round reference
+   ([Sha1_ref]).  Lengths lean on the padding edges: 55 is the longest
+   tail that leaves room for the length in the same block, 56 and 120
+   need a second tail block, 64 and 128 end on a block boundary. *)
+let arb_bytes len_gen =
+  QCheck.make
+    ~print:(fun s -> Printf.sprintf "%d bytes %S" (String.length s) s)
+    QCheck.Gen.(len_gen >>= fun n -> string_size ~gen:char (return n))
+
+let prop_sha1_digest_ref =
+  QCheck.Test.make ~name:"digest_string = reference digest" ~count:300
+    (arb_bytes
+       QCheck.Gen.(
+         frequency
+           [ (3, oneofl [ 0; 55; 56; 63; 64; 119; 120; 128 ]); (1, int_range 0 300) ]))
+    (fun s ->
+      Sha1.digest_string s = Sha1_ref.digest_string s
+      && Sha1.hex_of_string s = Sha1_ref.hex_of_string s)
+
+let test_sha1_large_ref () =
+  let rng = Prng.create 3174 in
+  let s = String.init ((64 * 1024) + 37) (fun _ -> Char.chr (Prng.int rng 256)) in
+  check_string "64 KiB + 37 bytes" (Sha1_ref.hex_of_string s) (Sha1.hex_of_string s)
+
+(* [prf]'s message, key, 0x00 and data, pads into one block up to 55
+   bytes and into two past that; key and data lengths cluster around
+   that limit. *)
+let prop_sha1_prf_ref =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 3,
+            int_range 0 56 >>= fun kl ->
+            int_range (-2) 2 >>= fun delta -> return (kl, max 0 (54 - kl + delta)) );
+          (1, pair (int_range 0 80) (int_range 0 80));
+        ]
+      >>= fun (kl, dl) -> pair (string_size ~gen:char (return kl)) (string_size ~gen:char (return dl)))
+  in
+  QCheck.Test.make ~name:"prf = reference prf" ~count:300
+    (QCheck.make ~print:(fun (k, d) -> Printf.sprintf "key %S data %S" k d) gen)
+    (fun (key, data) -> Sha1.prf ~key data = Sha1_ref.prf ~key data)
+
+let prop_sha1_to_hex_ref =
+  QCheck.Test.make ~name:"to_hex = reference to_hex" ~count:200
+    (arb_bytes QCheck.Gen.(int_range 0 64))
+    (fun s -> Sha1.to_hex s = Sha1_ref.to_hex s)
+
 (* --------------------------------------------------------- Union_find --- *)
 
 let uf_same uf a b = Union_find.find uf a = Union_find.find uf b
@@ -668,6 +716,15 @@ let test_dot () =
   check_bool "undirected" true (String.sub (Dot.to_string u) 0 5 = "graph")
 
 (* ---------------------------------------------------------------- cache --- *)
+
+(* Store entry file names are [Cache.hex] of these keys, so a key that
+   drifted would orphan every existing checkpoint store.  Pinned from the
+   round-by-round kernel: one single-block and one two-block message. *)
+let test_cache_key_pinned () =
+  check_string "parse key" "5ac0dda02967c106f3f51212575b59a7977b7e47"
+    (Cache.hex (Cache.key ~stage:"parse" ~version:3 [ "r1.cfg"; "hostname r1\n"; "" ]));
+  check_string "analysis key" "5a2c701476a9b9ca8990a2d4fde74c0f24e6bc8b"
+    (Cache.hex (Cache.key ~stage:"analysis" ~version:1 [ String.make 100 'x' ]))
 
 let test_cache_key_determinism () =
   let k1 = Cache.key ~stage:"parse" ~version:1 [ "file"; "bytes" ] in
@@ -1099,7 +1156,9 @@ let () =
           Alcotest.test_case "rfc3174 vectors" `Quick test_sha1_vectors;
           Alcotest.test_case "padding boundaries" `Quick test_sha1_lengths;
           Alcotest.test_case "prf" `Quick test_sha1_prf;
-        ] );
+          Alcotest.test_case "64 KiB input = reference" `Quick test_sha1_large_ref;
+        ]
+        @ qc [ prop_sha1_digest_ref; prop_sha1_prf_ref; prop_sha1_to_hex_ref ] );
       ( "union_find",
         Alcotest.test_case "basics" `Quick test_uf_basic
         :: Alcotest.test_case "groups" `Quick test_uf_groups
@@ -1117,6 +1176,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "key determinism" `Quick test_cache_key_determinism;
+          Alcotest.test_case "keys pinned" `Quick test_cache_key_pinned;
           Alcotest.test_case "hit after miss" `Quick test_cache_hit_after_miss;
           Alcotest.test_case "invalidate and clear" `Quick test_cache_invalidate_and_clear;
           Alcotest.test_case "eviction bounds memory" `Quick test_cache_eviction_bounds_memory;
