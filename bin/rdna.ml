@@ -616,9 +616,9 @@ let whatif_cmd =
   Cmd.v
     (Cmd.info "whatif"
        ~doc:"Model the effect of failures/maintenance on the design (paper §8.1), \
-             incrementally: batch scenarios share one content-addressed engine, and each \
-             scenario's reachability restarts from the baseline fixpoint's dirtied frontier \
-             only.")
+             incrementally: batch scenarios share one content-addressed engine, which \
+             solves the baseline fixpoint once per network and memoizes every scenario's \
+             changed network and fixpoint.")
     Term.(const run $ target_term ~study_doc $ batch_arg $ routers_arg $ links_arg
           $ shutdown_arg $ json_term ~doc:json_doc $ observability_term ~metrics_doc
           $ supervision_term)
@@ -703,8 +703,8 @@ let crosscheck_cmd =
        ~doc:"Differential reachability cross-check: assert the concrete simulation's routes are \
              contained in the static analysis (sim\xe2\x8a\x86static oracle) and run the \
              metamorphic invariant suite (anonymize-structure, deny-filter monotonicity, \
-             remove-router monotonicity, worklist=rounds).  Exits non-zero on any \
-             error-severity violation.")
+             remove-router monotonicity, worklist=rounds, netlint-sim-agree).  Exits non-zero \
+             on any error-severity violation.")
     Term.(const run
           $ target_term ~study_doc:"Cross-check every network of the 31-network study population."
           $ jobs_term ~doc:"Worker domains for parallel cross-checking."
@@ -772,17 +772,13 @@ let netlint_cmd =
 (* --- generate ----------------------------------------------------------- *)
 
 let generate_cmd =
+  let archetypes = String.concat "|" (List.map Rd_gen.Archetype.to_string Rd_gen.Archetype.all) in
   let run arch n seed out =
     guard @@ fun () ->
     let archetype =
-      match arch with
-      | "backbone" -> Rd_gen.Archetype.Backbone
-      | "enterprise" -> Rd_gen.Archetype.Enterprise
-      | "compartment" -> Rd_gen.Archetype.Compartment
-      | "restricted" -> Rd_gen.Archetype.Restricted
-      | "tier2" -> Rd_gen.Archetype.Tier2
-      | "hub-spoke" -> Rd_gen.Archetype.Hub_spoke
-      | _ -> Rd_gen.Archetype.Igp_only
+      match Rd_gen.Archetype.of_string arch with
+      | Some a -> a
+      | None -> die ~code:"unknown-archetype" "%s: unknown archetype (expected %s)" arch archetypes
     in
     let net = Rd_gen.Archetype.generate archetype ~seed ~n ~index:seed () in
     if not (Sys.file_exists out) then Sys.mkdir out 0o755;
@@ -796,8 +792,7 @@ let generate_cmd =
   in
   let arch_arg =
     Arg.(value & pos 0 string "enterprise"
-         & info [] ~docv:"ARCH"
-             ~doc:"backbone|enterprise|compartment|restricted|tier2|hub-spoke|igp-only")
+         & info [] ~docv:"ARCH" ~doc:archetypes)
   in
   let n_arg = Arg.(value & opt int 30 & info [ "n" ] ~docv:"N" ~doc:"Router count.") in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in

@@ -26,7 +26,10 @@ let to_prefix t =
     Some (Prefix.make t.base (32 - bits w 0))
   end
 
-let to_prefixes ?(max_bits = 12) t =
+(* The most scattered wild bits [to_prefixes] enumerates: 2^12 prefixes. *)
+let max_scattered_bits = 12
+
+let to_prefixes t =
   match to_prefix t with
   | Some p -> ([ p ], true)
   | None ->
@@ -40,7 +43,7 @@ let to_prefixes ?(max_bits = 12) t =
       List.filter (fun i -> (w lsr i) land 1 = 1)
         (List.init (32 - contiguous) (fun i -> i + contiguous))
     in
-    if List.length scattered > max_bits then begin
+    if List.length scattered > max_scattered_bits then begin
       (* Over-approximate with the smallest contiguous wildcard covering
          every wild bit: wildcard everything up to the highest wild bit. *)
       let rec high i = if (w lsr i) land 1 = 1 then i else high (i - 1) in

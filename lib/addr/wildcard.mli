@@ -26,13 +26,13 @@ val of_prefix : Prefix.t -> t
 val to_prefix : t -> Prefix.t option
 (** [Some p] when the wildcard is contiguous, [None] otherwise. *)
 
-val to_prefixes : ?max_bits:int -> t -> Prefix.t list * bool
+val to_prefixes : t -> Prefix.t list * bool
 (** [to_prefixes w] decomposes the wildcard into prefixes covering the
     addresses it matches.  A contiguous wildcard is one prefix.  A
     non-contiguous wildcard's low contiguous run of wild bits folds into
     the prefix length and each wild bit above it is enumerated, yielding
     [2^scattered] disjoint prefixes — exact, flagged [true].  When more
-    than [max_bits] (default 12) bits would need enumeration, the result
+    than 12 bits would need enumeration, the result
     is instead the single smallest contiguous cover, a strict
     over-approximation flagged [false]. *)
 

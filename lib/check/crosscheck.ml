@@ -32,8 +32,6 @@ let all_invariants =
 
 (* --- admitted approximations ------------------------------------------- *)
 
-let approx_codes = [ "acl-wildcard-approx"; "route-map-tag-approx" ]
-
 (* Re-lower every named policy with a collector: the analysis pipeline
    lowers them diag-less (and memoized), so this is where the
    [*-approx] warnings become visible to the cross-check. *)
@@ -48,7 +46,7 @@ let approximations (a : Analysis.t) =
             (Rd_policy.Route_map.permitted_set ~diag:c rm ~lookup_acl:(Ast.find_acl cfg)
                ~lookup_prefix_list:(Ast.find_prefix_list cfg) ()))
         cfg.route_maps;
-      List.filter (fun (d : Diag.t) -> List.mem d.code approx_codes) (Diag.to_list c))
+      List.filter (fun (d : Diag.t) -> List.mem d.code Netlint.approx_codes) (Diag.to_list c))
     a.configs
 
 (* --- the sim⊆static oracle --------------------------------------------- *)
@@ -168,7 +166,7 @@ let structure (a : Analysis.t) =
     ("address blocks", string_of_int (List.length a.blocks));
   ]
 
-let anonymize_structure ?limits ?cancel (a : Analysis.t) = function
+let anonymize_structure ?cancel (a : Analysis.t) = function
   | None -> Error "raw configuration texts not available"
   | Some files -> (
     let anonymizer = Anonymizer.create ~key:("crosscheck-" ^ a.name) in
@@ -179,7 +177,7 @@ let anonymize_structure ?limits ?cancel (a : Analysis.t) = function
     with
     | exception (Rd_util.Limits.Budget_exceeded _ as e) -> Error (Printexc.to_string e)
     | anon ->
-      let a' = Analysis.analyze ?limits ?cancel ~name:(a.name ^ "+anon") anon in
+      let a' = Analysis.analyze ?cancel ~name:(a.name ^ "+anon") anon in
       Ok
         (List.filter_map
            (fun ((what, before), (_, after)) ->
@@ -196,7 +194,7 @@ let anonymize_structure ?limits ?cancel (a : Analysis.t) = function
 
 (* Conjoining every edge filter with a deny set can only shrink the
    fixpoint: the static analysis is monotone in its filters. *)
-let deny_filter_monotone ?limits ?cancel (a : Analysis.t) (r : Rd_reach.Reachability.t) =
+let deny_filter_monotone ?cancel (a : Analysis.t) (r : Rd_reach.Reachability.t) =
   match Prefix_set.to_prefixes (Rd_reach.Reachability.internal_space r) with
   | [] -> Error "no internal address space to probe"
   | probe :: _ ->
@@ -214,7 +212,7 @@ let deny_filter_monotone ?limits ?cancel (a : Analysis.t) (r : Rd_reach.Reachabi
             a.graph.edges;
       }
     in
-    let r' = Rd_reach.Reachability.compute ?limits ?cancel graph' in
+    let r' = Rd_reach.Reachability.compute ?cancel graph' in
     let violations = ref [] in
     Array.iteri
       (fun i _ ->
@@ -239,16 +237,13 @@ let deny_filter_monotone ?limits ?cancel (a : Analysis.t) (r : Rd_reach.Reachabi
    may become reachable.  Compared with empty external offers ([r0] is
    the baseline under that offer), as Whatif.compare does, so the
    unknown outside world cannot mask a growth. *)
-let remove_router_monotone ?limits ?cancel (a : Analysis.t) ~r0 =
+let remove_router_monotone ?cancel (a : Analysis.t) ~r0 =
   if Array.length a.topo.routers = 0 then Error "no routers"
   else begin
     let name = fst a.topo.routers.(0) in
     let after = (Whatif.apply a [ Whatif.Remove_router name ]).analysis in
     let rb = Lazy.force r0 in
-    let ra =
-      Rd_reach.Reachability.compute ?limits ?cancel ~external_offers:Prefix_set.empty
-        after.graph
-    in
+    let ra = Rd_reach.Reachability.compute ?cancel ~external_offers:Prefix_set.empty after.graph in
     let gained = Whatif.lost_pairs (Whatif.sample_hosts rb) ra rb in
     Ok
       (List.map
@@ -266,8 +261,8 @@ let remove_router_monotone ?limits ?cancel (a : Analysis.t) ~r0 =
 
 (* PR 5's 31-network regression, generalized: the worklist fixpoint and
    the legacy full-sweep fixpoint must agree exactly. *)
-let worklist_equals_rounds ?limits ?cancel (a : Analysis.t) (r : Rd_reach.Reachability.t) =
-  let r2 = Rd_reach.Reachability.compute_rounds ?limits ?cancel a.graph in
+let worklist_equals_rounds ?cancel (a : Analysis.t) (r : Rd_reach.Reachability.t) =
+  let r2 = Rd_reach.Reachability.compute_rounds ?cancel a.graph in
   let violations = ref [] in
   Array.iteri
     (fun i _ ->
@@ -377,8 +372,7 @@ let netlint_sim_agree ~approx (a : Analysis.t) ~sim ~r0 =
 
 (* --- driver ------------------------------------------------------------- *)
 
-let run_analysis ?limits ?cancel ?faults ?(invariants = all_invariants) ?files
-    (a : Analysis.t) =
+let run_analysis ?cancel ?faults ?(invariants = all_invariants) ?files (a : Analysis.t) =
   (* The per-network oracle is a cancellation scope of its own: one
      poll before the baseline fixpoint, one between invariants, plus
      the polls inside every fixpoint/simulation it drives.  [faults]
@@ -387,17 +381,14 @@ let run_analysis ?limits ?cancel ?faults ?(invariants = all_invariants) ?files
      oracle. *)
   Rd_util.Fault.fault_point faults ~site:"crosscheck.network" ~key:a.name;
   Rd_util.Cancel.check ~site:"crosscheck.network" cancel;
-  let r = Rd_reach.Reachability.compute ?limits ?cancel a.graph in
+  let r = Rd_reach.Reachability.compute ?cancel a.graph in
   let approx = approximations a <> [] in
   (* One shared simulation, and one empty-offer baseline fixpoint, for
      every invariant that needs them. *)
   let sim =
-    lazy (Rd_sim.Propagate.run ?limits ?cancel ?faults (Rd_routing.Process_graph.build a.catalog))
+    lazy (Rd_sim.Propagate.run ?cancel ?faults (Rd_routing.Process_graph.build a.catalog))
   in
-  let r0 =
-    lazy
-      (Rd_reach.Reachability.compute ?limits ?cancel ~external_offers:Prefix_set.empty a.graph)
-  in
+  let r0 = lazy (Rd_reach.Reachability.compute ?cancel ~external_offers:Prefix_set.empty a.graph) in
   let checked = ref [] and skipped = ref [] and violations = ref [] in
   let converged = ref true in
   let record inv result =
@@ -416,10 +407,10 @@ let run_analysis ?limits ?cancel ?faults ?(invariants = all_invariants) ?files
         (match result with Error _ -> converged := false | Ok _ -> ());
         record inv result
       | "netlint-sim-agree" -> record inv (netlint_sim_agree ~approx a ~sim ~r0)
-      | "anonymize-structure" -> record inv (anonymize_structure ?limits ?cancel a files)
-      | "deny-filter-monotone" -> record inv (deny_filter_monotone ?limits ?cancel a r)
-      | "remove-router-monotone" -> record inv (remove_router_monotone ?limits ?cancel a ~r0)
-      | "worklist-equals-rounds" -> record inv (worklist_equals_rounds ?limits ?cancel a r)
+      | "anonymize-structure" -> record inv (anonymize_structure ?cancel a files)
+      | "deny-filter-monotone" -> record inv (deny_filter_monotone ?cancel a r)
+      | "remove-router-monotone" -> record inv (remove_router_monotone ?cancel a ~r0)
+      | "worklist-equals-rounds" -> record inv (worklist_equals_rounds ?cancel a r)
       | other -> skipped := (other, "unknown invariant") :: !skipped)
     invariants;
   {
@@ -433,12 +424,12 @@ let run_analysis ?limits ?cancel ?faults ?(invariants = all_invariants) ?files
     violations = !violations;
   }
 
-let run ?limits ?cancel ?faults ?invariants ~name files =
-  let a = Analysis.analyze ?limits ?cancel ?faults ~name files in
-  run_analysis ?limits ?cancel ?faults ?invariants ~files a
+let run ?cancel ?faults ?invariants ~name files =
+  let a = Analysis.analyze ?cancel ?faults ~name files in
+  run_analysis ?cancel ?faults ?invariants ~files a
 
-let violates ?limits ~invariant ~name files =
-  match run ?limits ~invariants:[ invariant ] ~name files with
+let violates ~invariant ~name files =
+  match run ~invariants:[ invariant ] ~name files with
   | report -> List.exists (fun v -> v.invariant = invariant) report.violations
   | exception _ -> false
 
@@ -463,12 +454,7 @@ let render reports =
   let rows =
     List.map
       (fun (r : report) ->
-        let e, w =
-          List.fold_left
-            (fun (e, w) v ->
-              if v.severity = Diag.Error then (e + 1, w) else (e, w + 1))
-            (0, 0) r.violations
-        in
+        let e, w = severity_counts [ r ] in
         [
           r.network;
           string_of_int r.routers;

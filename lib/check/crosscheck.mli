@@ -49,7 +49,6 @@ val all_invariants : string list
     one route-propagation simulation with [sim-subset-static]. *)
 
 val run_analysis :
-  ?limits:Rd_util.Limits.t ->
   ?cancel:Rd_util.Cancel.t ->
   ?faults:Rd_util.Fault.t ->
   ?invariants:string list ->
@@ -61,8 +60,8 @@ val run_analysis :
     texts; without them the [anonymize-structure] invariant (which must
     re-anonymize and re-parse the text) is skipped with a reason, as it
     is when the texts name more public ASes than the anonymizer has
-    slots (the budget trip's message is the reason).
-    [limits] bounds both fixpoints and the simulation rounds.  [cancel]
+    slots (the budget trip's message is the reason).  Both fixpoints and
+    the simulation rounds run under {!Rd_util.Limits.default}.  [cancel]
     is polled on entry (site ["crosscheck.network"]), between
     invariants (site ["crosscheck.invariant"]) and inside every
     fixpoint and simulation driven by the oracle, so a per-network
@@ -73,7 +72,6 @@ val run_analysis :
     chaos handle for delaying or killing one network's oracle. *)
 
 val run :
-  ?limits:Rd_util.Limits.t ->
   ?cancel:Rd_util.Cancel.t ->
   ?faults:Rd_util.Fault.t ->
   ?invariants:string list ->
@@ -82,9 +80,7 @@ val run :
   report
 (** Analyze [(file, text)] configurations and {!run_analysis} them. *)
 
-val violates :
-  ?limits:Rd_util.Limits.t -> invariant:string -> name:string ->
-  (string * string) list -> bool
+val violates : invariant:string -> name:string -> (string * string) list -> bool
 (** Does this configuration set still violate [invariant]?  Exceptions
     during analysis count as "no" (a crashing subset is not a
     reproduction) — this is the {!Shrink.predicate} the counterexample

@@ -19,18 +19,13 @@ type collector = { default_file : string option; mutable rev : t list }
 
 let create ?file () = { default_file = file; rev = [] }
 
-let add c d =
-  let d = match d.file with None -> { d with file = c.default_file } | Some _ -> d in
-  c.rev <- d :: c.rev
+let add c ?line severity ~code message =
+  c.rev <- make ?file:c.default_file ?line severity ~code message :: c.rev
 
-let report c ?file ?line severity ~code fmt =
-  Printf.ksprintf (fun message -> add c (make ?file ?line severity ~code message)) fmt
+let report c ?line severity ~code fmt = Printf.ksprintf (add c ?line severity ~code) fmt
 
-let reportf c ?file ?line severity ~code fmt =
-  Printf.ksprintf
-    (fun message ->
-      match c with None -> () | Some c -> add c (make ?file ?line severity ~code message))
-    fmt
+let reportf c severity ~code fmt =
+  Printf.ksprintf (fun message -> Option.iter (fun c -> add c severity ~code message) c) fmt
 
 let to_list c = List.rev c.rev
 

@@ -34,18 +34,16 @@ type collector
 
 val create : ?file:string -> unit -> collector
 (** [create ~file ()] — [file] is stamped onto every diagnostic added
-    through this collector (unless the addition overrides it). *)
+    through this collector. *)
 
 val report :
-  collector -> ?file:string -> ?line:int -> severity -> code:string ->
-  ('a, unit, string, unit) format4 -> 'a
+  collector -> ?line:int -> severity -> code:string -> ('a, unit, string, unit) format4 -> 'a
 (** [report c sev ~code fmt ...] formats and adds a diagnostic. *)
 
 val reportf :
-  collector option -> ?file:string -> ?line:int -> severity -> code:string ->
-  ('a, unit, string, unit) format4 -> 'a
-(** Like {!report} but a no-op on [None] — for APIs where the collector
-    is optional. *)
+  collector option -> severity -> code:string -> ('a, unit, string, unit) format4 -> 'a
+(** Like {!report} without a line, and a no-op on [None] — for APIs
+    where the collector is optional. *)
 
 val to_list : collector -> t list
 (** Harvest, in insertion order. *)

@@ -61,9 +61,8 @@ let run_stages ?trace ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default
   Rd_util.Metrics.incr metrics ~by:(Array.length topo.routers) "analysis.routers";
   { name; configs; topo; catalog; graph; blocks; filter_stats; diags }
 
-let analyze_asts ?trace ?metrics ?faults ?cancel ?limits ?(diags = []) ~name configs =
-  network_span ?trace ~name (fun () ->
-      run_stages ?trace ?metrics ?faults ?cancel ?limits ~diags ~name configs)
+let analyze_asts ?trace ?metrics ?cancel ?(diags = []) ~name configs =
+  network_span ?trace ~name (fun () -> run_stages ?trace ?metrics ?cancel ~diags ~name configs)
 
 let drop_diag file (fl : Rd_util.Pool.failure) =
   let code =

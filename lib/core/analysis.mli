@@ -52,12 +52,13 @@ val analyze :
     without them. *)
 
 val analyze_asts :
-  ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t ->
-  ?faults:Rd_util.Fault.t -> ?cancel:Rd_util.Cancel.t -> ?limits:Rd_util.Limits.t ->
+  ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t -> ?cancel:Rd_util.Cancel.t ->
   ?diags:Rd_config.Diag.t list ->
   name:string -> (string * Rd_config.Ast.t) list -> t
 (** Entry point when configurations are already parsed; [diags] carries
-    any diagnostics collected while parsing them. *)
+    any diagnostics collected while parsing them.  The stages after
+    parsing run as in {!analyze}, under {!Rd_util.Limits.default} and
+    with no fault site armed. *)
 
 val router_count : t -> int
 val instance_count : t -> int

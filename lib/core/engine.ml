@@ -19,18 +19,17 @@ type t = {
   whatifs : Whatif.delta Cache.t;
 }
 
-let create ?metrics ?trace ?cancel ?capacity () =
-  let cache name = Cache.create ?capacity ~name () in
-  (* Parsed ASTs are small and numerous (one per router, hundreds per
-     large network); a store sized for whole-network artifacts would
-     evict mid-load and never hit.  64x the artifact capacity keeps a
-     study-scale population of files resident. *)
-  let parse_capacity = 64 * Option.value ~default:256 capacity in
+let create ?metrics ?trace ?cancel () =
+  let cache name = Cache.create ~name () in
   {
     metrics;
     trace;
     cancel;
-    parses = Cache.create ~capacity:parse_capacity ~name:"parse" ();
+    (* Parsed ASTs are small and numerous (one per router, hundreds per
+       large network); a store sized for whole-network artifacts would
+       evict mid-load and never hit.  64x the artifact stores' 256
+       entries keeps a study-scale population of files resident. *)
+    parses = Cache.create ~capacity:(64 * 256) ~name:"parse" ();
     analyses = cache "analysis";
     reaches = cache "reach";
     whatifs = cache "whatif";

@@ -34,9 +34,9 @@ type t
 
 val create :
   ?metrics:Rd_util.Metrics.t -> ?trace:Rd_util.Trace.t -> ?cancel:Rd_util.Cancel.t ->
-  ?capacity:int -> unit -> t
-(** A fresh engine with empty stores.  [capacity] bounds each store
-    (default {!Rd_util.Cache.create}'s 256 entries).  [cancel] is
+  unit -> t
+(** A fresh engine with empty stores: {!Rd_util.Cache.create}'s 256
+    entries for each artifact store, 64×256 for parsed files.  [cancel] is
     threaded into every fixpoint and parse the engine drives, so a
     deadline or SIGINT stops an in-flight scenario at its next poll
     point (cached probes are unaffected — a warm engine can still serve

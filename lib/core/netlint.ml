@@ -957,9 +957,9 @@ let run_analysis ?trace ?metrics ?cancel ?(rules = all_rules) ?files
     findings;
   }
 
-let run ?trace ?metrics ?cancel ?rules ~name files =
-  let a = Analysis.analyze ?trace ?metrics ?cancel ~name files in
-  run_analysis ?trace ?metrics ?cancel ?rules ~files a
+let run ?cancel ?rules ~name files =
+  let a = Analysis.analyze ?cancel ~name files in
+  run_analysis ?cancel ?rules ~files a
 
 let has_errors reports =
   List.exists (fun r -> Diag.has_errors r.findings) reports

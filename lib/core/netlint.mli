@@ -85,6 +85,12 @@ val all_rules : string list
 (** [["redistribution-loop"; "route-leak"; "peer-consistency";
     "shadowed-rules"]] — every rule family, in default run order. *)
 
+val approx_codes : string list
+(** The diag codes by which a policy lowering admits an
+    over-approximation ([acl-wildcard-approx], [route-map-tag-approx]);
+    netlint and the cross-check treat a policy that raises one as
+    inexact. *)
+
 val run_analysis :
   ?trace:Rd_util.Trace.t ->
   ?metrics:Rd_util.Metrics.t ->
@@ -103,8 +109,6 @@ val run_analysis :
     [Info] diagnostic — never a silent cut. *)
 
 val run :
-  ?trace:Rd_util.Trace.t ->
-  ?metrics:Rd_util.Metrics.t ->
   ?cancel:Rd_util.Cancel.t ->
   ?rules:string list ->
   name:string ->

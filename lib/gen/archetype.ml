@@ -11,6 +11,10 @@ let to_string = function
   | Hub_spoke -> "hub-spoke"
   | Igp_only -> "igp-only"
 
+let all = [ Backbone; Enterprise; Compartment; Restricted; Tier2; Hub_spoke; Igp_only ]
+
+let of_string s = List.find_opt (fun a -> String.equal (to_string a) s) all
+
 (* Internal blocks are sized to the network (networks are analyzed
    independently, so 10/8 reuse across networks is fine — and realistic). *)
 let block_for index ~n =

@@ -11,8 +11,14 @@ type t =
   | Hub_spoke  (** hub-and-spoke enterprise (§8.2). *)
   | Igp_only  (** single-IGP network without BGP. *)
 
+val all : t list
+(** Every archetype, in declaration order. *)
+
 val to_string : t -> string
 (** Kebab-case archetype name as accepted by [rdna generate]. *)
+
+val of_string : string -> t option
+(** Inverse of {!to_string}; [None] for any other name. *)
 
 val generate :
   t -> seed:int -> n:int -> ?use_bgp:bool -> ?use_filters:bool -> index:int -> unit -> Builder.net

@@ -56,24 +56,23 @@ let lan t ?(kind = "FastEthernet") ?plan ?acl_in d =
        ~extras:(Texture.iface_extras t.rng ~kind) ());
   (subnet, addr)
 
-let multi_lan t ?(kind = "FastEthernet") ?plan ds =
-  let plan = Option.value plan ~default:t.plan_ in
-  let subnet = Addr_plan.lan plan in
+let multi_lan t ds =
+  let subnet = Addr_plan.lan t.plan_ in
   let addrs =
     List.mapi
       (fun i d ->
         let addr = Prefix.nth subnet (i + 1) in
-        ignore (Device.add_interface d ~kind ~addr:(addr, mask_of subnet) ());
+        ignore (Device.add_interface d ~kind:"FastEthernet" ~addr:(addr, mask_of subnet) ());
         addr)
       ds
   in
   (subnet, addrs)
 
-let external_link t ?(kind = "Serial") ?acl_in ?acl_out d =
+let external_link t ?(kind = "Serial") ?acl_in d =
   let subnet = Addr_plan.p2p t.ext_plan_ in
   let local = Prefix.nth subnet 1 and remote = Prefix.nth subnet 2 in
   ignore
-    (Device.add_interface d ~kind ~p2p:true ~addr:(local, mask_of subnet) ?acl_in ?acl_out
+    (Device.add_interface d ~kind ~p2p:true ~addr:(local, mask_of subnet) ?acl_in
        ~extras:(Texture.iface_extras t.rng ~kind) ());
   (subnet, local, remote)
 
@@ -97,22 +96,16 @@ let eigrp_cover d ~asn subnet =
 
 let rip_cover d subnet = add_network d Ast.Rip None (Ast.Net_classful (Prefix.addr subnet))
 
-let bgp_neighbor d ~asn ~peer ~remote_as ?rm_in ?rm_out ?dlist_in ?dlist_out ?pl_in ?pl_out
-    ?(rr_client = false) () =
+let bgp_neighbor d ~asn ~peer ~remote_as ?dlist_in ?dlist_out ?pl_in ?(rr_client = false) () =
   Device.update_process d Ast.Bgp (Some asn) (fun p ->
       let n = Ast.empty_neighbor peer remote_as in
       let n =
         {
           n with
-          Ast.nb_route_maps =
-            (match rm_in with Some r -> [ (r, Ast.In) ] | None -> [])
-            @ (match rm_out with Some r -> [ (r, Ast.Out) ] | None -> []);
-          nb_dlists =
+          Ast.nb_dlists =
             (match dlist_in with Some a -> [ (a, Ast.In) ] | None -> [])
             @ (match dlist_out with Some a -> [ (a, Ast.Out) ] | None -> []);
-          nb_prefix_lists =
-            (match pl_in with Some a -> [ (a, Ast.In) ] | None -> [])
-            @ (match pl_out with Some a -> [ (a, Ast.Out) ] | None -> []);
+          nb_prefix_lists = (match pl_in with Some a -> [ (a, Ast.In) ] | None -> []);
           route_reflector_client = rr_client;
         }
       in

@@ -37,12 +37,11 @@ val lan :
 (** Attach a stub LAN (default FastEthernet, /24).  Returns (subnet,
     router's address). *)
 
-val multi_lan :
-  net -> ?kind:string -> ?plan:Addr_plan.t -> Device.t list -> Prefix.t * Ipv4.t list
-(** A shared multipoint segment joining several routers. *)
+val multi_lan : net -> Device.t list -> Prefix.t * Ipv4.t list
+(** A shared multipoint FastEthernet segment joining several routers,
+    addressed from the net's own plan. *)
 
-val external_link :
-  net -> ?kind:string -> ?acl_in:string -> ?acl_out:string -> Device.t -> Prefix.t * Ipv4.t * Ipv4.t
+val external_link : net -> ?kind:string -> ?acl_in:string -> Device.t -> Prefix.t * Ipv4.t * Ipv4.t
 (** A /30 toward a router outside the network (whose config will not
     exist).  Returns (subnet, local address, phantom remote address). *)
 
@@ -65,17 +64,14 @@ val bgp_neighbor :
   asn:int ->
   peer:Ipv4.t ->
   remote_as:int ->
-  ?rm_in:string ->
-  ?rm_out:string ->
   ?dlist_in:string ->
   ?dlist_out:string ->
   ?pl_in:string ->
-  ?pl_out:string ->
   ?rr_client:bool ->
   unit ->
   unit
-(** Add a BGP neighbor with optional per-neighbor policies (route-maps,
-    distribute-lists, prefix-lists, in either direction) and
+(** Add a BGP neighbor with optional per-neighbor policies
+    (distribute-lists in either direction, an inbound prefix-list) and
     route-reflector-client status — the §5 BGP-as-interior-glue patterns. *)
 
 val prefix_list : Device.t -> name:string -> (Ast.action * Prefix.t * int option) list -> unit

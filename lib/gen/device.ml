@@ -36,13 +36,10 @@ let iface_name kind unit_no =
     Printf.sprintf "%s%d" kind unit_no
   | _ -> Printf.sprintf "%s%d/%d" kind (unit_no / 4) (unit_no mod 4)
 
-let add_interface t ~kind ?(p2p = false) ?addr ?unnumbered ?acl_in ?acl_out ?(extras = [])
-    ?description () =
+let add_interface t ~kind ?(p2p = false) ?addr ?unnumbered ?acl_in ?(extras = []) ?description
+    () =
   let if_name = iface_name kind (next_unit t kind) in
-  let access_groups =
-    (match acl_in with Some a -> [ (a, Ast.In) ] | None -> [])
-    @ (match acl_out with Some a -> [ (a, Ast.Out) ] | None -> [])
-  in
+  let access_groups = match acl_in with Some a -> [ (a, Ast.In) ] | None -> [] in
   let i =
     {
       (Ast.empty_interface if_name) with

@@ -19,13 +19,13 @@ val add_interface :
   ?addr:Ipv4.t * Ipv4.t ->
   ?unnumbered:string ->
   ?acl_in:string ->
-  ?acl_out:string ->
   ?extras:string list ->
   ?description:string ->
   unit ->
   string
 (** Add an interface of the given kind (e.g. ["Serial"], ["FastEthernet"])
-    with an auto-assigned unit number; returns the interface name. *)
+    with an auto-assigned unit number and, with [acl_in], an inbound
+    access group; returns the interface name. *)
 
 val update_process :
   t -> Ast.protocol -> int option -> (Ast.router_process -> Ast.router_process) -> unit

@@ -91,9 +91,9 @@ let edge_filter ?(extra = 0) net d ~name ~internal_block =
     @ customers
     @ [ (Ast.Permit, Prefix.default) ])
 
-let mgmt_instances ?p net d ~tries =
+let mgmt_instances net d ~tries =
   for _ = 1 to tries do
-    mgmt_instance ?p net d
+    mgmt_instance net d
   done
 
 let blockable_ports = [| 135; 137; 139; 445; 1433; 1434; 161; 69; 514; 2049; 111; 512; 513 |]

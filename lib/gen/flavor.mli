@@ -27,9 +27,9 @@ val edge_filter :
     [extra] customer-prefix permits, then permit any) — the RFC 2267
     conventional wisdom the paper contrasts internal filtering against. *)
 
-val mgmt_instances : ?p:float -> Builder.net -> Device.t -> tries:int -> unit
-(** Run {!mgmt_instance} [tries] times (big operational networks often
-    carry several per-router processes). *)
+val mgmt_instances : Builder.net -> Device.t -> tries:int -> unit
+(** Run {!mgmt_instance} [tries] times at its default probability (big
+    operational networks often carry several per-router processes). *)
 
 val internal_filter : Builder.net -> Device.t -> name:string -> ?clauses:int -> unit -> unit
 (** Define a multi-policy internal packet filter (port/protocol blocking)

@@ -176,8 +176,7 @@ let finish ?metrics ~stats0 g origins routes iterations =
    nothing.  Retained as executable reference semantics for the worklist
    — the regression suite checks [compute] against it on all studied
    networks. *)
-let compute_rounds ?cancel ?(limits = Rd_util.Limits.default)
-    ?(external_offers = Prefix_set.full) (g : Instance_graph.t) =
+let compute_rounds ?cancel (g : Instance_graph.t) =
   let stats0 = Prefix_set.stats () in
   let origins = origins_bulk g in
   let routes = seed_routes g origins in
@@ -187,13 +186,13 @@ let compute_rounds ?cancel ?(limits = Rd_util.Limits.default)
     changed := false;
     incr iterations;
     Rd_util.Cancel.check ~site:fixpoint_site cancel;
-    Rd_util.Limits.check ~site:fixpoint_site ~budget:limits.max_fixpoint_iterations
-      !iterations;
+    Rd_util.Limits.check ~site:fixpoint_site
+      ~budget:Rd_util.Limits.default.max_fixpoint_iterations !iterations;
     List.iter
       (fun (e : Instance_graph.edge) ->
         let inflow =
           match e.src with
-          | Instance_graph.External _ -> external_offers
+          | Instance_graph.External _ -> Prefix_set.full
           | Instance_graph.Inst i -> routes.(i)
         in
         match e.dst with

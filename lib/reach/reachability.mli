@@ -53,11 +53,11 @@ val compute :
     {!Rd_util.Cancel.Cancelled} with site ["reach.fixpoint"] within one
     generation of the trip. *)
 
-val compute_rounds :
-  ?cancel:Rd_util.Cancel.t -> ?limits:Rd_util.Limits.t -> ?external_offers:Prefix_set.t ->
-  Rd_routing.Instance_graph.t -> t
+val compute_rounds : ?cancel:Rd_util.Cancel.t -> Rd_routing.Instance_graph.t -> t
 (** The legacy fixpoint: sweep every edge in rounds until a round changes
-    nothing.  Retained as executable reference semantics for {!compute}
+    nothing, with the full address space offered on every inbound edge
+    and the round count budgeted by {!Rd_util.Limits.default} ({!compute}'s
+    defaults).  Retained as executable reference semantics for {!compute}
     (regression tests); prefer {!compute}. *)
 
 val origins_bulk : Rd_routing.Instance_graph.t -> Prefix_set.t array

@@ -5,7 +5,7 @@ type t = {
   reaches_external : bool;
 }
 
-let build ?metrics (g : Instance_graph.t) ~router =
+let build (g : Instance_graph.t) ~router =
   let start = Instance_graph.instance_of_router g router in
   let depth_tbl = Hashtbl.create 16 in
   let edges = ref [] in
@@ -15,7 +15,6 @@ let build ?metrics (g : Instance_graph.t) ~router =
       Hashtbl.replace depth_tbl (Instance_graph.Inst i) 0;
       Queue.add (Instance_graph.Inst i) queue)
     start;
-  let frontier_peak = ref (Queue.length queue) in
   while not (Queue.is_empty queue) do
     let v = Queue.pop queue in
     let d = Hashtbl.find depth_tbl v in
@@ -27,16 +26,8 @@ let build ?metrics (g : Instance_graph.t) ~router =
           Hashtbl.replace depth_tbl e.src (d + 1);
           Queue.add e.src queue
         end)
-      (Instance_graph.in_edges g v);
-    if Queue.length queue > !frontier_peak then frontier_peak := Queue.length queue
+      (Instance_graph.in_edges g v)
   done;
-  (match metrics with
-   | None -> ()
-   | Some _ ->
-     Rd_util.Metrics.incr metrics "pathway.builds";
-     Rd_util.Metrics.observe metrics "pathway.frontier_peak" (float_of_int !frontier_peak);
-     Rd_util.Metrics.observe metrics "pathway.vertices"
-       (float_of_int (Hashtbl.length depth_tbl)));
   let depth_of = Hashtbl.fold (fun v d acc -> (v, d) :: acc) depth_tbl [] in
   let reaches_external =
     List.exists (function Instance_graph.External _, _ -> true | _ -> false) depth_of

@@ -16,10 +16,8 @@ type t = {
       (** some pathway reaches the external world. *)
 }
 
-val build : ?metrics:Rd_util.Metrics.t -> Instance_graph.t -> router:int -> t
-(** BFS upstream from [router].  [metrics] accumulates
-    [pathway.builds] plus [pathway.frontier_peak] (largest BFS queue)
-    and [pathway.vertices] histograms. *)
+val build : Instance_graph.t -> router:int -> t
+(** BFS upstream from [router]. *)
 
 val render : Instance_graph.t -> t -> string
 (** Text rendering, deepest sources first. *)

@@ -15,9 +15,9 @@ type route = {
   ad_override : int option;
 }
 
-let mk ?(metric = 0) ?(tag = None) ?(next_hop = None) ?(as_path = []) ?(from_client = false)
-    ?(via_ibgp = false) ?ad_override dest source =
-  { dest; source; metric; tag; next_hop; as_path; from_client; via_ibgp; ad_override }
+let mk ?(metric = 0) ?(tag = None) ?(next_hop = None) ?(as_path = []) ?ad_override dest source =
+  { dest; source; metric; tag; next_hop; as_path; from_client = false; via_ibgp = false;
+    ad_override }
 
 let admin_distance = function
   | Connected -> 0

@@ -40,13 +40,12 @@ val mk :
   ?tag:int option ->
   ?next_hop:Ipv4.t option ->
   ?as_path:int list ->
-  ?from_client:bool ->
-  ?via_ibgp:bool ->
   ?ad_override:int ->
   Prefix.t ->
   source ->
   route
-(** Convenience constructor with neutral defaults. *)
+(** Convenience constructor with neutral defaults; the route is neither
+    learned over IBGP nor from a route-reflector client. *)
 
 val admin_distance : source -> int
 (** Cisco defaults: connected 0, static 1, EBGP 20, EIGRP 90, IGRP 100,

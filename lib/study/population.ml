@@ -76,7 +76,7 @@ let generate_one spec =
 
 type network = { spec : spec; analysis : Rd_core.Analysis.t }
 
-let build_network ?trace ?metrics ?jobs ?faults ?cancel ?limits spec =
+let build_network ?trace ?metrics ?jobs ?faults ?cancel spec =
   let files =
     Rd_util.Trace.span ~cat:"stage"
       ~args:[ ("network", Rd_util.Trace.String spec.label) ]
@@ -88,8 +88,7 @@ let build_network ?trace ?metrics ?jobs ?faults ?cancel ?limits spec =
   {
     spec;
     analysis =
-      Rd_core.Analysis.analyze ?trace ?metrics ?jobs ?faults ?cancel ?limits
-        ~name:spec.label files;
+      Rd_core.Analysis.analyze ?trace ?metrics ?jobs ?faults ?cancel ~name:spec.label files;
   }
 
 let wanted_specs ?only ~master_seed () =
@@ -120,11 +119,11 @@ let supervise ?jobs ?trace ?metrics ?faults ?cancel ?task_timeout ?(retries = 0)
         Error { spec; failure = f })
     wanted results
 
-let build ?only ?trace ?metrics ?jobs ?faults ?limits ~master_seed () =
+let build ?only ?trace ?metrics ?jobs ?faults ~master_seed () =
   List.map
     (function Ok n -> n | Error f -> Rd_util.Pool.reraise f.failure)
     (supervise ?jobs ?trace ?metrics ?faults
-       (fun cancel -> build_network ?trace ?metrics ?jobs ?faults ?cancel ?limits)
+       (fun cancel -> build_network ?trace ?metrics ?jobs ?faults ?cancel)
        (wanted_specs ?only ~master_seed ()))
 
 let partition results =

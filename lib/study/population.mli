@@ -34,8 +34,7 @@ type network = { spec : spec; analysis : Rd_core.Analysis.t }
 
 val build_network :
   ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t -> ?jobs:int ->
-  ?faults:Rd_util.Fault.t -> ?cancel:Rd_util.Cancel.t -> ?limits:Rd_util.Limits.t ->
-  spec -> network
+  ?faults:Rd_util.Fault.t -> ?cancel:Rd_util.Cancel.t -> spec -> network
 (** Generate, render to text, re-parse, analyze.  [trace] additionally
     records a [generate] stage span ahead of the analysis stages.
     [faults] arms the ["study.network"] site (key = the network label)
@@ -67,8 +66,7 @@ val supervise :
 
 val build :
   ?only:int list -> ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t -> ?jobs:int ->
-  ?faults:Rd_util.Fault.t -> ?limits:Rd_util.Limits.t ->
-  master_seed:int -> unit -> network list
+  ?faults:Rd_util.Fault.t -> master_seed:int -> unit -> network list
 (** Build the population (or the networks whose ids are in [only]):
     every requested network flows through the full text pipeline
     ({!build_network}) under {!supervise}, in parallel on [jobs] pool

@@ -133,15 +133,10 @@ let invalidate ?metrics c k =
         set_entries metrics c
       end)
 
-let clear ?metrics c =
+let clear c =
   locked c (fun () ->
-      let n = Hashtbl.length c.table in
-      if n > 0 then begin
-        Hashtbl.reset c.table;
-        c.invalidations <- c.invalidations + n;
-        Metrics.incr metrics ~by:n (counter c "invalidations");
-        set_entries metrics c
-      end)
+      c.invalidations <- c.invalidations + Hashtbl.length c.table;
+      Hashtbl.reset c.table)
 
 let length c = locked c (fun () -> Hashtbl.length c.table)
 

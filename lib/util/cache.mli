@@ -77,9 +77,9 @@ val invalidate : ?metrics:Metrics.t -> 'a t -> key -> unit
 (** Drop one entry (a no-op when absent).  Bumps
     [cache.<name>.invalidations] when an entry was dropped. *)
 
-val clear : ?metrics:Metrics.t -> 'a t -> unit
-(** Drop every entry, bumping [cache.<name>.invalidations] by the number
-    dropped. *)
+val clear : 'a t -> unit
+(** Drop every entry, adding the number dropped to {!stats}'
+    [invalidations]. *)
 
 val length : 'a t -> int
 

@@ -1,20 +1,19 @@
-type node_attrs = { label : string option; shape : string option; style : string option }
+type node_attrs = { label : string option; shape : string option }
 
 type t = {
   name : string;
-  directed : bool;
   nodes : (string, node_attrs) Hashtbl.t;
   mutable node_order : string list; (* reverse insertion order *)
   mutable edges : (string * string * string option * string option) list;
   mutable clusters : (string * string * string list) list;
 }
 
-let create ?(directed = true) name =
-  { name; directed; nodes = Hashtbl.create 16; node_order = []; edges = []; clusters = [] }
+let create name =
+  { name; nodes = Hashtbl.create 16; node_order = []; edges = []; clusters = [] }
 
-let node t ?label ?shape ?style id =
+let node t ?label ?shape id =
   if not (Hashtbl.mem t.nodes id) then t.node_order <- id :: t.node_order;
-  Hashtbl.replace t.nodes id { label; shape; style }
+  Hashtbl.replace t.nodes id { label; shape }
 
 let edge t ?label ?style src dst = t.edges <- (src, dst, label, style) :: t.edges
 
@@ -36,15 +35,13 @@ let attrs_to_string pairs =
 
 let to_string t =
   let buf = Buffer.create 1024 in
-  let kw = if t.directed then "digraph" else "graph" in
-  let arrow = if t.directed then " -> " else " -- " in
-  Buffer.add_string buf (Printf.sprintf "%s %s {\n" kw (quote t.name));
+  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" (quote t.name));
   List.iter
     (fun id ->
       let a = Hashtbl.find t.nodes id in
       Buffer.add_string buf
         (Printf.sprintf "  %s%s;\n" (quote id)
-           (attrs_to_string [ ("label", a.label); ("shape", a.shape); ("style", a.style) ])))
+           (attrs_to_string [ ("label", a.label); ("shape", a.shape) ])))
     (List.rev t.node_order);
   List.iter
     (fun (id, label, members) ->
@@ -56,7 +53,7 @@ let to_string t =
   List.iter
     (fun (src, dst, label, style) ->
       Buffer.add_string buf
-        (Printf.sprintf "  %s%s%s%s;\n" (quote src) arrow (quote dst)
+        (Printf.sprintf "  %s -> %s%s;\n" (quote src) (quote dst)
            (attrs_to_string [ ("label", label); ("style", style) ])))
     (List.rev t.edges);
   Buffer.add_string buf "}\n";

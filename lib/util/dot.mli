@@ -6,15 +6,15 @@
 type t
 (** A graph under construction: nodes, edges and cluster subgraphs. *)
 
-val create : ?directed:bool -> string -> t
-(** [create name] starts an empty graph.  Default directed. *)
+val create : string -> t
+(** [create name] starts an empty directed graph. *)
 
-val node : t -> ?label:string -> ?shape:string -> ?style:string -> string -> unit
+val node : t -> ?label:string -> ?shape:string -> string -> unit
 (** Declare a node by id with optional attributes.  Redeclaring an id
     overwrites its attributes. *)
 
 val edge : t -> ?label:string -> ?style:string -> string -> string -> unit
-(** [edge g u v] adds an edge between node ids [u] and [v] with optional
+(** [edge g u v] adds an edge from node id [u] to [v] with optional
     attributes.  Endpoints need not have been declared with {!node}. *)
 
 val subgraph : t -> label:string -> string -> string list -> unit

@@ -188,40 +188,26 @@ let attempt ?cancel ?faults ~started ~k f x =
         elapsed = Trace.now () -. started;
       }
 
-(* The retry decision both paths share: [Some delay] when attempt [k]'s
-   failure earns another attempt after [delay] seconds of exponential
-   backoff, counting [task.retried]. *)
-let retry_after ~retries ~backoff ~metrics ~k fl =
-  if k <= retries && retryable fl.cause then begin
-    Metrics.incr metrics "task.retried";
-    Some (if backoff > 0.0 then backoff *. float_of_int (1 lsl (k - 1)) else 0.0)
-  end
-  else None
+(* The retry decision both paths share: whether attempt [k]'s failure
+   earns another attempt, counting [task.retried]. *)
+let retry ~retries ~metrics ~k fl =
+  let again = k <= retries && retryable fl.cause in
+  if again then Metrics.incr metrics "task.retried";
+  again
 
-(* The sequential path: there is no queue to yield to, so the backoff
-   sleep is inline. *)
-let supervised ~retries ~backoff ~metrics ?cancel f x =
+(* The sequential path. *)
+let supervised ~retries ~metrics ?cancel f x =
   let started = Trace.now () in
   let rec go k =
     match attempt ?cancel ~started ~k f x with
     | Ok _ as r -> r
-    | Error fl as r ->
-      (match retry_after ~retries ~backoff ~metrics ~k fl with
-       | Some delay ->
-         if delay > 0.0 then Unix.sleepf delay;
-         go (k + 1)
-       | None -> r)
+    | Error fl as r -> if retry ~retries ~metrics ~k fl then go (k + 1) else r
   in
   go 1
 
-(* The pool path: one task per item, so an item that must back off
-   before a retry is REQUEUED with a not-before time instead of
-   sleeping in the worker: the domain goes back to the queue and other
-   items keep flowing through it even on a 2-worker pool.  A requeued
-   item that comes up early naps a couple of milliseconds and yields
-   the domain again, so the wait costs bounded busy-time and never
-   blocks real work. *)
-let map_on t ~retries ~backoff ?cancel ?faults f l =
+(* The pool path: one task per item; an item that earns a retry is
+   requeued behind the items already waiting. *)
+let map_on t ~retries ?cancel ?faults f l =
   let input = Array.of_list l in
   let results = Array.make (Array.length input) None in
   let m = Mutex.create () in
@@ -233,24 +219,15 @@ let map_on t ~retries ~backoff ?cancel ?faults f l =
         decr remaining;
         if !remaining = 0 then Condition.signal all_done)
   in
-  let rec run_item i ~k ~started ~not_before () =
-    let now = Trace.now () in
-    if now < not_before then begin
-      Unix.sleepf (Float.min 0.002 (not_before -. now));
-      submit t (run_item i ~k ~started ~not_before)
-    end
-    else begin
-      let started = if k = 1 then now else started in
-      match attempt ?cancel ?faults ~started ~k f input.(i) with
-      | Ok _ as r -> finish i r
-      | Error fl as r ->
-        (match retry_after ~retries ~backoff ~metrics:t.metrics ~k fl with
-         | Some delay ->
-           submit t (run_item i ~k:(k + 1) ~started ~not_before:(Trace.now () +. delay))
-         | None -> finish i r)
-    end
+  let rec run_item i ~k ~started () =
+    let started = if k = 1 then Trace.now () else started in
+    match attempt ?cancel ?faults ~started ~k f input.(i) with
+    | Ok _ as r -> finish i r
+    | Error fl as r ->
+      if retry ~retries ~metrics:t.metrics ~k fl then submit t (run_item i ~k:(k + 1) ~started)
+      else finish i r
   in
-  Array.iteri (fun i _ -> submit t (run_item i ~k:1 ~started:0.0 ~not_before:0.0)) input;
+  Array.iteri (fun i _ -> submit t (run_item i ~k:1 ~started:0.0)) input;
   Mutex.lock m;
   while !remaining > 0 do
     Condition.wait all_done m
@@ -258,21 +235,18 @@ let map_on t ~retries ~backoff ?cancel ?faults f l =
   Mutex.unlock m;
   Array.to_list (Array.map Option.get results)
 
-let parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ?(retries = 0) ?(backoff = 0.0)
-    f l =
+let parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ?(retries = 0) f l =
   let size = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
   if size <= 1 || List.length l <= 1 || in_worker () then
-    List.map (supervised ~retries ~backoff ~metrics ?cancel f) l
+    List.map (supervised ~retries ~metrics ?cancel f) l
   else begin
     let t = create ~size ?trace ?metrics () in
     Fun.protect
       ~finally:(fun () -> shutdown t)
-      (fun () -> map_on t ~retries ~backoff ?cancel ?faults f l)
+      (fun () -> map_on t ~retries ?cancel ?faults f l)
   end
 
 (* [List.map] applies its function in list order, so the failure
    re-raised is the lowest-index one whatever the schedule. *)
-let parallel_map ?jobs ?trace ?metrics ?faults f l =
-  List.map
-    (function Ok y -> y | Error fl -> reraise fl)
-    (parallel_map_results ?jobs ?trace ?metrics ?faults f l)
+let parallel_map ?jobs ?faults f l =
+  List.map (function Ok y -> y | Error fl -> reraise fl) (parallel_map_results ?jobs ?faults f l)

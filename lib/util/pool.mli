@@ -10,7 +10,7 @@
 
     There is one dispatcher and one error discipline: supervision.
     Every input produces an [(result, failure) result], optionally after
-    bounded retry-with-backoff, so a single bad network cannot abort the
+    a bounded number of retries, so a single bad network cannot abort the
     other thirty.  Fail-fast is supervision plus a re-raise:
     {!parallel_map} runs every item, then re-raises the lowest-index
     failure with its original backtrace ({!reraise}), so which exception
@@ -26,11 +26,12 @@
     deadlocking on pool capacity, so nested parallelism degrades
     gracefully.
 
-    Pools cooperate with the observability layer: pass [?trace] and/or
-    [?metrics] to have every submitted task wrapped in a ["task"] span
-    (category ["pool"]) and counted into [pool.tasks],
-    [pool.queue_wait_ms], [pool.task_ms], [pool.workers], and
-    [pool.utilization]; retries bump [task.retried].  Pass [?faults] to
+    Pools cooperate with the observability layer: pass
+    {!parallel_map_results} [?trace] and/or [?metrics] to have every
+    submitted task wrapped in a ["task"] span (category ["pool"]) and
+    counted into [pool.tasks], [pool.queue_wait_ms], [pool.task_ms],
+    [pool.workers], and [pool.utilization]; retries bump
+    [task.retried].  Pass [?faults] to
     arm the ["pool.pickup"] {!Fault} site, which fires per item between
     task pickup and execution on the pool path — the chaos suite's
     stand-in for a worker dying mid-task — failing just that item.
@@ -73,7 +74,7 @@ val reraise : failure -> 'a
 
 val parallel_map_results :
   ?jobs:int -> ?trace:Trace.t -> ?metrics:Metrics.t -> ?faults:Fault.t ->
-  ?cancel:Cancel.t -> ?retries:int -> ?backoff:float -> ('a -> 'b) -> 'a list ->
+  ?cancel:Cancel.t -> ?retries:int -> ('a -> 'b) -> 'a list ->
   ('b, failure) result list
 (** Order-preserving supervised map on a fresh pool of [jobs] workers
     (default {!default_jobs}), shut down before returning: every input
@@ -82,16 +83,12 @@ val parallel_map_results :
     inside a worker runs sequentially without spawning any domain.
 
     [retries] (default 0) re-runs a failed item up to that many extra
-    times with exponential backoff ([backoff * 2{^attempt-1}] seconds,
-    default 0), counting [task.retried].  On a pool the backoff never
-    blocks a worker: the item is requeued with a not-before time and
-    the domain keeps serving other items.  [cancel] is polled (site
+    times, at once, counting [task.retried]; on a pool the retry is
+    requeued behind the items already waiting.  [cancel] is polled (site
     ["pool.queued"]) before each item attempt, so once the token trips
     every not-yet-started item fails fast with a {!Timed_out} failure
     instead of running — the pool drains at poll speed. *)
 
-val parallel_map :
-  ?jobs:int -> ?trace:Trace.t -> ?metrics:Metrics.t -> ?faults:Fault.t ->
-  ('a -> 'b) -> 'a list -> 'b list
+val parallel_map : ?jobs:int -> ?faults:Fault.t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!parallel_map_results} without retries, then {!reraise} the
     lowest-index failure if any item failed. *)

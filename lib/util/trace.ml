@@ -121,12 +121,12 @@ let spans t =
   let merged = Mutex.protect t.mutex (fun () -> t.merged) in
   List.stable_sort (fun a b -> Float.compare a.ts_us b.ts_us) (List.rev merged)
 
-let stage_table ?(cat = "stage") t =
+let stage_table t =
   let cells = Hashtbl.create 16 in
   let order = ref [] in
   List.iter
     (fun s ->
-      if String.equal s.cat cat then begin
+      if String.equal s.cat "stage" then begin
         match Hashtbl.find_opt cells s.name with
         | Some (total, count) -> Hashtbl.replace cells s.name (total +. s.dur_us, count + 1)
         | None ->
@@ -140,16 +140,16 @@ let stage_table ?(cat = "stage") t =
       (name, total /. 1e6, count))
     !order
 
-let total ?cat t =
-  List.fold_left (fun acc (_, s, _) -> acc +. s) 0.0 (stage_table ?cat t)
+let total t =
+  List.fold_left (fun acc (_, s, _) -> acc +. s) 0.0 (stage_table t)
 
-let render_stages ?cat t =
-  match stage_table ?cat t with
+let render_stages t =
+  match stage_table t with
   | [] -> "(no stages recorded)\n"
   | sts ->
     let rows =
       List.map (fun (stage, s, n) -> [ stage; Printf.sprintf "%.3f" s; string_of_int n ]) sts
-      @ [ [ "total"; Printf.sprintf "%.3f" (total ?cat t); "" ] ]
+      @ [ [ "total"; Printf.sprintf "%.3f" (total t); "" ] ]
     in
     Table.render ~headers:[ "stage"; "seconds"; "spans" ]
       ~aligns:[ Table.Left; Table.Right; Table.Right ]

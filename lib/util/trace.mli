@@ -82,15 +82,15 @@ val spans : t -> span list
 (** All merged spans in start-time order.  Flushes the calling domain's
     buffer first. *)
 
-val stage_table : ?cat:string -> t -> (string * float * int) list
+val stage_table : t -> (string * float * int) list
 (** [(name, total seconds, span count)] aggregated over spans of
-    category [cat] (default ["stage"]), in first-start order — the
-    successor of [Timing.stages]. *)
+    category ["stage"], in first-start order — the successor of
+    [Timing.stages]. *)
 
-val total : ?cat:string -> t -> float
-(** Sum of stage totals over category [cat] (default ["stage"]). *)
+val total : t -> float
+(** Sum of the {!stage_table} totals. *)
 
-val render_stages : ?cat:string -> t -> string
+val render_stages : t -> string
 (** Human-readable per-stage table (stage, seconds, spans, and a total
     row) — the [rdna study --timing] output. *)
 

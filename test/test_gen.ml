@@ -196,6 +196,13 @@ let test_seeds_differ () =
   in
   check_bool "different seeds differ" true (gen 1 <> gen 2)
 
+let archetypes =
+  [
+    Rd_gen.Archetype.Backbone; Rd_gen.Archetype.Enterprise; Rd_gen.Archetype.Compartment;
+    Rd_gen.Archetype.Restricted; Rd_gen.Archetype.Tier2; Rd_gen.Archetype.Hub_spoke;
+    Rd_gen.Archetype.Igp_only;
+  ]
+
 let test_all_archetypes_analyzable () =
   List.iteri
     (fun i arch ->
@@ -209,11 +216,18 @@ let test_all_archetypes_analyzable () =
       List.iter
         (fun (_, (c : Ast.t)) -> check_int "no unknown" 0 (List.length c.unknown))
         a.configs)
-    [
-      Rd_gen.Archetype.Backbone; Rd_gen.Archetype.Enterprise; Rd_gen.Archetype.Compartment;
-      Rd_gen.Archetype.Restricted; Rd_gen.Archetype.Tier2; Rd_gen.Archetype.Hub_spoke;
-      Rd_gen.Archetype.Igp_only;
-    ]
+    archetypes
+
+let test_archetype_names () =
+  List.iter
+    (fun arch ->
+      check_bool
+        (Rd_gen.Archetype.to_string arch ^ " round-trips")
+        true
+        (Rd_gen.Archetype.of_string (Rd_gen.Archetype.to_string arch) = Some arch))
+    archetypes;
+  check_bool "all lists every archetype" true (Rd_gen.Archetype.all = archetypes);
+  check_bool "typo rejected" true (Rd_gen.Archetype.of_string "bakbone" = None)
 
 let () =
   Alcotest.run "rd_gen"
@@ -243,5 +257,6 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_seeds_differ;
           Alcotest.test_case "all archetypes analyzable" `Slow test_all_archetypes_analyzable;
+          Alcotest.test_case "names round-trip" `Quick test_archetype_names;
         ] );
     ]
