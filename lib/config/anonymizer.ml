@@ -249,12 +249,6 @@ let leading_whitespace s =
   let rec go i = if i < n && (s.[i] = ' ' || s.[i] = '\t') then go (i + 1) else i in
   String.sub s 0 (go 0)
 
-let split_words s =
-  (* Tabs separate words exactly as the lexer's tokenizer does; a tab
-     left inside a "word" would make a dictionary keyword hash. *)
-  List.filter (fun w -> w <> "")
-    (String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) s))
-
 let anonymize_config t text =
   let lines = String.split_on_char '\n' text in
   let out = Buffer.create (String.length text) in
@@ -272,7 +266,9 @@ let anonymize_config t text =
         Buffer.add_char out '!'
       end
       else begin
-        let words = split_words trimmed in
+        (* the lexer's words: a tab left inside a "word" would make a
+           dictionary keyword hash *)
+        let words = Lexer.words trimmed in
         (* description arguments are free text: drop them entirely after
            hashing to a single token, they carry only identity. *)
         let words =

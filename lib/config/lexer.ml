@@ -1,55 +1,59 @@
 type line = { indent : int; words : string list; raw : string; lineno : int }
 
-let split_lines s =
-  (* String.split_on_char keeps a trailing empty string for texts ending in
-     a newline; that is harmless because blank lines are filtered later. *)
-  String.split_on_char '\n' s
+(* A tab separates words and indents like a space: real configs mix
+   both, and treating a tab-led sub-command as top-level silently
+   detaches it from its block. *)
+let is_space c = c = ' ' || c = '\t'
 
-let rtrim s =
-  let n = String.length s in
-  let rec last i = if i > 0 && (s.[i - 1] = ' ' || s.[i - 1] = '\t' || s.[i - 1] = '\r') then last (i - 1) else i in
-  String.sub s 0 (last n)
+let is_trailing c = is_space c || c = '\r'
 
-let indent_of s =
-  (* A tab indents like a space: real configs mix both, and treating a
-     tab-led sub-command as top-level silently detaches it from its
-     block. *)
-  let rec go i = if i < String.length s && (s.[i] = ' ' || s.[i] = '\t') then go (i + 1) else i in
-  go 0
+(* Index scans over [s]; none of them allocates. *)
+let rec line_end s i = if i < String.length s && s.[i] <> '\n' then line_end s (i + 1) else i
 
-let words_of s =
-  List.filter (fun w -> w <> "") (String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) s))
+let rec trim_end s first i = if i > first && is_trailing s.[i - 1] then trim_end s first (i - 1) else i
 
-let is_comment s =
-  let i = indent_of s in
-  i < String.length s && s.[i] = '!'
+let rec skip_spaces s i stop = if i < stop && is_space s.[i] then skip_spaces s (i + 1) stop else i
+
+let rec back_over_spaces s first i = if i > first && is_space s.[i - 1] then back_over_spaces s first (i - 1) else i
+
+let rec word_start s first i = if i > first && not (is_space s.[i - 1]) then word_start s first (i - 1) else i
+
+(* The words of [s.[first..stop)], scanned right to left so that each word
+   is consed in front of its successors and the list needs no reversal. *)
+let rec words_in s first stop acc =
+  let stop = back_over_spaces s first stop in
+  if stop = first then acc
+  else
+    let start = word_start s first stop in
+    words_in s first start (String.sub s start (stop - start) :: acc)
+
+let words s = words_in s 0 (String.length s) []
 
 let lines_of_string text =
-  let raw_lines = split_lines text in
-  let rec build lineno acc = function
-    | [] -> List.rev acc
-    | l :: rest ->
-      let l = rtrim l in
-      let acc =
-        if l = "" || is_comment l then acc
-        else begin
-          let indent = indent_of l in
-          { indent; words = words_of l; raw = l; lineno } :: acc
-        end
-      in
-      build (lineno + 1) acc rest
+  let n = String.length text in
+  (* [start] is the first byte of physical line [lineno]. *)
+  let rec scan start lineno commands acc =
+    let eol = line_end text start in
+    let stop = trim_end text start eol in
+    let first = skip_spaces text start stop in
+    (* blank and '!' lines are skipped without a copy *)
+    let command = first < stop && text.[first] <> '!' in
+    let acc =
+      if command then
+        {
+          indent = first - start;
+          words = words_in text first stop [];
+          raw = String.sub text start (stop - start);
+          lineno;
+        }
+        :: acc
+      else acc
+    in
+    let commands = if command then commands + 1 else commands in
+    if eol < n then scan (eol + 1) (lineno + 1) commands acc
+    else
+      (* The segment after the last newline is a physical line only if it
+         is not empty: a final newline ends a line, it does not start one. *)
+      (List.rev acc, ((if start = n then lineno - 1 else lineno), commands))
   in
-  build 1 [] raw_lines
-
-let stats text =
-  let raw_lines = split_lines text in
-  (* Do not count the phantom segment produced by a trailing newline. *)
-  let physical =
-    match List.rev raw_lines with
-    | "" :: rest -> List.length rest
-    | all -> List.length all
-  in
-  let commands =
-    List.length (List.filter (fun l -> let l = rtrim l in l <> "" && not (is_comment l)) raw_lines)
-  in
-  (physical, commands)
+  scan 0 1 0 []

@@ -74,7 +74,7 @@ let of_text text =
   in
   List.iter
     (fun (l : Lexer.line) -> if l.indent = 0 then top l else sub l)
-    (Lexer.lines_of_string text);
+    (fst (Lexer.lines_of_string text));
   t
 
 (* Each file is indexed on the first [find] that names it; a file no

@@ -583,7 +583,7 @@ let record_metrics metrics (ast : Ast.t) diags =
 
 let parse_with_diags ?file ?metrics ?cancel text =
   let st = fresh ?file () in
-  let lines = Lexer.lines_of_string text in
+  let lines, (total_lines, command_count) = Lexer.lines_of_string text in
   let mode = ref Top in
   (* Poll the cancel token every few hundred lines: cheap enough to be
      invisible on real configs, frequent enough that even a single
@@ -603,7 +603,6 @@ let parse_with_diags ?file ?metrics ?cancel text =
       else mode := sub_level st !mode l)
     lines;
   finish_mode st !mode;
-  let total_lines, command_count = Lexer.stats text in
   let interfaces =
     List.rev_map
       (fun (i : Ast.interface) ->

@@ -151,7 +151,7 @@ let lint_config ~file text =
            | "access-class" :: name :: _ -> add_ref Acl name l.lineno
            | _ -> ())
         | _ -> ())
-    (Lexer.lines_of_string text);
+    (fst (Lexer.lines_of_string text));
   (* Dangling references. *)
   let defs_of = function Acl -> acl_defs | Route_map -> rm_defs | Prefix_list -> pl_defs in
   let referenced : (kind * string, unit) Hashtbl.t = Hashtbl.create 16 in

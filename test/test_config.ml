@@ -49,8 +49,19 @@ ip route 10.235.240.71 255.255.0.0 10.234.12.7
 
 (* --------------------------------------------------------------- lexer --- *)
 
+let lines_of text = fst (Lexer.lines_of_string text)
+
+let counts_of text = snd (Lexer.lines_of_string text)
+
+let check_counts msg expected text =
+  Alcotest.(check (pair int int)) msg expected (counts_of text)
+
+let check_words msg expected text =
+  Alcotest.(check (list (list string))) msg expected
+    (List.map (fun (l : Lexer.line) -> l.words) (lines_of text))
+
 let test_lexer_lines () =
-  let lines = Lexer.lines_of_string "a b\n c d\n!comment\n\n  e\n" in
+  let lines = lines_of "a b\n c d\n!comment\n\n  e\n" in
   check_int "logical lines" 3 (List.length lines);
   let l1 = List.nth lines 0 in
   check_int "indent top" 0 l1.indent;
@@ -60,15 +71,43 @@ let test_lexer_lines () =
   check_int "lineno" 5 (List.nth lines 2).lineno
 
 let test_lexer_stats () =
-  let total, commands = Lexer.stats "a\n!\n\nb\nc\n" in
-  check_int "physical" 5 total;
-  check_int "commands" 3 commands;
-  let total2, _ = Lexer.stats "a\nb" in
-  check_int "no trailing newline" 2 total2
+  check_counts "physical, commands" (5, 3) "a\n!\n\nb\nc\n";
+  check_counts "empty text" (0, 0) "";
+  check_int "empty text: no lines" 0 (List.length (lines_of ""));
+  (* the segment after a final newline is not a line, the one before is *)
+  check_counts "a lone newline" (1, 0) "\n";
+  check_counts "no final newline" (2, 2) "a\nb";
+  check_counts "CRLF blank line" (1, 0) "\r\n";
+  check_counts "CRLF lines" (2, 2) "a\r\nb\r\n";
+  check_counts "whitespace after the last newline" (2, 1) "a\n \t";
+  check_counts "commands = logical lines" (4, 2) " ! x\nip x\n\t!\n y"
 
 let test_lexer_tabs_and_cr () =
-  let lines = Lexer.lines_of_string "a\tb\r\n" in
-  Alcotest.(check (list string)) "tab split" [ "a"; "b" ] (List.hd lines).words
+  let lines = lines_of "a\tb\r\n" in
+  Alcotest.(check (list string)) "tab split" [ "a"; "b" ] (List.hd lines).words;
+  check_string "CR trimmed from raw" "a\tb" (List.hd lines).raw;
+  (* a tab indents by one, like a space *)
+  Alcotest.(check (list int)) "tab indent" [ 1; 2; 3 ]
+    (List.map (fun (l : Lexer.line) -> l.indent) (lines_of "\tx\n\t\tx\n \t x"));
+  (* a '\r' inside a line is not whitespace: it stays in its word *)
+  check_words "mid-line CR" [ [ "a\rb"; "c" ] ] "a\rb c\r";
+  check_string "mid-line CR raw" "a\rb c" (List.hd (lines_of "a\rb c\r")).raw
+
+let test_lexer_comments () =
+  check_int "indented ! line is a comment" 0 (List.length (lines_of "  !x\n\t! y\n"));
+  check_counts "indented ! lines counted as physical only" (2, 0) "  !x\n\t! y\n";
+  (* only a leading '!' makes a comment; later ones are words *)
+  check_words "a !b" [ [ "a"; "!b" ] ] "a !b";
+  check_words "spaces and tabs between words" [ [ "a"; "b"; "c" ] ] " a  \t b\t\tc  "
+
+let test_lexer_lineno_after_blanks () =
+  Alcotest.(check (list int)) "physical line numbers" [ 4; 7 ]
+    (List.map (fun (l : Lexer.line) -> l.lineno) (lines_of "\n\n \t\r\nx\n!\n\ny\n"))
+
+let test_lexer_words () =
+  Alcotest.(check (list string)) "words of a string" [ "ip"; "address"; "a\rb" ]
+    (Lexer.words "\tip  address\ta\rb ");
+  Alcotest.(check (list string)) "no words" [] (Lexer.words " \t ")
 
 (* -------------------------------------------------------------- parser --- *)
 
@@ -646,6 +685,30 @@ let test_locator_lazy_table () =
 
 (* ------------------------------------------------------------ properties --- *)
 
+(* Texts built from the lexer's delimiters and short words, with and
+   without a final newline. *)
+let arb_lexer_text =
+  let piece =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, oneofl [ " "; "\t"; "\r"; "!"; "\n" ]);
+          (2, oneofl [ "a"; "ip"; "bgp"; "10.0.0.1"; "x!"; "\r\n" ]);
+        ])
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      let* pieces = list_size (int_bound 30) piece in
+      let* final_newline = bool in
+      let text = String.concat "" pieces in
+      return (if final_newline then text ^ "\n" else text))
+
+let prop_lexer_reference =
+  QCheck.Test.make ~name:"one pass = reference lexer" ~count:2000 arb_lexer_text
+    (fun text ->
+      Lexer.lines_of_string text = (Lexer_ref.lines_of_string text, Lexer_ref.stats text))
+
+
 (* printable-ish config-shaped fuzz: the parser must never raise and must
    account for every physical line *)
 let arb_config_text =
@@ -778,6 +841,10 @@ let () =
           Alcotest.test_case "logical lines" `Quick test_lexer_lines;
           Alcotest.test_case "stats" `Quick test_lexer_stats;
           Alcotest.test_case "tabs and CR" `Quick test_lexer_tabs_and_cr;
+          Alcotest.test_case "comments and words" `Quick test_lexer_comments;
+          Alcotest.test_case "lineno after blank lines" `Quick test_lexer_lineno_after_blanks;
+          Alcotest.test_case "words" `Quick test_lexer_words;
+          QCheck_alcotest.to_alcotest prop_lexer_reference;
         ] );
       ( "parser",
         [

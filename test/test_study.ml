@@ -8,8 +8,11 @@ let seed = 2004
 
 let specs = Rd_study.Population.specs ~master_seed:seed
 
-(* The full 31-network population, built once for the Slow tests. *)
-let population = lazy (Rd_study.Population.build ~master_seed:seed ())
+(* The full 31-network population, built once for the Slow tests, with
+   the counters its build records. *)
+let population_metrics = Rd_util.Metrics.create ()
+
+let population = lazy (Rd_study.Population.build ~metrics:population_metrics ~master_seed:seed ())
 
 (* ----------------------------------------------------- population specs --- *)
 
@@ -628,6 +631,32 @@ let test_full_study_design_counts () =
     ]
     (List.sort compare (List.of_seq (Hashtbl.to_seq counts)))
 
+let test_full_study_parse_counters () =
+  (* the parse layer's work over the 8,035 study files: physical lines,
+     command lines and unrecognised commands, as the lexer counts them *)
+  ignore (Lazy.force population);
+  Alcotest.(check (list (pair string (option int))))
+    "parse counters"
+    [
+      ("parse.files", Some 8035);
+      ("parse.lines", Some 879_753);
+      ("parse.commands", Some 729_841);
+      ("parse.unknown_lines", Some 0);
+    ]
+    (List.map
+       (fun k -> (k, Rd_util.Metrics.counter_value population_metrics k))
+       [ "parse.files"; "parse.lines"; "parse.commands"; "parse.unknown_lines" ])
+
+let test_full_study_lexes_as_reference () =
+  List.iter
+    (fun (s : Rd_study.Population.spec) ->
+      List.iter
+        (fun (name, text) ->
+          if Rd_config.Lexer.lines_of_string text <> (Lexer_ref.lines_of_string text, Lexer_ref.stats text)
+          then Alcotest.failf "%s %s: one-pass lexer differs from the reference" s.label name)
+        (Rd_study.Population.generate_one s))
+    specs
+
 let () =
   Alcotest.run "rd_study"
     [
@@ -667,6 +696,8 @@ let () =
           Alcotest.test_case "scorecard" `Slow test_scorecard;
           Alcotest.test_case "all 31 networks lint clean" `Slow test_full_study_lints_clean;
           Alcotest.test_case "design rule counts" `Slow test_full_study_design_counts;
+          Alcotest.test_case "parse counters" `Slow test_full_study_parse_counters;
+          Alcotest.test_case "lexer = reference lexer" `Slow test_full_study_lexes_as_reference;
           Alcotest.test_case "netlint sweep byte-identical" `Slow
             test_driver_netlint_sweep_identical;
           Alcotest.test_case "netlint task timeout degrades" `Quick
