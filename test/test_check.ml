@@ -312,6 +312,31 @@ let test_crosscheck_cancelled () =
     check_bool "a crosscheck or analysis poll site" true
       (site = "crosscheck.network" || site = "analysis.parse" || site = "parse.file")
 
+(* [approx] is set exactly when some config holds an inexact policy,
+   referenced or not: an ACL clause with more than 12 scattered wildcard
+   bits, or a route-map entry matching on tag. *)
+let test_approx_flag () =
+  let approx extra =
+    let text =
+      "hostname r1\n\
+       interface Ethernet0\n\
+      \ ip address 10.0.0.1 255.255.255.0\n\
+       router ospf 1\n\
+      \ network 10.0.0.0 0.0.0.255 area 0\n\
+       access-list 7 permit 10.0.0.0 0.0.0.255\n"
+      ^ extra
+    in
+    let a = Rd_core.Analysis.analyze ~name:"approx" [ ("r1.cfg", text) ] in
+    (Rd_check.Crosscheck.run_analysis ~invariants:[] a).approx
+  in
+  check_bool "exact policies" false (approx "");
+  (* 23 scattered wild bits (1-23; bit 0 is fixed) *)
+  check_bool "23-bit wildcard" true (approx "access-list 5 permit 10.0.0.0 0.255.255.254\n");
+  (* 12 scattered bits still enumerate exactly *)
+  check_bool "12-bit wildcard" false (approx "access-list 5 permit 10.0.0.0 0.0.31.254\n");
+  check_bool "match tag" true (approx "route-map RM permit 10\n match tag 5\n");
+  check_bool "set tag only" false (approx "route-map RM permit 10\n set tag 5\n")
+
 (* ------------------------------------------------------- study (slow) --- *)
 
 (* Every small network of the 31-network study population, through the
@@ -346,6 +371,7 @@ let () =
           Alcotest.test_case "render and json" `Quick test_render_and_json;
           Alcotest.test_case "report json round trip" `Quick test_report_json_roundtrip;
           Alcotest.test_case "cancellation fails fast" `Quick test_crosscheck_cancelled;
+          Alcotest.test_case "approx flag" `Quick test_approx_flag;
         ] );
       ( "shrinker",
         [

@@ -108,6 +108,45 @@ let test_loop_tag_cut_is_clean () =
   assert_none ~code:"netlint-redistribution-loop" report;
   check_bool "no errors" false (Rd_core.Netlint.has_errors [ report ])
 
+(* The same cycle, cut only by a route-map on r1 whose one entry matches
+   access-list 5.  [acl5] is the only policy on the loop: when it is
+   inexact the permit-all cover it lowers to may be hiding a real cut,
+   so the finding is downgraded to a warning; when it is exact the
+   filter provably restricts nothing and the loop stays an error. *)
+let loop_via_acl acl5 =
+  let r1 =
+    "hostname r1\n\
+     interface Ethernet0\n\
+    \ ip address 10.0.12.1 255.255.255.0\n\
+     interface Ethernet1\n\
+    \ ip address 10.1.0.1 255.255.255.0\n\
+     router ospf 1\n\
+    \ network 10.0.12.0 0.0.0.255 area 0\n\
+    \ network 10.1.0.0 0.0.0.255 area 0\n\
+    \ redistribute rip subnets route-map RM\n\
+     router rip\n\
+    \ network 10.0.0.0\n\
+     route-map RM permit 10\n\
+    \ match ip address 5\n"
+    ^ acl5
+  in
+  run [ ("r1.cfg", r1); ("r2.cfg", loop_r2) ]
+
+let test_loop_inexact_cut_downgrades () =
+  (* 16 scattered wild bits reaching bit 31: the contiguous cover is
+     0.0.0.0/0, so the lowered filter is unrestricted. *)
+  let report = loop_via_acl "access-list 5 permit 0.0.0.0 170.170.170.170\n" in
+  assert_one ~code:"netlint-redistribution-loop" ~file:"r1.cfg" ~line:9
+    ~severity:Diag.Warning report;
+  (match find "netlint-redistribution-loop" report with
+   | [ d ] ->
+     check_bool "downgrade reason" true
+       (contains_sub ~needle:"every filter cut candidate was lowered approximately" d.message)
+   | _ -> ());
+  let exact = loop_via_acl "access-list 5 permit any\n" in
+  assert_one ~code:"netlint-redistribution-loop" ~file:"r1.cfg" ~line:9
+    ~severity:Diag.Error exact
+
 (* ------------------------------------------------------- route leaks --- *)
 
 let leak_r1 =
@@ -427,6 +466,27 @@ let test_shadowed_first_match_not_flagged () =
   let report = run [ ("r1.cfg", cfg) ] in
   assert_none ~code:"netlint-shadowed-acl-clause" report
 
+(* An entry after one whose ACL lowered inexactly is never flagged: the
+   inexact entry's cover (here everything) does not prove the later
+   entry dead.  With an exact permit-all ACL in front it is. *)
+let test_shadowed_after_inexact_acl () =
+  let cfg acl5 =
+    "hostname r1\n\
+     interface Ethernet0\n\
+    \ ip address 10.1.0.1 255.255.255.0\n"
+    ^ acl5
+    ^ "access-list 6 permit 10.1.0.0 0.0.255.255\n\
+       route-map RM permit 10\n\
+      \ match ip address 5\n\
+       route-map RM permit 20\n\
+      \ match ip address 6\n"
+  in
+  let inexact = run [ ("r1.cfg", cfg "access-list 5 permit 0.0.0.0 170.170.170.170\n") ] in
+  assert_none ~code:"netlint-shadowed-route-map-entry" inexact;
+  let exact = run [ ("r1.cfg", cfg "access-list 5 permit any\n") ] in
+  assert_one ~code:"netlint-shadowed-route-map-entry" ~file:"r1.cfg" ~line:8
+    ~severity:Diag.Warning exact
+
 (* Brute-force agreement: deleting a clause flagged by
    [shadowed_acl_clauses] never changes any address's verdict.  The
    generator keeps wildcards in the low 9 bits so membership is
@@ -575,6 +635,8 @@ let () =
         [
           Alcotest.test_case "mutual redistribution loops" `Quick test_redistribution_loop;
           Alcotest.test_case "tag cut suppresses" `Quick test_loop_tag_cut_is_clean;
+          Alcotest.test_case "inexact cut candidate downgrades" `Quick
+            test_loop_inexact_cut_downgrades;
         ] );
       ( "route-leak",
         [
@@ -598,6 +660,8 @@ let () =
           Alcotest.test_case "acl, prefix-list, route-map" `Quick test_shadowed_rules;
           Alcotest.test_case "first-match order respected" `Quick
             test_shadowed_first_match_not_flagged;
+          Alcotest.test_case "entry after an inexact acl" `Quick
+            test_shadowed_after_inexact_acl;
           Alcotest.test_case "prefix-list le past 32" `Quick test_prefix_list_le_past_32;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_shadowed_matches_brute_force ] );
