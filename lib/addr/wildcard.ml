@@ -26,8 +26,13 @@ let to_prefix t =
     Some (Prefix.make t.base (32 - bits w 0))
   end
 
-(* The most scattered wild bits [to_prefixes] enumerates: 2^12 prefixes. *)
-let max_scattered_bits = 12
+(* Every wild bit above the low contiguous run (which folds into a prefix
+   length) doubles the prefixes [to_prefixes] enumerates; at most 2^12 are.
+   [w land (w + 1)] clears that low run. *)
+let exact t =
+  let w = Ipv4.to_int t.wild in
+  let rec count x n = if x = 0 then n else count (x land (x - 1)) (n + 1) in
+  count (w land (w + 1)) 0 <= 12
 
 let to_prefixes t =
   match to_prefix t with
@@ -43,7 +48,7 @@ let to_prefixes t =
       List.filter (fun i -> (w lsr i) land 1 = 1)
         (List.init (32 - contiguous) (fun i -> i + contiguous))
     in
-    if List.length scattered > max_scattered_bits then begin
+    if not (exact t) then begin
       (* Over-approximate with the smallest contiguous wildcard covering
          every wild bit: wildcard everything up to the highest wild bit. *)
       let rec high i = if (w lsr i) land 1 = 1 then i else high (i - 1) in

@@ -26,15 +26,19 @@ val of_prefix : Prefix.t -> t
 val to_prefix : t -> Prefix.t option
 (** [Some p] when the wildcard is contiguous, [None] otherwise. *)
 
+val exact : t -> bool
+(** The wildcard is contiguous, or has at most 12 wild bits above its low
+    contiguous run of wild bits — the bound under which {!to_prefixes}
+    enumerates an exact cover.  Counted without enumerating. *)
+
 val to_prefixes : t -> Prefix.t list * bool
 (** [to_prefixes w] decomposes the wildcard into prefixes covering the
-    addresses it matches.  A contiguous wildcard is one prefix.  A
+    addresses it matches, and whether the cover is exact (as
+    {!exact}).  A contiguous wildcard is one prefix.  An {!exact}
     non-contiguous wildcard's low contiguous run of wild bits folds into
     the prefix length and each wild bit above it is enumerated, yielding
-    [2^scattered] disjoint prefixes — exact, flagged [true].  When more
-    than 12 bits would need enumeration, the result
-    is instead the single smallest contiguous cover, a strict
-    over-approximation flagged [false]. *)
+    [2^scattered] disjoint prefixes.  Otherwise the result is the single
+    smallest contiguous cover, a strict over-approximation. *)
 
 val any : t
 (** Matches everything (0.0.0.0 255.255.255.255). *)

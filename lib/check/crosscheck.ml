@@ -32,21 +32,14 @@ let all_invariants =
 
 (* --- admitted approximations ------------------------------------------- *)
 
-(* Re-lower every named policy with a collector: the analysis pipeline
-   lowers them diag-less (and memoized), so this is where the
-   [*-approx] warnings become visible to the cross-check. *)
-let approximations (a : Analysis.t) =
-  List.concat_map
-    (fun (file, (cfg : Ast.t)) ->
-      let c = Diag.create ~file () in
-      List.iter (fun acl -> ignore (Rd_policy.Acl.permitted_set ~diag:c acl)) cfg.acls;
-      List.iter
-        (fun rm ->
-          ignore
-            (Rd_policy.Route_map.permitted_set ~diag:c rm ~lookup_acl:(Ast.find_acl cfg)
-               ~lookup_prefix_list:(Ast.find_prefix_list cfg) ()))
-        cfg.route_maps;
-      List.filter (fun (d : Diag.t) -> List.mem d.code Netlint.approx_codes) (Diag.to_list c))
+(* Does any config hold a policy whose static lowering over-approximates
+   it?  Every ACL and route-map counts, referenced or not. *)
+let approximated (a : Analysis.t) =
+  List.exists
+    (fun (_, (cfg : Ast.t)) ->
+      not
+        (List.for_all Rd_policy.Acl.exact cfg.acls
+        && List.for_all (Rd_policy.Route_map.exact ~lookup_acl:(Ast.find_acl cfg)) cfg.route_maps))
     a.configs
 
 (* --- the sim⊆static oracle --------------------------------------------- *)
@@ -382,7 +375,7 @@ let run_analysis ?cancel ?faults ?(invariants = all_invariants) ?files (a : Anal
   Rd_util.Fault.fault_point faults ~site:"crosscheck.network" ~key:a.name;
   Rd_util.Cancel.check ~site:"crosscheck.network" cancel;
   let r = Rd_reach.Reachability.compute ?cancel a.graph in
-  let approx = approximations a <> [] in
+  let approx = approximated a in
   (* One shared simulation, and one empty-offer baseline fixpoint, for
      every invariant that needs them. *)
   let sim =

@@ -28,10 +28,10 @@ type report = {
           under-approximation of an under-approximation — containment
           against it proves nothing). *)
   approx : bool;
-      (** the configs contain policies whose static lowering is an
-          admitted over-approximation ([acl-wildcard-approx] /
-          [route-map-tag-approx] diags) — containment violations are
-          then downgraded to warnings. *)
+      (** some config holds an ACL or route-map, referenced or not,
+          whose static lowering is an admitted over-approximation (not
+          {!Rd_policy.Acl.exact} / {!Rd_policy.Route_map.exact}) —
+          containment violations are then downgraded to warnings. *)
   checked : string list;  (** invariants that ran to completion. *)
   skipped : (string * string) list;  (** (invariant, reason) pairs. *)
   violations : violation list;

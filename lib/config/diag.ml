@@ -24,9 +24,6 @@ let add c ?line severity ~code message =
 
 let report c ?line severity ~code fmt = Printf.ksprintf (add c ?line severity ~code) fmt
 
-let reportf c severity ~code fmt =
-  Printf.ksprintf (fun message -> Option.iter (fun c -> add c severity ~code message) c) fmt
-
 let to_list c = List.rev c.rev
 
 let counts ds =

@@ -40,11 +40,6 @@ val report :
   collector -> ?line:int -> severity -> code:string -> ('a, unit, string, unit) format4 -> 'a
 (** [report c sev ~code fmt ...] formats and adds a diagnostic. *)
 
-val reportf :
-  collector option -> severity -> code:string -> ('a, unit, string, unit) format4 -> 'a
-(** Like {!report} without a line, and a no-op on [None] — for APIs
-    where the collector is optional. *)
-
 val to_list : collector -> t list
 (** Harvest, in insertion order. *)
 

@@ -9,7 +9,6 @@ let all_rules =
   [ "redistribution-loop"; "route-leak"; "peer-consistency"; "shadowed-rules" ]
 
 let finding_cap = 20
-let approx_codes = [ "acl-wildcard-approx"; "route-map-tag-approx" ]
 
 type leak = {
   leak_origin : int;
@@ -106,20 +105,21 @@ let edge_names_policies a e =
   let acls, pls, rms = via_policies a e in
   acls <> [] || pls <> [] || rms <> []
 
-(* Re-lower the edge's named policies with a collector: did any need
-   the contiguous-cover / tag approximation? *)
+(* Does any of the edge's named policies, resolved in its via-router's
+   config, lower to an over-approximation?  Prefix-lists never do. *)
 let edge_policies_approx a (e : IG.edge) =
-  let acls, pls, rms = via_policies a e in
-  if acls = [] && pls = [] && rms = [] then false
-  else begin
-    let c = router_cfg a (IG.via_router e.via) in
-    let diag = Diag.create () in
-    ignore
-      (RF.compile ~diag c ~acls ~prefix_lists:pls ~route_maps:rms () : RF.t);
-    List.exists
-      (fun (d : Diag.t) -> List.mem d.code approx_codes)
-      (Diag.to_list diag)
-  end
+  let acls, _, rms = via_policies a e in
+  let c = router_cfg a (IG.via_router e.via) in
+  List.exists
+    (fun n ->
+      match Ast.find_acl c n with Some acl -> not (Rd_policy.Acl.exact acl) | None -> false)
+    acls
+  || List.exists
+       (fun n ->
+         match Ast.find_route_map c n with
+         | Some rm -> not (Rd_policy.Route_map.exact rm ~lookup_acl:(Ast.find_acl c))
+         | None -> false)
+       rms
 
 (* ------------------------------------------------------------------ *)
 (* Rule family 1: redistribution loops                                 *)
@@ -767,27 +767,10 @@ let shadowed_route_map_entries (cfg : Ast.t) (rm : Ast.route_map) =
       Hashtbl.add pl_cache name x;
       x
   in
-  let acl_cache = Hashtbl.create 8 in
   let acl_set name =
-    match Hashtbl.find_opt acl_cache name with
-    | Some x -> x
-    | None ->
-      let x =
-        match Ast.find_acl cfg name with
-        | None -> None
-        | Some acl ->
-          let diag = Diag.create () in
-          let s = Rd_policy.Acl.permitted_set ~diag acl in
-          let exact =
-            not
-              (List.exists
-                 (fun (d : Diag.t) -> List.mem d.code approx_codes)
-                 (Diag.to_list diag))
-          in
-          Some (s, exact)
-      in
-      Hashtbl.add acl_cache name x;
-      x
+    Option.map
+      (fun acl -> (Rd_policy.Acl.permitted_set acl, Rd_policy.Acl.exact acl))
+      (Ast.find_acl cfg name)
   in
   let acc = Array.make 33 Prefix_set.empty in
   let hits = ref [] in

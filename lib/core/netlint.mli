@@ -14,9 +14,9 @@
       (net2's splice, the two-way corporate/branch gateways).  Severity
       [Error] when the cycle is completely open; [Warning] when some
       filter restricts the cycle but a non-empty set still escapes it,
-      or when every cut candidate was lowered with an
-      [acl-wildcard-approx] / [route-map-tag-approx] approximation
-      (the loop may be cut by what the approximation dropped).
+      or when every cut candidate names a policy that is not exact
+      ({!Rd_policy.Acl.exact}, {!Rd_policy.Route_map.exact}; the loop
+      may be cut by what the over-approximation dropped).
       Code [netlint-redistribution-loop].
 
     - {b route-leak}: prefixes originating in an interior (non-BGP)
@@ -84,12 +84,6 @@ type report = {
 val all_rules : string list
 (** [["redistribution-loop"; "route-leak"; "peer-consistency";
     "shadowed-rules"]] — every rule family, in default run order. *)
-
-val approx_codes : string list
-(** The diag codes by which a policy lowering admits an
-    over-approximation ([acl-wildcard-approx], [route-map-tag-approx]);
-    netlint and the cross-check treat a policy that raises one as
-    inexact. *)
 
 val run_analysis :
   ?trace:Rd_util.Trace.t ->

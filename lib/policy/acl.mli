@@ -18,24 +18,27 @@ val eval_route : Ast.acl -> Prefix.t -> verdict
     network address matches the clause's source spec.  This is how IOS
     applies standard ACLs in distribute-lists. *)
 
-val permitted_set : ?diag:Diag.collector -> Ast.acl -> Prefix_set.t
+val permitted_set : Ast.acl -> Prefix_set.t
 (** The set of addresses permitted by the ACL, honouring first-match
-    order.  Never raises: non-contiguous source wildcards are decomposed
-    into their exact prefix cover via {!Rd_addr.Wildcard.to_prefixes}
-    (exact up to 12 enumerated wildcard bits; beyond that the clause set
-    is over-approximated by its smallest contiguous cover and an
-    [acl-wildcard-approx] warning is reported to [diag]).
+    order.  Never raises: each clause's source wildcard lowers to
+    {!clause_src_set}, an over-approximation where the ACL is not
+    {!exact}.
 
-    Diag-less lowerings are memoized per domain on the physical identity
-    of the ACL value — the common path for instance-graph edges, which
-    reference the same parsed ACL many times.  Passing [diag] bypasses
-    the memo so warnings are reported on every explicit request. *)
+    Memoized per domain on the physical identity of the ACL value — the
+    common path for instance-graph edges, which reference the same parsed
+    ACL many times. *)
+
+val exact : Ast.acl -> bool
+(** {!permitted_set} is exactly the permitted addresses: every clause's
+    source wildcard is {!Rd_addr.Wildcard.exact}. *)
 
 val clause_src_set : Ast.acl_clause -> Prefix_set.t * bool
-(** Source-address coverage of one clause and whether it is exact
-    ([false] when a non-contiguous wildcard forced the contiguous-cover
-    over-approximation of {!permitted_set}).  The shadowed-rule analysis
-    ([Rd_core.Netlint]) only trusts exact earlier-clause sets. *)
+(** Source-address coverage of one clause and whether it is exact: a
+    non-contiguous wildcard expands to its exact prefix cover
+    ({!Rd_addr.Wildcard.to_prefixes}) when it is
+    {!Rd_addr.Wildcard.exact}, else to its smallest contiguous cover,
+    flagged [false].  The shadowed-rule analysis ([Rd_core.Netlint]) only
+    trusts exact earlier-clause sets. *)
 
 val clause_dst_set : Ast.acl_clause -> Prefix_set.t * bool
 (** Destination coverage of one clause ({!Prefix_set.full} for a

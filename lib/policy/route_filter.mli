@@ -15,14 +15,7 @@ type t
 val everything : t
 (** The unrestricted filter (permits every route). *)
 
-val of_acl : ?diag:Diag.collector -> Ast.acl -> t
-(** Lower one access-list: union of permit-clause coverage minus the
-    deny clauses that precede each, first match wins.  Non-contiguous
-    wildcards may force an over-approximation, reported to [diag] as
-    [acl-wildcard-approx]. *)
-
 val compile :
-  ?diag:Diag.collector ->
   Ast.t ->
   acls:string list ->
   prefix_lists:string list ->
@@ -36,8 +29,8 @@ val compile :
     lowerings are memoized per domain on the physical identity of the
     AST value, so every edge that references the same policy shares one
     computed set — this is the route-filter "compile" step of the
-    hash-consed kernel (DESIGN.md §12).  Lowerings requested with [diag]
-    bypass the memo so warnings are never swallowed. *)
+    hash-consed kernel (DESIGN.md §12).  The set over-approximates where
+    a policy is not exact ({!Acl.exact}, {!Route_map.exact}). *)
 
 val of_prefix_set : Prefix_set.t -> t
 (** A filter permitting exactly the given destination set — used to

@@ -49,10 +49,10 @@ let eval (rm : Ast.route_map) ~lookup_acl ?(lookup_prefix_list = fun _ -> None) 
   in
   go rm.entries
 
-let permitted_set ?diag (rm : Ast.route_map) ~lookup_acl ?(lookup_prefix_list = fun _ -> None) () =
+let permitted_set (rm : Ast.route_map) ~lookup_acl ?(lookup_prefix_list = fun _ -> None) () =
   let acl_set name =
     match lookup_acl name with
-    | Some acl -> Acl.permitted_set ?diag acl
+    | Some acl -> Acl.permitted_set acl
     | None -> Prefix_set.empty
   in
   let pl_set name =
@@ -76,17 +76,9 @@ let permitted_set ?diag (rm : Ast.route_map) ~lookup_acl ?(lookup_prefix_list = 
      The old behaviour (deny claims its prefix set) silently
      under-approximated, which the crosscheck oracle flags as a
      containment violation. *)
-  let tag_approx (e : Ast.route_map_entry) =
-    if e.match_tags <> [] then
-      Diag.reportf diag Diag.Warning ~code:"route-map-tag-approx"
-        "route-map %s entry %d matches on tag; permitted set is over-approximated (tag \
-         matches are ignored)"
-        rm.rm_name e.seq
-  in
   let rec go permitted claimed = function
     | [] -> permitted
     | (e : Ast.route_map_entry) :: rest ->
-      tag_approx e;
       let s = Prefix_set.diff (entry_set e) claimed in
       (match e.rm_action with
        | Ast.Permit -> go (Prefix_set.union permitted s) (Prefix_set.union claimed s) rest
@@ -95,3 +87,12 @@ let permitted_set ?diag (rm : Ast.route_map) ~lookup_acl ?(lookup_prefix_list = 
          else go permitted (Prefix_set.union claimed s) rest)
   in
   go Prefix_set.empty Prefix_set.empty rm.entries
+
+let exact (rm : Ast.route_map) ~lookup_acl =
+  List.for_all
+    (fun (e : Ast.route_map_entry) ->
+      e.match_tags = []
+      && List.for_all
+           (fun name -> match lookup_acl name with Some acl -> Acl.exact acl | None -> true)
+           e.match_acls)
+    rm.entries

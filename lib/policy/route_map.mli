@@ -27,7 +27,6 @@ val eval :
     semantics for redistribution route-maps). *)
 
 val permitted_set :
-  ?diag:Diag.collector ->
   Ast.route_map ->
   lookup_acl:(string -> Ast.acl option) ->
   ?lookup_prefix_list:(string -> Ast.prefix_list option) ->
@@ -39,6 +38,10 @@ val permitted_set :
     but claims nothing from later entries; a deny entry with a tag match
     claims nothing at all — either way the result only ever grows, never
     shrinks, relative to the exact semantics.  Unresolvable ACL
-    references match nothing.  [diag] receives a [route-map-tag-approx]
-    warning for every entry whose tag matches were ignored, plus warnings
-    from {!Acl.permitted_set} on referenced ACLs. *)
+    references match nothing; resolved ones lower through
+    {!Acl.permitted_set}. *)
+
+val exact : Ast.route_map -> lookup_acl:(string -> Ast.acl option) -> bool
+(** {!permitted_set} is exactly the passing addresses: no entry matches
+    on tag, and every ACL an entry matches that [lookup_acl] resolves is
+    {!Acl.exact}. *)

@@ -73,27 +73,13 @@ let origins_bulk_direct (g : Instance_graph.t) =
    all against the same built graph.  The cached
    array is shared — callers must treat it as read-only (the library
    does). *)
-module Graph_tbl = Hashtbl.Make (struct
+module Memo = Rd_util.Memo.Make (struct
   type t = Instance_graph.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
 end)
 
-let origins_key : Prefix_set.t array Graph_tbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Graph_tbl.create 8)
+let origins_memo = Memo.create ~limit:64
 
-let origins_limit = 64
-
-let origins_bulk (g : Instance_graph.t) =
-  let tbl = Domain.DLS.get origins_key in
-  match Graph_tbl.find_opt tbl g with
-  | Some o -> o
-  | None ->
-    let o = origins_bulk_direct g in
-    if Graph_tbl.length tbl > origins_limit then Graph_tbl.reset tbl;
-    Graph_tbl.add tbl g o;
-    o
+let origins_bulk g = Memo.find_or_add origins_memo g origins_bulk_direct
 
 (* What each external AS can hear from us, after fixpoint.  Accumulated
    in a table keyed by AS (the edge list can mention one AS many times),
@@ -211,11 +197,11 @@ let compute_rounds ?cancel (g : Instance_graph.t) =
 (* Worklist fixpoint.  Instead of sweeping the whole edge list until a
    quiet round, keep a frontier of instances whose route set changed and
    only push along their outgoing edges (indexed once per call).  Each
-   frontier generation counts as one iteration and visits the
-   fault/budget hooks exactly like one round of the legacy sweep, so
-   fault plans and [max_fixpoint_iterations] budgets keep their observable
-   meaning (budget 0 still raises before any edge is processed). *)
-let compute ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default)
+   frontier generation counts as one iteration and visits the cancel and
+   budget hooks exactly like one round of the legacy sweep, so
+   [max_fixpoint_iterations] budgets keep their observable meaning
+   (budget 0 still raises before any edge is processed). *)
+let compute ?metrics ?cancel ?(limits = Rd_util.Limits.default)
     ?(external_offers = Prefix_set.full) (g : Instance_graph.t) =
   let stats0 = Prefix_set.stats () in
   let origins = origins_bulk g in
@@ -253,7 +239,6 @@ let compute ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default)
   let iterations = ref 0 in
   let generation work =
     incr iterations;
-    Rd_util.Fault.fault_point faults ~site:fixpoint_site;
     Rd_util.Cancel.check ~site:fixpoint_site cancel;
     Rd_util.Limits.check ~site:fixpoint_site ~budget:limits.max_fixpoint_iterations
       !iterations;

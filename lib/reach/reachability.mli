@@ -24,7 +24,7 @@ type t = {
 }
 
 val compute :
-  ?metrics:Rd_util.Metrics.t -> ?faults:Rd_util.Fault.t -> ?cancel:Rd_util.Cancel.t ->
+  ?metrics:Rd_util.Metrics.t -> ?cancel:Rd_util.Cancel.t ->
   ?limits:Rd_util.Limits.t ->
   ?external_offers:Prefix_set.t -> Rd_routing.Instance_graph.t -> t
 (** Worklist fixpoint: keeps a frontier of instances whose route set
@@ -46,12 +46,11 @@ val compute :
     [limits.max_fixpoint_iterations] (default {!Rd_util.Limits.default},
     far beyond any real instance graph) the computation raises
     {!Rd_util.Limits.Budget_exceeded} with site ["reach.fixpoint"]
-    instead of spinning.  [faults] arms the same-named {!Rd_util.Fault}
-    site, visited once per generation — a budget of 0 raises before any
-    edge is processed, exactly like the legacy sweep.  [cancel] is
-    polled at the same per-generation point: a tripped token raises
-    {!Rd_util.Cancel.Cancelled} with site ["reach.fixpoint"] within one
-    generation of the trip. *)
+    instead of spinning; the budget is checked once per generation, so
+    a budget of 0 raises before any edge is processed, exactly like the
+    legacy sweep.  [cancel] is polled at the same per-generation point:
+    a tripped token raises {!Rd_util.Cancel.Cancelled} with site
+    ["reach.fixpoint"] within one generation of the trip. *)
 
 val compute_rounds : ?cancel:Rd_util.Cancel.t -> Rd_routing.Instance_graph.t -> t
 (** The legacy fixpoint: sweep every edge in rounds until a round changes

@@ -36,8 +36,6 @@ type route = {
 }
 
 val mk :
-  ?metric:int ->
-  ?tag:int option ->
   ?next_hop:Ipv4.t option ->
   ?as_path:int list ->
   ?ad_override:int ->

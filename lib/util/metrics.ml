@@ -6,8 +6,7 @@
    bumps per file instead of per line. *)
 
 type histo_cell = {
-  bounds : float array;
-  counts : int array; (* length = Array.length bounds + 1; last = overflow *)
+  counts : int array; (* one per default bucket, then the overflow *)
   mutable count : int;
   mutable sum : float;
   mutable vmin : float;
@@ -55,7 +54,7 @@ let set t name v =
 
 let default_buckets = [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000.; 10000. |]
 
-let observe ?(buckets = default_buckets) t name v =
+let observe t name v =
   match t with
   | None -> ()
   | Some t ->
@@ -63,8 +62,7 @@ let observe ?(buckets = default_buckets) t name v =
       (fun () ->
         Histogram
           {
-            bounds = Array.copy buckets;
-            counts = Array.make (Array.length buckets + 1) 0;
+            counts = Array.make (Array.length default_buckets + 1) 0;
             count = 0;
             sum = 0.0;
             vmin = Float.nan;
@@ -72,8 +70,8 @@ let observe ?(buckets = default_buckets) t name v =
           })
       (function
         | Histogram h ->
-          let n = Array.length h.bounds in
-          let rec idx i = if i >= n || v <= h.bounds.(i) then i else idx (i + 1) in
+          let n = Array.length default_buckets in
+          let rec idx i = if i >= n || v <= default_buckets.(i) then i else idx (i + 1) in
           let i = idx 0 in
           h.counts.(i) <- h.counts.(i) + 1;
           h.count <- h.count + 1;
@@ -105,8 +103,8 @@ type snapshot = {
 
 let freeze_histo (h : histo_cell) =
   {
-    buckets = Array.to_list (Array.mapi (fun i b -> (b, h.counts.(i))) h.bounds);
-    overflow = h.counts.(Array.length h.bounds);
+    buckets = Array.to_list (Array.mapi (fun i b -> (b, h.counts.(i))) default_buckets);
+    overflow = h.counts.(Array.length default_buckets);
     count = h.count;
     sum = h.sum;
     min = h.vmin;

@@ -27,15 +27,14 @@ val set : t option -> string -> float -> unit
 (** Set gauge [name] to a value (last write wins). *)
 
 val default_buckets : float array
-(** The default histogram boundaries: a 1-2-5 ladder from 1 to 10{^4}.
+(** The histogram boundaries: a 1-2-5 ladder from 1 to 10{^4}.
     Suitable for millisecond latencies and small counts alike. *)
 
-val observe : ?buckets:float array -> t option -> string -> float -> unit
-(** Record one observation into histogram [name].  The first observation
-    fixes the bucket boundaries ([buckets], default {!default_buckets},
-    must be sorted ascending); later [?buckets] arguments are ignored.
-    Each bucket counts observations [<=] its upper bound; observations
-    above the last bound land in an overflow bucket. *)
+val observe : t option -> string -> float -> unit
+(** Record one observation into histogram [name], bucketed by
+    {!default_buckets}.  Each bucket counts observations [<=] its upper
+    bound; observations above the last bound land in an overflow
+    bucket. *)
 
 type histogram = {
   buckets : (float * int) list;  (** (upper bound, count at or under it since the previous bound). *)

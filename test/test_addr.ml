@@ -281,6 +281,26 @@ let prop_wildcard_to_prefixes_exact =
       && Wildcard.matches w addr = List.exists (fun p -> Prefix.mem addr p) ps
       && List.exists (fun p -> Prefix.mem forced p) ps)
 
+(* Wildcards with [k] in 0-20 wild bits above a low contiguous run of
+   wild bits, straddling the 12-bit enumeration cap. *)
+let arb_scattered_wildcard =
+  QCheck.make ~print:Wildcard.to_string
+    QCheck.Gen.(
+      let* base = map Int32.to_int int32 in
+      let* k = int_range 0 20 in
+      let* run = int_range 0 (31 - k) in
+      (* bit [run] stays fixed so the low run ends there *)
+      let* above = shuffle_l (List.init (31 - run) (fun i -> run + 1 + i)) in
+      let wild =
+        List.fold_left (fun acc p -> acc lor (1 lsl p)) ((1 lsl run) - 1)
+          (List.filteri (fun i _ -> i < k) above)
+      in
+      return (Wildcard.make (Ipv4.of_int (base land 0xFFFFFFFF)) (Ipv4.of_int wild)))
+
+let prop_wildcard_exact =
+  QCheck.Test.make ~name:"wildcard exact = to_prefixes exactness flag" ~count:300
+    arb_scattered_wildcard (fun w -> Wildcard.exact w = snd (Wildcard.to_prefixes w))
+
 (* -------------------------------------- kernel vs structural reference --- *)
 
 module R = Prefix_set_ref
@@ -526,7 +546,7 @@ let () =
           Alcotest.test_case "to_prefixes" `Quick test_wildcard_to_prefixes;
           Alcotest.test_case "prefix bridge" `Quick test_wildcard_prefix_bridge;
         ]
-        @ qc [ prop_wildcard_to_prefixes_exact ] );
+        @ qc [ prop_wildcard_to_prefixes_exact; prop_wildcard_exact ] );
       ( "prefix_set",
         [
           Alcotest.test_case "basics" `Quick test_set_basics;

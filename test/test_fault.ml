@@ -191,13 +191,6 @@ let test_reach_fixpoint_budget () =
   | _ -> Alcotest.fail "a zero-round budget should be exceeded"
   | exception Limits.Budget_exceeded { site = "reach.fixpoint"; budget = 0 } -> ()
 
-let test_reach_fixpoint_fault () =
-  let a = Rd_core.Analysis.analyze ~jobs:2 ~name:"net4" (files_of 4) in
-  let faults = plan "reach.fixpoint:raise:max=1" in
-  match Rd_reach.Reachability.compute ~faults a.graph with
-  | _ -> Alcotest.fail "injected fixpoint fault should propagate"
-  | exception Fault.Injected ("reach.fixpoint", None) -> ()
-
 let test_propagate_budget_degrades () =
   let a = Rd_core.Analysis.analyze ~jobs:2 ~name:"net10" (files_of 10) in
   let g = Rd_routing.Process_graph.build a.catalog in
@@ -325,7 +318,6 @@ let () =
           Alcotest.test_case "config bytes" `Quick test_config_bytes_budget;
           Alcotest.test_case "blocks subnets degrade" `Quick test_blocks_budget_degrades;
           Alcotest.test_case "reach fixpoint raises" `Quick test_reach_fixpoint_budget;
-          Alcotest.test_case "reach fixpoint fault" `Quick test_reach_fixpoint_fault;
           Alcotest.test_case "propagate rounds degrade" `Quick
             test_propagate_budget_degrades;
         ] );

@@ -86,12 +86,12 @@ let test_acl_noncontiguous_wildcard () =
 
 let test_acl_wildcard_over_approx () =
   (* 23 scattered wildcard bits exceed the enumeration cap: the set is
-     over-approximated (never under) and a diagnostic is reported *)
+     over-approximated (never under) and the ACL is not exact *)
   let acl = mk_wild "big" [ (Ast.Permit, "10.0.0.1", "0.255.255.254") ] in
-  let diag = Diag.create () in
-  let s = Rd_policy.Acl.permitted_set ~diag acl in
-  check_bool "warned" true
-    (List.exists (fun (d : Diag.t) -> d.code = "acl-wildcard-approx") (Diag.to_list diag));
+  let s = Rd_policy.Acl.permitted_set acl in
+  check_bool "inexact" false (Rd_policy.Acl.exact acl);
+  check_bool "12 scattered bits are exact" true
+    (Rd_policy.Acl.exact (mk_wild "edge" [ (Ast.Permit, "10.0.0.1", "0.0.31.254") ]));
   (* every address the wildcard matches is in the over-approximation *)
   check_bool "superset" true (Prefix_set.mem (ip "10.7.7.1") s)
 
@@ -135,6 +135,36 @@ let prop_acl_set_matches_eval =
           Prefix_set.mem a s = (Rd_policy.Acl.eval_addr acl a = Ast.Permit))
         (List.init 512 Fun.id)
       && not (Prefix_set.mem (ip "11.0.0.1") s))
+
+(* ACLs whose clauses carry 0-20 scattered wild bits: [exact] agrees
+   with the per-clause exactness flag on both sides of the 12-bit cap. *)
+let prop_acl_exact =
+  let clause =
+    QCheck.Gen.(
+      let* k = int_range 0 20 in
+      let* above = shuffle_l (List.init 31 (fun i -> i + 1)) in
+      let wild =
+        List.fold_left (fun acc p -> acc lor (1 lsl p)) 0 (List.filteri (fun i _ -> i < k) above)
+      in
+      return
+        {
+          Ast.clause_action = Ast.Permit;
+          src = Wildcard.make (Ipv4.of_int 0x0A000000) (Ipv4.of_int wild);
+          ip_proto = None;
+          dst = None;
+          src_port = None;
+          dst_port = None;
+        })
+  in
+  QCheck.Test.make ~name:"exact = every clause source set exact" ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         map
+           (fun clauses -> { Ast.acl_name = "prop"; extended = false; clauses })
+           (list_size (int_range 1 3) clause)))
+    (fun acl ->
+      Rd_policy.Acl.exact acl
+      = List.for_all (fun c -> snd (Rd_policy.Acl.clause_src_set c)) acl.clauses)
 
 let test_acl_route_semantics () =
   let acl = mk_std "7" [ (Ast.Permit, "10.0.0.0/8") ] in
@@ -321,29 +351,30 @@ let test_route_map_tag_approx_diag () =
         [ mk_entry ~acls:[ "1" ] ~tags:[ 5 ] 10 Ast.Permit; mk_entry ~tags:[ 6 ] 20 Ast.Deny ];
     }
   in
-  let c = Diag.create ~file:"r1" () in
-  ignore (Rd_policy.Route_map.permitted_set ~diag:c rm ~lookup_acl:(lookup acls) ());
-  let diags =
-    List.filter (fun (d : Diag.t) -> d.code = "route-map-tag-approx") (Diag.to_list c)
-  in
-  check_int "one warning per tagged entry" 2 (List.length diags);
-  List.iter
-    (fun (d : Diag.t) -> check_bool "warning severity" true (d.severity = Diag.Warning))
-    diags;
-  (* no collector, no warnings — and the set is unchanged *)
+  check_bool "tag match is inexact" false
+    (Rd_policy.Route_map.exact rm ~lookup_acl:(lookup acls));
   let s = Rd_policy.Route_map.permitted_set rm ~lookup_acl:(lookup acls) () in
-  check_bool "10/8 permitted" true (Prefix_set.mem (ip "10.0.0.1") s)
+  check_bool "10/8 permitted" true (Prefix_set.mem (ip "10.0.0.1") s);
+  (* without tag matches the map is exact exactly when its ACLs are *)
+  let untagged = { rm with entries = [ mk_entry ~acls:[ "1"; "big" ] 10 Ast.Permit ] } in
+  check_bool "exact acls" true (Rd_policy.Route_map.exact untagged ~lookup_acl:(lookup acls));
+  let big = mk_wild "big" [ (Ast.Permit, "10.0.0.1", "0.255.255.254") ] in
+  check_bool "inexact acl" false
+    (Rd_policy.Route_map.exact untagged ~lookup_acl:(lookup (big :: acls)))
 
 (* ---------------------------------------------------------- route_filter --- *)
 
 let test_route_filter () =
   let acl = mk_std "1" [ (Ast.Permit, "10.0.0.0/8") ] in
-  let f = Rd_policy.Route_filter.of_acl acl in
+  let f = Rd_policy.Route_filter.of_prefix_set (Rd_policy.Acl.permitted_set acl) in
   check_bool "permits" true (Rd_policy.Route_filter.permits f (pfx "10.1.0.0/16"));
   check_bool "denies" false (Rd_policy.Route_filter.permits f (pfx "11.0.0.0/8"));
   check_bool "everything" true
     (Rd_policy.Route_filter.is_unrestricted Rd_policy.Route_filter.everything);
-  let g = Rd_policy.Route_filter.of_acl (mk_std "2" [ (Ast.Permit, "10.1.0.0/16") ]) in
+  let g =
+    Rd_policy.Route_filter.of_prefix_set
+      (Rd_policy.Acl.permitted_set (mk_std "2" [ (Ast.Permit, "10.1.0.0/16") ]))
+  in
   let fg = Rd_policy.Route_filter.conj f g in
   check_bool "conj narrows" true (Rd_policy.Route_filter.permits fg (pfx "10.1.2.0/24"));
   check_bool "conj excludes" false (Rd_policy.Route_filter.permits fg (pfx "10.2.0.0/16"));
@@ -503,7 +534,7 @@ let () =
           Alcotest.test_case "wildcard over-approximation" `Quick test_acl_wildcard_over_approx;
           Alcotest.test_case "route semantics" `Quick test_acl_route_semantics;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_acl_set_matches_eval ] );
+        @ List.map QCheck_alcotest.to_alcotest [ prop_acl_set_matches_eval; prop_acl_exact ] );
       ( "route_map",
         [
           Alcotest.test_case "eval with sets" `Quick test_route_map_eval;

@@ -10,7 +10,7 @@ let check_bool = Alcotest.(check bool)
 let ip = Ipv4.of_string_exn
 let pfx = Prefix.of_string_exn
 
-let route ?(metric = 0) ?tag dest source = Rd_sim.Rib.mk ~metric ~tag (pfx dest) source
+let route ?(metric = 0) ?tag dest source = { (Rd_sim.Rib.mk (pfx dest) source) with metric; tag }
 
 (* ------------------------------------------------------------------ rib --- *)
 
@@ -135,7 +135,7 @@ let arb_routes =
     let* len = frequency [ (4, int_bound 32); (1, return 0); (1, return 32) ] in
     let* source = oneofl sources and* metric = int_bound 2 and* hops = int_bound 2 in
     let dest = Prefix.make (Ipv4.of_octets 10 third 0 fourth) len in
-    return (Rd_sim.Rib.mk ~metric ~as_path:(List.init hops Fun.id) dest source)
+    return { (Rd_sim.Rib.mk ~as_path:(List.init hops Fun.id) dest source) with metric }
   in
   QCheck.make
     ~print:(fun rs ->
