@@ -424,6 +424,57 @@ let test_stable_order () =
   let lines = List.filter_map (fun (d : Diag.t) -> d.line) d1 in
   check_bool "line-sorted" true (List.sort compare lines = lines)
 
+(* ------------------------------------------------------ pinned fixture --- *)
+
+(* test/lint_fixture fires every lint-* code: the per-file ones on
+   edge.cfg, the design ones across the other routers.  The whole report
+   is what [rdna lint test/lint_fixture --json] prints, pinned by SHA-1 in
+   test/lint_fixture.sha1; one finding per code is checked at its line. *)
+let fixture_report () =
+  let dir = "lint_fixture" in
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.map (fun f -> (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+  in
+  Rd_core.Lint.lint_files files
+  @ Rd_core.Lint.design ~files (Rd_core.Analysis.analyze ~name:dir files)
+
+let test_fixture_every_code () =
+  let diags = fixture_report () in
+  List.iter
+    (fun (code, file, line) ->
+      if
+        not
+          (List.exists (fun (d : Diag.t) -> d.code = code && d.file = file && d.line = line) diags)
+      then
+        Alcotest.failf "%s not at %s:%s" code (Option.value file ~default:"-")
+          (match line with Some l -> string_of_int l | None -> "-"))
+    [
+      ("lint-undefined-acl", Some "edge.cfg", Some 8);
+      ("lint-undefined-route-map", Some "edge.cfg", Some 16);
+      ("lint-undefined-prefix-list", Some "edge.cfg", Some 22);
+      ("lint-neighbor-no-remote-as", Some "edge.cfg", Some 20);
+      ("lint-duplicate-acl", Some "edge.cfg", Some 27);
+      ("lint-duplicate-route-map-seq", Some "edge.cfg", Some 30);
+      ("lint-unused-acl", Some "edge.cfg", Some 24);
+      ("lint-unused-route-map", Some "edge.cfg", Some 29);
+      ("lint-redistribute-no-metric", Some "edge.cfg", Some 15);
+      ("lint-interface-overlap", Some "edge.cfg", Some 11);
+      ("lint-unfiltered-peering", Some "edge.cfg", Some 19);
+      ("lint-unfiltered-edge-interface", Some "edge.cfg", Some 4);
+      ("lint-half-covered-link", Some "half-a.cfg", Some 4);
+      ("lint-duplicate-address", Some "static-b.cfg", Some 4);
+      ("lint-unresolved-next-hop", Some "static-a.cfg", None);
+      ("lint-ospf-no-backbone-area", None, None);
+      ("lint-isolated-process", Some "half-a.cfg", None);
+      ("lint-shared-static-destination", None, None);
+      ("lint-single-abr-area", Some "abr.cfg", None);
+    ];
+  let json = Rd_util.Json.to_string (Diag.to_json diags) ^ "\n" in
+  Alcotest.(check string)
+    "report pinned" (String.trim (In_channel.with_open_bin "lint_fixture.sha1" In_channel.input_all))
+    (Rd_util.Sha1.hex_of_string json)
+
 let () =
   Alcotest.run "rd_lint"
     [
@@ -475,5 +526,6 @@ let () =
           Alcotest.test_case "generated networks clean" `Quick test_generated_networks_clean;
           Alcotest.test_case "render and json" `Quick test_render_and_json;
           Alcotest.test_case "stable order" `Quick test_stable_order;
+          Alcotest.test_case "fixture fires every code" `Quick test_fixture_every_code;
         ] );
     ]
