@@ -279,9 +279,9 @@ let lint_cmd =
     let files = load_dir dir in
     let a = Rd_core.Analysis.analyze ~name:(Filename.basename dir) files in
     let diags = Rd_core.Lint.lint_files ~jobs files @ Rd_core.Lint.design ~files a in
-    if json then print_endline (Rd_util.Json.to_string (Rd_core.Lint.to_json diags))
+    if json then print_endline (Rd_util.Json.to_string (Rd_config.Diag.to_json diags))
     else begin
-      print_string (Rd_core.Lint.render diags);
+      print_string (Rd_config.Diag.render diags);
       let e, w, i = Rd_config.Diag.counts diags in
       if e + w + i > 0 then Printf.printf "%d errors, %d warnings, %d notes\n" e w i
     end;

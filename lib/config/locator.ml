@@ -1,14 +1,33 @@
 open Rd_addr
 
+type kind = Acl | Route_map | Prefix_list
 type entry = { seq : int option; line : int }
 
+type neighbor = {
+  block : int;
+  peer : string;
+  line : int;
+  remote_as : bool;
+  peer_group : bool;
+  group : string option;
+}
+
+type redistribution = { proto : string; source : string; args : string list; line : int }
+type address = { ifname : string; words : string list; line : int }
+
 type t = {
-  neighbors : (int, int) Hashtbl.t;  (* peer address (as int) -> first line *)
-  redists : (string * string, int) Hashtbl.t;  (* (router proto, source) -> first line *)
+  defs : (kind * string, int) Hashtbl.t;  (* first definition line *)
   acl_clauses : (string, entry list ref) Hashtbl.t;  (* name -> clause lines, reversed *)
   pl_entries : (string, entry list ref) Hashtbl.t;
   rm_entries : (string, entry list ref) Hashtbl.t;
-  if_addrs : (string, int) Hashtbl.t;  (* interface name -> ip-address line *)
+  neighbors : (int, int) Hashtbl.t;  (* peer address (as int) -> first line *)
+  bgp_neighbors : (int * string, neighbor) Hashtbl.t;  (* (block, peer) *)
+  if_addrs : (string, int) Hashtbl.t;  (* interface name -> first ip-address line *)
+  (* in document order once [of_text] returns *)
+  mutable acl_blocks : (string * int) list;
+  mutable refs : (kind * string * int) list;
+  mutable redists : redistribution list;
+  mutable addresses : address list;
 }
 
 let push tbl name e =
@@ -18,63 +37,113 @@ let push tbl name e =
 
 let first tbl key line = if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key line
 
-(* The same mode-tracking walk as [Rd_core.Lint]: top-level lines reset
-   the context, indented lines belong to the block the context names. *)
+let rec route_map_arg = function
+  | "route-map" :: name :: _ -> Some name
+  | _ :: tl -> route_map_arg tl
+  | [] -> None
+
+(* The one mode-tracking walk over a file's lines: a top-level line opens
+   a block and names its context, an indented line belongs to the block
+   the context names. *)
 let of_text text =
   let t =
     {
-      neighbors = Hashtbl.create 16;
-      redists = Hashtbl.create 8;
+      defs = Hashtbl.create 16;
       acl_clauses = Hashtbl.create 8;
       pl_entries = Hashtbl.create 8;
       rm_entries = Hashtbl.create 8;
+      neighbors = Hashtbl.create 16;
+      bgp_neighbors = Hashtbl.create 8;
       if_addrs = Hashtbl.create 16;
+      acl_blocks = [];
+      refs = [];
+      redists = [];
+      addresses = [];
     }
   in
   let context = ref [] in
-  let neighbor_of peer line =
-    match Ipv4.of_string peer with
-    | Some a -> first t.neighbors (Ipv4.to_int a) line
-    | None -> ()
-  in
-  let prefix_list_entry name rest line =
-    let seq =
-      match rest with "seq" :: n :: _ -> int_of_string_opt n | _ -> None
-    in
-    push t.pl_entries name { seq; line }
-  in
+  let block = ref 0 in
+  let def kind name line = first t.defs (kind, name) line in
+  let add_ref kind name line = t.refs <- (kind, name, line) :: t.refs in
   let top (l : Lexer.line) =
+    incr block;
     context := l.words;
     match l.words with
-    | "access-list" :: name :: _ -> push t.acl_clauses name { seq = None; line = l.lineno }
+    | "access-list" :: name :: _ ->
+      def Acl name l.lineno;
+      push t.acl_clauses name { seq = None; line = l.lineno }
+    | [ "ip"; "access-list"; ("standard" | "extended"); name ] ->
+      def Acl name l.lineno;
+      t.acl_blocks <- (name, l.lineno) :: t.acl_blocks
     | "route-map" :: name :: rest ->
-      let seq =
-        match rest with [ _action; n ] -> int_of_string_opt n | _ -> None
-      in
+      let seq = match rest with [ _action; n ] -> int_of_string_opt n | _ -> None in
+      def Route_map name l.lineno;
       push t.rm_entries name { seq; line = l.lineno }
-    | "ip" :: "prefix-list" :: name :: rest -> prefix_list_entry name rest l.lineno
+    | "ip" :: "prefix-list" :: name :: rest ->
+      let seq = match rest with "seq" :: n :: _ -> int_of_string_opt n | _ -> None in
+      def Prefix_list name l.lineno;
+      push t.pl_entries name { seq; line = l.lineno }
     | _ -> ()
   in
+  let bgp_neighbor peer rest line =
+    let key = (!block, peer) in
+    let n =
+      match Hashtbl.find_opt t.bgp_neighbors key with
+      | Some n -> n
+      | None ->
+        { block = !block; peer; line; remote_as = false; peer_group = false; group = None }
+    in
+    Hashtbl.replace t.bgp_neighbors key
+      (match rest with
+       | "remote-as" :: _ -> { n with remote_as = true }
+       | [ "peer-group" ] -> { n with peer_group = true }
+       | "peer-group" :: group :: _ -> { n with group = Some group }
+       | _ -> n)
+  in
+  let router_sub proto (l : Lexer.line) =
+    match l.words with
+    | "distribute-list" :: name :: _ -> add_ref Acl name l.lineno
+    | "redistribute" :: source :: args ->
+      t.redists <- { proto; source; args; line = l.lineno } :: t.redists;
+      Option.iter (fun name -> add_ref Route_map name l.lineno) (route_map_arg args)
+    | "neighbor" :: peer :: rest -> (
+      Option.iter (fun a -> first t.neighbors (Ipv4.to_int a) l.lineno) (Ipv4.of_string peer);
+      if proto = "bgp" then bgp_neighbor peer rest l.lineno;
+      match rest with
+      | "distribute-list" :: name :: _ -> add_ref Acl name l.lineno
+      | "prefix-list" :: name :: _ -> add_ref Prefix_list name l.lineno
+      | "route-map" :: name :: _ -> add_ref Route_map name l.lineno
+      | _ -> ())
+    | _ -> ()
+  in
+  (* route-map bodies: [match ip address [prefix-list] N1 N2 ...] *)
+  let rec match_refs lineno = function
+    | "match" :: "ip" :: "address" :: "prefix-list" :: names ->
+      List.iter (fun n -> add_ref Prefix_list n lineno) names
+    | "match" :: "ip" :: "address" :: names -> List.iter (fun n -> add_ref Acl n lineno) names
+    | _ :: rest -> match_refs lineno rest
+    | [] -> ()
+  in
   let sub (l : Lexer.line) =
-    match !context with
-    | "ip" :: "access-list" :: _ :: name :: _ -> (
-      match l.words with
-      | ("permit" | "deny") :: _ -> push t.acl_clauses name { seq = None; line = l.lineno }
-      | _ -> ())
-    | "interface" :: ifname :: _ -> (
-      match l.words with
-      | "ip" :: "address" :: _ -> first t.if_addrs ifname l.lineno
-      | _ -> ())
-    | "router" :: proto :: _ -> (
-      match l.words with
-      | "neighbor" :: peer :: _ -> neighbor_of peer l.lineno
-      | "redistribute" :: source :: _ -> first t.redists (proto, source) l.lineno
-      | _ -> ())
+    match (!context, l.words) with
+    | "ip" :: "access-list" :: _ :: name :: _, ("permit" | "deny") :: _ ->
+      push t.acl_clauses name { seq = None; line = l.lineno }
+    | "interface" :: _ :: _, "ip" :: "access-group" :: name :: _ -> add_ref Acl name l.lineno
+    | "interface" :: ifname :: _, "ip" :: "address" :: words ->
+      first t.if_addrs ifname l.lineno;
+      t.addresses <- { ifname; words; line = l.lineno } :: t.addresses
+    | "router" :: proto :: _, _ -> router_sub proto l
+    | "route-map" :: _, words -> match_refs l.lineno words
+    | "line" :: _, "access-class" :: name :: _ -> add_ref Acl name l.lineno
     | _ -> ()
   in
   List.iter
     (fun (l : Lexer.line) -> if l.indent = 0 then top l else sub l)
     (fst (Lexer.lines_of_string text));
+  t.acl_blocks <- List.rev t.acl_blocks;
+  t.refs <- List.rev t.refs;
+  t.redists <- List.rev t.redists;
+  t.addresses <- List.rev t.addresses;
   t
 
 (* Each file is indexed on the first [find] that names it; a file no
@@ -89,6 +158,24 @@ let of_files ?(files = []) () =
 let find table file lookup =
   Option.bind (Hashtbl.find_opt table file) (fun t -> lookup (Lazy.force t))
 
+(* ------------------------------------------------------------ facts --- *)
+
+let definition_line t kind name = Hashtbl.find_opt t.defs (kind, name)
+
+let definitions t kind =
+  Hashtbl.fold (fun (k, name) line acc -> if k = kind then (name, line) :: acc else acc) t.defs []
+
+let acl_blocks t = t.acl_blocks
+let references t = t.refs
+let redistributions t = t.redists
+let interface_addresses t = t.addresses
+let bgp_neighbors t = Hashtbl.fold (fun _ n acc -> n :: acc) t.bgp_neighbors []
+
+let route_map_entries t =
+  Hashtbl.fold (fun name r acc -> (name, List.rev !r) :: acc) t.rm_entries []
+
+(* ------------------------------------------------------------ lines --- *)
+
 let entries tbl name =
   match Hashtbl.find_opt tbl name with Some r -> List.rev !r | None -> []
 
@@ -100,13 +187,17 @@ let nth_entry es ~seq ~index =
   in
   match by_seq with
   | Some e -> Some e.line
-  | None -> Option.map (fun e -> e.line) (List.nth_opt es index)
+  | None -> Option.map (fun (e : entry) -> e.line) (List.nth_opt es index)
 
 let neighbor_line t addr = Hashtbl.find_opt t.neighbors (Ipv4.to_int addr)
-let redistribute_line t ~proto ~source = Hashtbl.find_opt t.redists (proto, source)
+
+let redistribute_line t ~proto ~source =
+  List.find_map
+    (fun r -> if r.proto = proto && r.source = source then Some r.line else None)
+    t.redists
 
 let acl_clause_line t name i =
-  Option.map (fun e -> e.line) (List.nth_opt (entries t.acl_clauses name) i)
+  Option.map (fun (e : entry) -> e.line) (List.nth_opt (entries t.acl_clauses name) i)
 
 let prefix_list_line t name ~seq ~index = nth_entry (entries t.pl_entries name) ~seq ~index
 let route_map_line t name ~seq ~index = nth_entry (entries t.rm_entries name) ~seq ~index

@@ -1,21 +1,34 @@
-(** Source-line index for semantic findings.
+(** The one text index of a configuration file.
 
     The AST deliberately drops physical positions — parsing normalizes
-    away line structure — but the network-wide lint pass
-    ([Rd_core.Netlint]) and the design rules of [Rd_core.Lint] must
-    point their diagnostics at the line an operator should edit: the
-    [neighbor] statement of a mismatched or unfiltered peering, the
-    shadowed [access-list] clause, the [redistribute] command closing a
-    loop.  A locator is a {!Lexer} pass over the raw text of a file,
-    indexing the definition lines of the entities findings cite; a file
-    is indexed on first lookup, so only the files that findings cite
-    are ever lexed.  Lookups are total: anything the index
+    away line structure — but the lint rules must point their
+    diagnostics at the line an operator should edit: the [neighbor]
+    statement of a mismatched or unfiltered peering, the shadowed
+    [access-list] clause, the [redistribute] command closing a loop, the
+    reference to an undefined route-map.  A locator is the one pass over
+    a file's raw text outside the parser ({!Lexer.lines_of_string},
+    tracking the block each indented line belongs to).  It records, each
+    with its line:
+    - the definitions: [access-list] lines, [ip access-list] headers and
+      clauses, route-map [(name, seq)] entries, prefix-list entries;
+    - every reference to an ACL, route-map or prefix-list
+      ([access-group], [distribute-list], [access-class],
+      [match ip address [prefix-list]], [redistribute ... route-map] and
+      the per-neighbor filters);
+    - the [neighbor] statements of each BGP block, with remote-as,
+      peer-group and membership;
+    - every interface [ip address] and every [redistribute] line.
+
+    [Rd_core.Lint]'s per-file rules are queries on one file's index; its
+    design rules and [Rd_core.Netlint] look lines up through a {!table},
+    where a file is indexed on first lookup, so only the files that
+    findings cite are ever lexed.  Lookups are total: anything the index
     cannot resolve (synthetic configurations, entities introduced by a
     transformation) simply yields [None] and the finding goes out
     without a line. *)
 
 type t
-(** A per-file line index. *)
+(** A per-file index. *)
 
 val of_text : string -> t
 (** Index one configuration file's raw text. *)
@@ -34,6 +47,63 @@ val of_files : ?files:(string * string) list -> unit -> table
 val find : table -> string -> (t -> int option) -> int option
 (** [find table file lookup] runs [lookup] on [file]'s index, indexing
     the file on first use; [None] when [files] did not name [file]. *)
+
+(** {1 Facts} *)
+
+type kind = Acl | Route_map | Prefix_list  (** what a name refers to. *)
+
+type entry = { seq : int option; line : int }
+(** One route-map header or prefix-list line, with its sequence number
+    when the text carries one. *)
+
+type neighbor = {
+  block : int;  (** the [router bgp] block, numbered per file. *)
+  peer : string;  (** address or peer-group name, as written. *)
+  line : int;  (** the peer's first [neighbor] statement in the block. *)
+  remote_as : bool;  (** a [neighbor <peer> remote-as] statement. *)
+  peer_group : bool;  (** [neighbor <peer> peer-group]: a template. *)
+  group : string option;  (** [neighbor <peer> peer-group <group>] (last wins). *)
+}
+
+type redistribution = {
+  proto : string;  (** the enclosing [router <proto>] block. *)
+  source : string;  (** first token after [redistribute]. *)
+  args : string list;  (** the tokens after it. *)
+  line : int;
+}
+
+type address = { ifname : string; words : string list; line : int }
+(** An interface's [ip address <words>] line. *)
+
+val definition_line : t -> kind -> string -> int option
+(** First line defining the name: an [access-list <name>] line or an
+    [ip access-list standard|extended <name>] header, a [route-map
+    <name>] header, an [ip prefix-list <name>] line. *)
+
+val definitions : t -> kind -> (string * int) list
+(** Every defined name of the kind with its {!definition_line}, in no
+    particular order. *)
+
+val acl_blocks : t -> (string * int) list
+(** [ip access-list standard|extended <name>] headers, document order. *)
+
+val route_map_entries : t -> (string * entry list) list
+(** Each route-map's headers in document order, route-maps in no
+    particular order. *)
+
+val references : t -> (kind * string * int) list
+(** Every reference to a named policy, document order. *)
+
+val bgp_neighbors : t -> neighbor list
+(** One record per (BGP block, peer), in no particular order. *)
+
+val redistributions : t -> redistribution list
+(** Every [redistribute] line of every router block, document order. *)
+
+val interface_addresses : t -> address list
+(** Every interface [ip address] line, secondaries too, document order. *)
+
+(** {1 Lines} *)
 
 val neighbor_line : t -> Rd_addr.Ipv4.t -> int option
 (** First [neighbor <addr> ...] line for the peer address. *)
@@ -57,4 +127,4 @@ val route_map_line : t -> string -> seq:int option -> index:int -> int option
     sequence number with an occurrence-order fallback. *)
 
 val interface_address_line : t -> string -> int option
-(** Line of the [ip address ...] command of the named interface. *)
+(** Line of the first [ip address ...] command of the named interface. *)

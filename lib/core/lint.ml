@@ -1,216 +1,167 @@
 open Rd_addr
 open Rd_config
 
-(* A referencable entity kind; refs and defs are matched per file, since an
-   IOS configuration is self-contained per device. *)
-type kind = Acl | Route_map | Prefix_list
+type rule = Locator.table -> Analysis.t -> Diag.t list
+
+let router_file (a : Analysis.t) r = fst a.topo.routers.(r)
+
+(* ---------------------------------------------------- per-file rules --- *)
+
+(* Each rule is a query on one file's {!Locator} index; refs and defs
+   are matched per file, since an IOS configuration is self-contained
+   per device. *)
 
 let describe = function
-  | Acl -> "access-list"
+  | Locator.Acl -> "access-list"
   | Route_map -> "route-map"
   | Prefix_list -> "prefix-list"
 
 let undefined_code = function
-  | Acl -> "lint-undefined-acl"
+  | Locator.Acl -> "lint-undefined-acl"
   | Route_map -> "lint-undefined-route-map"
   | Prefix_list -> "lint-undefined-prefix-list"
+
+let duplicates ~file loc =
+  List.filter_map
+    (fun (name, line) ->
+      match Locator.definition_line loc Acl name with
+      | Some first when first < line ->
+        Some
+          (Printf.ksprintf (Diag.make ~file ~line Diag.Warning ~code:"lint-duplicate-acl")
+             "access-list %s redefined (first defined at line %d)" name first)
+      | _ -> None)
+    (Locator.acl_blocks loc)
+  @ List.concat_map
+      (fun (name, entries) ->
+        let seen = Hashtbl.create 4 in
+        List.filter_map
+          (fun ({ seq; line } : Locator.entry) ->
+            match seq with
+            | Some s when Hashtbl.mem seen s ->
+              Some
+                (Printf.ksprintf
+                   (Diag.make ~file ~line Diag.Warning ~code:"lint-duplicate-route-map-seq")
+                   "route-map %s sequence %d redefined (first defined at line %d)" name s
+                   (Hashtbl.find seen s))
+            | Some s ->
+              Hashtbl.add seen s line;
+              None
+            | None -> None)
+          entries)
+      (Locator.route_map_entries loc)
 
 (* Redistribution sources that need no metric when injected into OSPF:
    connected/static routes get a sensible default, other protocols land
    with an incomparable metric unless one is given. *)
 let metric_exempt_source = function "connected" | "static" -> true | _ -> false
 
-let lint_config ~file text =
-  let _ast, parse_diags = Parser.parse_with_diags ~file text in
-  let rules = ref [] in
-  let emit ?line severity ~code fmt =
-    Printf.ksprintf
-      (fun message -> rules := { Diag.severity; code; file = Some file; line; message } :: !rules)
-      fmt
-  in
-  let acl_defs : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let rm_defs : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let rm_seqs : (string * int, int) Hashtbl.t = Hashtbl.create 8 in
-  let pl_defs : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let def tbl name lineno = if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name lineno in
-  let refs = ref [] in
-  (* (kind, name, lineno) in reverse document order *)
-  let add_ref kind name lineno = refs := (kind, name, lineno) :: !refs in
-  (* BGP neighbors: (block id, peer) -> (first line, saw remote-as) *)
-  let neighbors : (int * string, int * bool ref) Hashtbl.t = Hashtbl.create 8 in
-  (* (block, name) of [neighbor <name> peer-group] declarations, and
-     (block, peer) -> group of [neighbor <peer> peer-group <group>]
-     memberships: a member inherits the group's remote-as. *)
-  let peer_groups : (int * string, unit) Hashtbl.t = Hashtbl.create 4 in
-  let group_membership : (int * string, string) Hashtbl.t = Hashtbl.create 4 in
-  let if_addrs = ref [] in
-  (* (interface name, prefix, lineno) in reverse document order *)
-  let context = ref [] in
-  let block_id = ref 0 in
-  let top (l : Lexer.line) =
-    incr block_id;
-    context := l.words;
-    match l.words with
-    | "access-list" :: name :: _ -> def acl_defs name l.lineno
-    | [ "ip"; "access-list"; ("standard" | "extended"); name ] ->
-      (match Hashtbl.find_opt acl_defs name with
-       | Some first ->
-         emit ~line:l.lineno Diag.Warning ~code:"lint-duplicate-acl"
-           "access-list %s redefined (first defined at line %d)" name first
-       | None -> Hashtbl.add acl_defs name l.lineno)
-    | "route-map" :: name :: rest ->
-      def rm_defs name l.lineno;
-      (match rest with
-       | [ _action; seq ] ->
-         (match int_of_string_opt seq with
-          | Some s ->
-            (match Hashtbl.find_opt rm_seqs (name, s) with
-             | Some first ->
-               emit ~line:l.lineno Diag.Warning ~code:"lint-duplicate-route-map-seq"
-                 "route-map %s sequence %d redefined (first defined at line %d)" name s first
-             | None -> Hashtbl.add rm_seqs (name, s) l.lineno)
-          | None -> ())
-       | _ -> ())
-    | "ip" :: "prefix-list" :: name :: _ -> def pl_defs name l.lineno
-    | _ -> ()
-  in
-  let interface_sub ifname (l : Lexer.line) =
-    match l.words with
-    | "ip" :: "access-group" :: name :: _ -> add_ref Acl name l.lineno
-    | "ip" :: "address" :: a :: m :: _ ->
-      (match Ipv4.of_string a with
-       | Some addr ->
-         (match Option.bind (Ipv4.of_string m) (Prefix.of_addr_mask addr) with
-          | Some p -> if_addrs := (ifname, p, l.lineno) :: !if_addrs
-          | None -> ())
-       | None -> ())
-    | _ -> ()
-  in
-  let rec scan_route_map_refs lineno = function
-    (* route-map bodies: match ip address [prefix-list] N1 N2 ..., and
-       continue/next-hop style lines are irrelevant here. *)
-    | "match" :: "ip" :: "address" :: "prefix-list" :: names ->
-      List.iter (fun n -> add_ref Prefix_list n lineno) names
-    | "match" :: "ip" :: "address" :: names ->
-      List.iter (fun n -> add_ref Acl n lineno) names
-    | _ :: rest -> scan_route_map_refs lineno rest
-    | [] -> ()
-  in
-  let router_sub proto (l : Lexer.line) =
-    match l.words with
-    | "distribute-list" :: name :: _ -> add_ref Acl name l.lineno
-    | "redistribute" :: source :: rest ->
-      (let rec route_map_of = function
-         | "route-map" :: name :: _ -> Some name
-         | _ :: tl -> route_map_of tl
-         | [] -> None
-       in
-       match route_map_of rest with
-       | Some name -> add_ref Route_map name l.lineno
-       | None -> ());
-      if proto = "ospf" && (not (metric_exempt_source source))
-         && not (List.mem "metric" rest)
+let redistribute_no_metric ~file loc =
+  List.filter_map
+    (fun (r : Locator.redistribution) ->
+      if r.proto = "ospf" && (not (metric_exempt_source r.source)) && not (List.mem "metric" r.args)
       then
-        emit ~line:l.lineno Diag.Warning ~code:"lint-redistribute-no-metric"
-          "redistribute %s into OSPF without an explicit metric" source
-    | "neighbor" :: peer :: rest ->
-      if proto = "bgp" then begin
-        let entry =
-          match Hashtbl.find_opt neighbors (!block_id, peer) with
-          | Some e -> e
-          | None ->
-            let e = (l.lineno, ref false) in
-            Hashtbl.add neighbors (!block_id, peer) e;
-            e
-        in
-        match rest with
-        | "remote-as" :: _ -> snd entry := true
-        | [ "peer-group" ] -> Hashtbl.replace peer_groups (!block_id, peer) ()
-        | "peer-group" :: group :: _ ->
-          Hashtbl.replace group_membership (!block_id, peer) group
-        | _ -> ()
-      end;
-      (match rest with
-       | "distribute-list" :: name :: _ -> add_ref Acl name l.lineno
-       | "filter-list" :: _ -> ()
-       | "prefix-list" :: name :: _ -> add_ref Prefix_list name l.lineno
-       | "route-map" :: name :: _ -> add_ref Route_map name l.lineno
-       | _ -> ())
-    | _ -> ()
-  in
+        Some
+          (Printf.ksprintf
+             (Diag.make ~file ~line:r.line Diag.Warning ~code:"lint-redistribute-no-metric")
+             "redistribute %s into OSPF without an explicit metric" r.source)
+      else None)
+    (Locator.redistributions loc)
+
+let undefined ~file loc =
+  List.filter_map
+    (fun (kind, name, line) ->
+      if Locator.definition_line loc kind name = None then
+        Some
+          (Printf.ksprintf (Diag.make ~file ~line Diag.Error ~code:(undefined_code kind))
+             "%s %s is referenced but never defined" (describe kind) name)
+      else None)
+    (Locator.references loc)
+
+let unused ~file loc =
+  let referenced = Hashtbl.create 16 in
   List.iter
-    (fun (l : Lexer.line) ->
-      if l.indent = 0 then top l
+    (fun (kind, name, _) -> Hashtbl.replace referenced (kind, name) ())
+    (Locator.references loc);
+  List.concat_map
+    (fun (kind, code) ->
+      List.filter_map
+        (fun (name, line) ->
+          if Hashtbl.mem referenced (kind, name) then None
+          else
+            Some
+              (Printf.ksprintf
+                 (Diag.make ~file ~line Diag.Warning ~code) "%s %s is defined but never applied"
+                 (describe kind) name))
+        (Locator.definitions loc kind))
+    [ (Locator.Acl, "lint-unused-acl"); (Route_map, "lint-unused-route-map") ]
+
+let neighbor_no_remote_as ~file loc =
+  let neighbors = Locator.bgp_neighbors loc in
+  (* A peer-group declaration is a template, not a session; a member
+     whose group supplies remote-as inherits it. *)
+  let group_covers (n : Locator.neighbor) =
+    match n.group with
+    | Some g ->
+      List.exists
+        (fun (m : Locator.neighbor) -> m.block = n.block && m.peer = g && m.remote_as)
+        neighbors
+    | None -> false
+  in
+  List.filter_map
+    (fun (n : Locator.neighbor) ->
+      if n.remote_as || n.peer_group || group_covers n then None
       else
-        match !context with
-        | "interface" :: ifname :: _ -> interface_sub ifname l
-        | "router" :: proto :: _ -> router_sub proto l
-        | "route-map" :: _ -> scan_route_map_refs l.lineno l.words
-        | "line" :: _ ->
-          (match l.words with
-           | "access-class" :: name :: _ -> add_ref Acl name l.lineno
-           | _ -> ())
-        | _ -> ())
-    (fst (Lexer.lines_of_string text));
-  (* Dangling references. *)
-  let defs_of = function Acl -> acl_defs | Route_map -> rm_defs | Prefix_list -> pl_defs in
-  let referenced : (kind * string, unit) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (kind, name, lineno) ->
-      Hashtbl.replace referenced (kind, name) ();
-      if not (Hashtbl.mem (defs_of kind) name) then
-        emit ~line:lineno Diag.Error ~code:(undefined_code kind) "%s %s is referenced but never defined"
-          (describe kind) name)
-    (List.rev !refs);
-  (* Unused definitions. *)
-  let unused tbl kind code =
-    Hashtbl.iter
-      (fun name lineno ->
-        if not (Hashtbl.mem referenced (kind, name)) then
-          emit ~line:lineno Diag.Warning ~code "%s %s is defined but never applied" (describe kind)
-            name)
-      tbl
+        Some
+          (Printf.ksprintf
+             (Diag.make ~file ~line:n.line Diag.Error ~code:"lint-neighbor-no-remote-as")
+             "BGP neighbor %s has no remote-as; the session cannot establish" n.peer))
+    neighbors
+
+let interface_overlap ~file loc =
+  let addrs =
+    Array.of_list
+      (List.filter_map
+         (fun (a : Locator.address) ->
+           match a.words with
+           | addr :: mask :: _ ->
+             Option.map
+               (fun p -> (a.ifname, p, a.line))
+               (Option.bind (Ipv4.of_string addr) (fun addr ->
+                    Option.bind (Ipv4.of_string mask) (Prefix.of_addr_mask addr)))
+           | _ -> None)
+         (Locator.interface_addresses loc))
   in
-  unused acl_defs Acl "lint-unused-acl";
-  unused rm_defs Route_map "lint-unused-route-map";
-  (* BGP neighbors missing remote-as. *)
-  Hashtbl.iter
-    (fun (block, peer) (lineno, has_remote) ->
-      (* A peer-group declaration is a template, not a session; a
-         member whose group supplies remote-as inherits it. *)
-      let group_covers =
-        match Hashtbl.find_opt group_membership (block, peer) with
-        | Some group -> (
-          match Hashtbl.find_opt neighbors (block, group) with
-          | Some (_, group_remote) -> !group_remote
-          | None -> false)
-        | None -> false
-      in
-      if
-        (not !has_remote)
-        && (not (Hashtbl.mem peer_groups (block, peer)))
-        && not group_covers
-      then
-        emit ~line:lineno Diag.Error ~code:"lint-neighbor-no-remote-as"
-          "BGP neighbor %s has no remote-as; the session cannot establish" peer)
-    neighbors;
-  (* Interface address overlaps within this router. *)
-  let addrs = Array.of_list (List.rev !if_addrs) in
+  let acc = ref [] in
   Array.iteri
     (fun j (ifj, pj, lj) ->
       for i = 0 to j - 1 do
         let ifi, pi, _ = addrs.(i) in
         if Prefix.overlap pi pj then
-          emit ~line:lj Diag.Warning ~code:"lint-interface-overlap"
-            "interface %s address %s overlaps %s on interface %s" ifj (Prefix.to_string pj)
-            (Prefix.to_string pi) ifi
+          acc :=
+            Printf.ksprintf (Diag.make ~file ~line:lj Diag.Warning ~code:"lint-interface-overlap")
+              "interface %s address %s overlaps %s on interface %s" ifj (Prefix.to_string pj)
+              (Prefix.to_string pi) ifi
+            :: !acc
       done)
     addrs;
+  List.rev !acc
+
+(* In this order, so that two findings on one line keep it after the
+   stable sort by line. *)
+let file_rules =
+  [
+    duplicates; redistribute_no_metric; undefined; unused; neighbor_no_remote_as;
+    interface_overlap;
+  ]
+
+let lint_config ~file text =
+  let _ast, parse_diags = Parser.parse_with_diags ~file text in
+  let loc = Locator.of_text text in
   let line_of (d : Diag.t) = Option.value d.line ~default:0 in
-  let rule_diags =
-    List.stable_sort (fun a b -> Int.compare (line_of a) (line_of b)) (List.rev !rules)
-  in
-  parse_diags @ rule_diags
+  parse_diags
+  @ List.stable_sort
+      (fun a b -> Int.compare (line_of a) (line_of b))
+      (List.concat_map (fun rule -> rule ~file loc) file_rules)
 
 let lint_files ?jobs files =
   List.concat (Rd_util.Pool.parallel_map ?jobs (fun (f, text) -> lint_config ~file:f text) files)
@@ -220,12 +171,7 @@ let lint_files ?jobs files =
 (* Each §8.1 check returns its findings in discovery order; [design]
    concatenates them and lists Warnings before Infos. *)
 
-let design_finding ?file ?line severity code fmt =
-  Printf.ksprintf (fun message -> Diag.make ?file ?line severity ~code:("lint-" ^ code) message) fmt
-
-let router_file (t : Analysis.t) ri = fst t.topo.routers.(ri)
-
-let unfiltered_peerings ~locators (t : Analysis.t) =
+let unfiltered_peerings locators (t : Analysis.t) =
   let acc = ref [] in
   (* BGP sessions to the outside without route policy *)
   List.iter
@@ -237,10 +183,10 @@ let unfiltered_peerings ~locators (t : Analysis.t) =
       match n with
       | Some n when n.nb_dlists = [] && n.nb_route_maps = [] && n.nb_prefix_lists = [] ->
         let file = router_file t p.router in
+        let line = Locator.find locators file (fun loc -> Locator.neighbor_line loc n.peer) in
         acc :=
-          design_finding ~file
-            ?line:(Locator.find locators file (fun loc -> Locator.neighbor_line loc n.peer))
-            Diag.Warning "unfiltered-peering"
+          Printf.ksprintf
+            (Diag.make ~file ?line Diag.Warning ~code:"lint-unfiltered-peering")
             "EBGP session to AS %d (peer %s) has no distribute-list, prefix-list or route-map"
             ep.remote_asn (Ipv4.to_string ep.peer_addr)
           :: !acc
@@ -254,10 +200,12 @@ let unfiltered_peerings ~locators (t : Analysis.t) =
         let file, cfg = t.topo.routers.(i.router) in
         match Ast.find_interface cfg i.name with
         | Some ifc when ifc.access_groups = [] ->
+          let line =
+            Locator.find locators file (fun loc -> Locator.interface_address_line loc i.name)
+          in
           acc :=
-            design_finding ~file
-              ?line:(Locator.find locators file (fun loc -> Locator.interface_address_line loc i.name))
-              Diag.Warning "unfiltered-edge-interface"
+            Printf.ksprintf
+              (Diag.make ~file ?line Diag.Warning ~code:"lint-unfiltered-edge-interface")
               "external-facing interface %s carries no packet filter" i.name
             :: !acc
         | _ -> ()
@@ -265,7 +213,7 @@ let unfiltered_peerings ~locators (t : Analysis.t) =
     t.topo.ifaces;
   List.rev !acc
 
-let incomplete_adjacencies ~locators (t : Analysis.t) =
+let incomplete_adjacencies locators (t : Analysis.t) =
   let acc = ref [] in
   (* links where exactly one endpoint is covered by a same-protocol process *)
   List.iter
@@ -293,12 +241,13 @@ let incomplete_adjacencies ~locators (t : Analysis.t) =
                 List.find (fun (e : Rd_topo.Topology.iface) -> List.mem proto (covering e)) endpoints
               in
               let file = router_file t lonely.router in
+              let line =
+                Locator.find locators file (fun loc ->
+                    Locator.interface_address_line loc lonely.name)
+              in
               acc :=
-                design_finding ~file
-                  ?line:
-                    (Locator.find locators file (fun loc ->
-                         Locator.interface_address_line loc lonely.name))
-                  Diag.Warning "half-covered-link"
+                Printf.ksprintf
+                  (Diag.make ~file ?line Diag.Warning ~code:"lint-half-covered-link")
                   "link %s is covered by %s on only one endpoint — the adjacency cannot form"
                   (Prefix.to_string l.subnet_of_link)
                   (Ast.protocol_to_string proto)
@@ -323,7 +272,8 @@ let incomplete_adjacencies ~locators (t : Analysis.t) =
           && not (List.exists (fun (pid, _) -> pid = p.pid) t.graph.adjacency.igp_external_edges)
         then
           acc :=
-            design_finding ~file:(router_file t p.router) Diag.Info "isolated-process"
+            Printf.ksprintf
+              (Diag.make ~file:(router_file t p.router) Diag.Info ~code:"lint-isolated-process")
               "%s process %s has no adjacency (single-router instance)"
               (Ast.protocol_to_string p.protocol)
               (match p.proc_id with Some i -> string_of_int i | None -> "-")
@@ -332,7 +282,7 @@ let incomplete_adjacencies ~locators (t : Analysis.t) =
   end;
   List.rev !acc
 
-let duplicate_addresses ~locators (t : Analysis.t) =
+let duplicate_addresses locators (t : Analysis.t) =
   let seen = Hashtbl.create 256 in
   let acc = ref [] in
   Array.iter
@@ -343,10 +293,13 @@ let duplicate_addresses ~locators (t : Analysis.t) =
         match Hashtbl.find_opt seen key with
         | Some (r0, n0) when r0 <> i.router ->
           let file = router_file t i.router in
+          let line =
+            Locator.find locators file (fun loc -> Locator.interface_address_line loc i.name)
+          in
           acc :=
-            design_finding ~file
-              ?line:(Locator.find locators file (fun loc -> Locator.interface_address_line loc i.name))
-              Diag.Warning "duplicate-address" "address %s on %s is also configured on %s:%s"
+            Printf.ksprintf
+              (Diag.make ~file ?line Diag.Warning ~code:"lint-duplicate-address")
+              "address %s on %s is also configured on %s:%s"
               (Ipv4.to_string a) i.name (router_file t r0) n0
             :: !acc
         | Some _ -> ()
@@ -355,7 +308,7 @@ let duplicate_addresses ~locators (t : Analysis.t) =
     t.topo.ifaces;
   List.rev !acc
 
-let unresolved_static_next_hops (t : Analysis.t) =
+let unresolved_static_next_hops _locators (t : Analysis.t) =
   List.concat_map
     (fun (file, (cfg : Ast.t)) ->
       let connected = List.concat_map Ast.interface_prefixes cfg.interfaces in
@@ -365,18 +318,18 @@ let unresolved_static_next_hops (t : Analysis.t) =
           match s.sr_next_hop with
           | Ast.Nh_addr nh when not (List.exists (Prefix.mem nh) connected) ->
             Some
-              (design_finding ~file Diag.Warning "unresolved-next-hop"
+              (Printf.ksprintf (Diag.make ~file Diag.Warning ~code:"lint-unresolved-next-hop")
                  "static route to %s points at %s, which is on no connected subnet" dest
                  (Ipv4.to_string nh))
           | Ast.Nh_iface ifname when Ast.find_interface cfg ifname = None ->
             Some
-              (design_finding ~file Diag.Warning "unresolved-next-hop"
+              (Printf.ksprintf (Diag.make ~file Diag.Warning ~code:"lint-unresolved-next-hop")
                  "static route to %s uses undefined interface %s" dest ifname)
           | _ -> None)
         cfg.statics)
     t.configs
 
-let shared_static_destinations (t : Analysis.t) =
+let shared_static_destinations _locators (t : Analysis.t) =
   let dests = Hashtbl.create 64 in
   List.iter
     (fun (name, (cfg : Ast.t)) ->
@@ -389,7 +342,7 @@ let shared_static_destinations (t : Analysis.t) =
   Hashtbl.fold
     (fun dest routers acc ->
       if List.length routers >= 2 then
-        design_finding Diag.Info "shared-static-destination"
+        Printf.ksprintf (Diag.make Diag.Info ~code:"lint-shared-static-destination")
           "%d routers (%s) hold static routes to %s — avoid maintaining them simultaneously"
           (List.length routers)
           (String.concat ", " (List.sort compare routers))
@@ -398,13 +351,13 @@ let shared_static_destinations (t : Analysis.t) =
       else acc)
     dests []
 
-let ospf_area_issues (t : Analysis.t) =
+let ospf_area_issues _locators (t : Analysis.t) =
   let acc = ref [] in
   List.iter
     (fun (info : Rd_routing.Areas.t) ->
       if List.length info.areas >= 2 && not info.has_backbone then
         acc :=
-          design_finding Diag.Warning "ospf-no-backbone-area"
+          Printf.ksprintf (Diag.make Diag.Warning ~code:"lint-ospf-no-backbone-area")
             "OSPF instance %d spans %d areas but has no area 0 — inter-area routes cannot flow"
             info.inst_id (List.length info.areas)
           :: !acc;
@@ -416,7 +369,8 @@ let ospf_area_issues (t : Analysis.t) =
               match List.filter (fun r -> List.mem r a.routers) info.abrs with
               | [ abr ] ->
                 acc :=
-                  design_finding ~file:(router_file t abr) Diag.Info "single-abr-area"
+                  Printf.ksprintf
+                    (Diag.make ~file:(router_file t abr) Diag.Info ~code:"lint-single-abr-area")
                     "OSPF area %d hangs off a single area border router" a.area
                   :: !acc
               | _ -> ())
@@ -424,16 +378,14 @@ let ospf_area_issues (t : Analysis.t) =
     (Rd_routing.Areas.analyze t.catalog t.graph.assignment);
   List.rev !acc
 
+let design_rules : rule list =
+  [
+    unfiltered_peerings; incomplete_adjacencies; duplicate_addresses; unresolved_static_next_hops;
+    shared_static_destinations; ospf_area_issues;
+  ]
+
 let design ?files (t : Analysis.t) =
   let locators = Locator.of_files ?files () in
-  let all =
-    unfiltered_peerings ~locators t @ incomplete_adjacencies ~locators t
-    @ duplicate_addresses ~locators t @ unresolved_static_next_hops t
-    @ shared_static_destinations t @ ospf_area_issues t
-  in
+  let all = List.concat_map (fun rule -> rule locators t) design_rules in
   let warnings, infos = List.partition (fun (d : Diag.t) -> d.severity = Diag.Warning) all in
   warnings @ infos
-
-let render = Diag.render
-
-let to_json = Diag.to_json

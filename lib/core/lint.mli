@@ -1,19 +1,20 @@
 (** Config-lint: the catalogue of per-file and design diagnostics,
-    reported as {!Rd_config.Diag} values.
+    reported as {!Rd_config.Diag} values, and the rule shape
+    {!Netlint} shares.
 
     Two families share one code space:
-    - {b per-file} rules ({!lint_config}, {!lint_files}) work on each
-      configuration's text and line structure, so every finding points
-      at a concrete [file:line].  The pass folds in the parser's own
+    - {b per-file} rules ({!lint_config}, {!lint_files}) are queries on
+      one configuration's {!Rd_config.Locator} index, the one walk of
+      its text outside the parser, so every finding points at a
+      concrete [file:line].  The pass folds in the parser's own
       [parse-*] diagnostics (malformed/unmodelled lines).
     - {b design} rules ({!design}) reason about the routing design
       derived from the whole network: the operational checks of the
-      paper's §8.1.  They report Warnings and Infos only.  A finding about
-      one BGP neighbor or one interface is anchored to its line when the
-      raw texts are supplied; a finding about a whole process, an area or
-      several routers has no line.
-
-    {!Netlint} is the separate dataflow checker.
+      paper's §8.1.  Each is a {!rule}, the shape of {!Netlint}'s rule
+      families too.  They report Warnings and Infos only.  A finding
+      about one BGP neighbor or one interface is anchored to its line
+      when the raw texts are supplied; a finding about a whole process,
+      an area or several routers has no line.
 
     Codes (stable), with severity, family and paper section:
     - [lint-undefined-acl] (Error, per-file, §8.1): an access-group,
@@ -68,6 +69,13 @@
     - [lint-single-abr-area] (Info, design, §8.1): an OSPF area reached
       through a single area border router. *)
 
+type rule = Rd_config.Locator.table -> Analysis.t -> Rd_config.Diag.t list
+(** A network-scope rule: the findings over an analyzed network, with
+    lines looked up in the locator table of its texts. *)
+
+val router_file : Analysis.t -> int -> string
+(** The configuration file of the router with this index. *)
+
 val lint_config : file:string -> string -> Rd_config.Diag.t list
 (** Lint one configuration file: the parser's diagnostics followed by
     per-file rule findings in line order.  Never raises on any input. *)
@@ -77,13 +85,7 @@ val lint_files : ?jobs:int -> (string * string) list -> Rd_config.Diag.t list
     pool, result in file order. *)
 
 val design : ?files:(string * string) list -> Analysis.t -> Rd_config.Diag.t list
-(** The design rules over an analyzed network, Warnings first, each
+(** The six design rules over an analyzed network, Warnings first, each
     naming the implicated router's file.  [files] are the (file name,
     text) pairs the analysis was built from; with them, neighbor and
-    interface findings carry the line (via {!Rd_config.Locator}). *)
-
-val render : Rd_config.Diag.t list -> string
-(** Table rendering (delegates to {!Rd_config.Diag.render}). *)
-
-val to_json : Rd_config.Diag.t list -> Rd_util.Json.t
-(** JSON array rendering (delegates to {!Rd_config.Diag.to_json}). *)
+    interface findings carry the line (one locator table per call). *)

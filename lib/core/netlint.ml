@@ -5,9 +5,6 @@ open Rd_routing
 module RF = Rd_policy.Route_filter
 module IG = Instance_graph
 
-let all_rules =
-  [ "redistribution-loop"; "route-leak"; "peer-consistency"; "shadowed-rules" ]
-
 let finding_cap = 20
 
 type leak = {
@@ -30,7 +27,6 @@ type report = {
 (* ------------------------------------------------------------------ *)
 (* Shared helpers                                                      *)
 
-let router_file (a : Analysis.t) r = fst a.topo.routers.(r)
 let router_cfg (a : Analysis.t) r = snd a.topo.routers.(r)
 
 let witnesses s =
@@ -58,7 +54,7 @@ let render_path a insts (path : IG.edge list) =
     List.fold_left
       (fun acc (e : IG.edge) ->
         Printf.sprintf "%s -[%s]-> %s" acc
-          (router_file a (IG.via_router e.via))
+          (Lint.router_file a (IG.via_router e.via))
           (endpoint_label insts e.dst))
       (endpoint_label insts first.src)
       path
@@ -172,7 +168,7 @@ let cycle_tag_cut a cycle_edges =
       | _ -> false)
     rm_edges
 
-let redistribution_loops ?metrics ~locators (a : Analysis.t) =
+let redistribution_loops ?metrics locators (a : Analysis.t) =
   let g = a.graph in
   let insts = IG.instances g in
   let n = Array.length insts in
@@ -318,7 +314,7 @@ let redistribution_loops ?metrics ~locators (a : Analysis.t) =
                   end
                 in
                 let r0 = IG.via_router e0.via in
-                let file = router_file a r0 in
+                let file = Lint.router_file a r0 in
                 let line =
                   Locator.find locators file (fun loc ->
                       Locator.redistribute_line loc
@@ -331,15 +327,14 @@ let redistribution_loops ?metrics ~locators (a : Analysis.t) =
                   Printf.sprintf "%s -> %s" s (inst_label insts i)
                 in
                 findings :=
-                  Diag.make ~file ?line severity
-                    ~code:"netlint-redistribution-loop"
-                    (Printf.sprintf
-                       "redistribution loop %s: %s can circulate and be \
-                        re-redistributed (redistribution on %s): %s"
-                       cycle_str (witnesses loopset)
-                       (String.concat ", "
-                          (List.map (router_file a) redist_routers))
-                       why)
+                  Printf.ksprintf (Diag.make ~file ?line severity
+                    ~code:"netlint-redistribution-loop")
+                    "redistribution loop %s: %s can circulate and be \
+                     re-redistributed (redistribution on %s): %s"
+                    cycle_str (witnesses loopset)
+                    (String.concat ", "
+                       (List.map (Lint.router_file a) redist_routers))
+                    why
                   :: !findings
               end
             end
@@ -438,29 +433,28 @@ let leaks (a : Analysis.t) =
   done;
   List.rev !acc
 
-let leak_findings ~locators (a : Analysis.t) =
+let leak_findings locators (a : Analysis.t) =
   let insts = IG.instances a.graph in
   List.map
     (fun l ->
-      let file = router_file a l.leak_router in
+      let file = Lint.router_file a l.leak_router in
       let line =
         Locator.find locators file (fun loc ->
             Locator.neighbor_line loc l.leak_peer)
       in
-      Diag.make ~file ?line Diag.Warning ~code:"netlint-route-leak"
-        (Printf.sprintf
-           "route leak: %s originating in %s reach AS%d with no filter at \
-            any hop: %s"
-           (witnesses l.leak_prefixes)
-           (inst_label insts l.leak_origin)
-           l.leak_asn
-           (render_path a insts l.leak_path)))
+      Printf.ksprintf (Diag.make ~file ?line Diag.Warning ~code:"netlint-route-leak")
+        "route leak: %s originating in %s reach AS%d with no filter at \
+         any hop: %s"
+        (witnesses l.leak_prefixes)
+        (inst_label insts l.leak_origin)
+        l.leak_asn
+        (render_path a insts l.leak_path))
     (leaks a)
 
 (* ------------------------------------------------------------------ *)
 (* Rule family 3: peer consistency                                     *)
 
-let bgp_peer_findings ~locators (a : Analysis.t) =
+let bgp_peer_findings locators (a : Analysis.t) =
   let cat = a.catalog in
   let nrouters = Array.length a.topo.routers in
   let bgp_procs = Array.make nrouters [] in
@@ -491,7 +485,7 @@ let bgp_peer_findings ~locators (a : Analysis.t) =
               | None -> () (* peer outside the network: nothing to check *)
               | Some q when q = r -> ()
               | Some q ->
-                let file = router_file a r in
+                let file = Lint.router_file a r in
                 (* Resolved only for a finding: most sessions are clean. *)
                 let line () =
                   Locator.find locators file (fun loc ->
@@ -502,37 +496,34 @@ let bgp_peer_findings ~locators (a : Analysis.t) =
                 in
                 if q_asns = [] then
                   findings :=
-                    Diag.make ~file ?line:(line ()) Diag.Warning
-                      ~code:"netlint-peer-one-sided"
-                      (Printf.sprintf
-                         "neighbor %s: peer router %s runs no BGP process"
-                         (Ipv4.to_string n.peer) (router_file a q))
+                    Printf.ksprintf (Diag.make ~file ?line:(line ()) Diag.Warning
+                      ~code:"netlint-peer-one-sided")
+                      "neighbor %s: peer router %s runs no BGP process"
+                      (Ipv4.to_string n.peer) (Lint.router_file a q)
                     :: !findings
                 else if not (List.mem n.remote_as q_asns) then
                   findings :=
-                    Diag.make ~file ?line:(line ()) Diag.Error
-                      ~code:"netlint-peer-as-mismatch"
-                      (Printf.sprintf
-                         "neighbor %s remote-as %d, but peer router %s is AS %s"
-                         (Ipv4.to_string n.peer) n.remote_as (router_file a q)
-                         (String.concat "/" (List.map string_of_int q_asns)))
+                    Printf.ksprintf (Diag.make ~file ?line:(line ()) Diag.Error
+                      ~code:"netlint-peer-as-mismatch")
+                      "neighbor %s remote-as %d, but peer router %s is AS %s"
+                      (Ipv4.to_string n.peer) n.remote_as (Lint.router_file a q)
+                      (String.concat "/" (List.map string_of_int q_asns))
                     :: !findings
                 else if not (has_session_to q r) then
                   findings :=
-                    Diag.make ~file ?line:(line ()) Diag.Warning
-                      ~code:"netlint-peer-one-sided"
-                      (Printf.sprintf
-                         "neighbor %s: peer router %s has no neighbor \
-                          statement back toward %s"
-                         (Ipv4.to_string n.peer) (router_file a q)
-                         (router_file a r))
+                    Printf.ksprintf (Diag.make ~file ?line:(line ()) Diag.Warning
+                      ~code:"netlint-peer-one-sided")
+                      "neighbor %s: peer router %s has no neighbor \
+                       statement back toward %s"
+                      (Ipv4.to_string n.peer) (Lint.router_file a q)
+                      (Lint.router_file a r)
                     :: !findings)
           p.ast.neighbors)
       bgp_procs.(r)
   done;
   List.rev !findings
 
-let ospf_area_findings ~locators (a : Analysis.t) =
+let ospf_area_findings locators (a : Analysis.t) =
   let cat = a.catalog in
   let findings = ref [] in
   List.iter
@@ -562,28 +553,28 @@ let ospf_area_findings ~locators (a : Analysis.t) =
         let distinct = List.sort_uniq compare (List.map snd areas) in
         if List.length distinct >= 2 then begin
           let (ifc0, _) = List.hd areas in
-          let file = router_file a ifc0.router in
+          let file = Lint.router_file a ifc0.router in
           let line =
             Locator.find locators file (fun loc ->
                 Locator.interface_address_line loc ifc0.name)
           in
           findings :=
-            Diag.make ~file ?line Diag.Error ~code:"netlint-ospf-area-mismatch"
-              (Printf.sprintf "ospf area mismatch on %s: %s"
-                 (Prefix.to_string l.subnet_of_link)
-                 (String.concat ", "
-                    (List.map
-                       (fun ((ifc : Rd_topo.Topology.iface), area) ->
-                         Printf.sprintf "%s:%s area %d"
-                           (router_file a ifc.router) ifc.name area)
-                       areas)))
+            Printf.ksprintf (Diag.make ~file ?line Diag.Error ~code:"netlint-ospf-area-mismatch")
+              "ospf area mismatch on %s: %s"
+              (Prefix.to_string l.subnet_of_link)
+              (String.concat ", "
+                 (List.map
+                    (fun ((ifc : Rd_topo.Topology.iface), area) ->
+                      Printf.sprintf "%s:%s area %d"
+                        (Lint.router_file a ifc.router) ifc.name area)
+                    areas))
             :: !findings
         end
       end)
     a.topo.links;
   List.rev !findings
 
-let mask_findings ~locators (a : Analysis.t) =
+let mask_findings locators (a : Analysis.t) =
   let entries =
     Array.to_list a.topo.ifaces
     |> List.filter_map (fun (ifc : Rd_topo.Topology.iface) ->
@@ -602,7 +593,7 @@ let mask_findings ~locators (a : Analysis.t) =
       | Some (ip, _) -> Ipv4.to_string ip
       | None -> "?"
     in
-    Printf.sprintf "%s:%s %s/%d" (router_file a ifc.router) ifc.name addr
+    Printf.sprintf "%s:%s %s/%d" (Lint.router_file a ifc.router) ifc.name addr
       (match ifc.subnet with Some s -> Prefix.len s | None -> 32)
   in
   let findings = ref [] in
@@ -618,16 +609,15 @@ let mask_findings ~locators (a : Analysis.t) =
             let key = ((f', len'), (first, len)) in
             if not (Hashtbl.mem reported key) then begin
               Hashtbl.add reported key ();
-              let file = router_file a ifc'.router in
+              let file = Lint.router_file a ifc'.router in
               let line =
                 Locator.find locators file (fun loc ->
                     Locator.interface_address_line loc ifc'.name)
               in
               findings :=
-                Diag.make ~file ?line Diag.Warning ~code:"netlint-mask-mismatch"
-                  (Printf.sprintf
-                     "subnet mask mismatch on a shared medium: %s overlaps %s"
-                     (iface_str ifc') (iface_str ifc))
+                Printf.ksprintf (Diag.make ~file ?line Diag.Warning ~code:"netlint-mask-mismatch")
+                  "subnet mask mismatch on a shared medium: %s overlaps %s"
+                  (iface_str ifc') (iface_str ifc)
                 :: !findings
             end
           end)
@@ -641,10 +631,8 @@ let mask_findings ~locators (a : Analysis.t) =
     entries;
   List.rev !findings
 
-let peer_consistency ~locators a =
-  bgp_peer_findings ~locators a
-  @ ospf_area_findings ~locators a
-  @ mask_findings ~locators a
+let peer_consistency locators a =
+  bgp_peer_findings locators a @ ospf_area_findings locators a @ mask_findings locators a
 
 (* ------------------------------------------------------------------ *)
 (* Rule family 4: shadowed filter rules                                *)
@@ -818,7 +806,7 @@ let shadowed_route_map_entries (cfg : Ast.t) (rm : Ast.route_map) =
     rm.entries;
   List.rev !hits
 
-let shadowed_rules ~locators (a : Analysis.t) =
+let shadowed_rules locators (a : Analysis.t) =
   let findings = ref [] in
   List.iter
     (fun (file, (cfg : Ast.t)) ->
@@ -831,12 +819,11 @@ let shadowed_rules ~locators (a : Analysis.t) =
                     Locator.acl_clause_line loc acl.acl_name idx)
               in
               findings :=
-                Diag.make ~file ?line Diag.Warning
-                  ~code:"netlint-shadowed-acl-clause"
-                  (Printf.sprintf
-                     "access-list %s clause %d is shadowed by earlier clauses \
-                      and can never match"
-                     acl.acl_name (idx + 1))
+                Printf.ksprintf (Diag.make ~file ?line Diag.Warning
+                  ~code:"netlint-shadowed-acl-clause")
+                  "access-list %s clause %d is shadowed by earlier clauses \
+                   and can never match"
+                  acl.acl_name (idx + 1)
                 :: !findings)
             (shadowed_acl_clauses acl))
         cfg.acls;
@@ -856,11 +843,10 @@ let shadowed_rules ~locators (a : Analysis.t) =
                 | `Unsatisfiable -> "has an unsatisfiable ge/le range"
               in
               findings :=
-                Diag.make ~file ?line Diag.Warning
-                  ~code:"netlint-shadowed-prefix-list-entry"
-                  (Printf.sprintf
-                     "prefix-list %s seq %d %s and can never match" pl.pl_name
-                     e.Ast.pl_seq reason)
+                Printf.ksprintf (Diag.make ~file ?line Diag.Warning
+                  ~code:"netlint-shadowed-prefix-list-entry")
+                  "prefix-list %s seq %d %s and can never match" pl.pl_name
+                  e.Ast.pl_seq reason
                 :: !findings)
             (shadowed_prefix_list_entries pl))
         cfg.prefix_lists;
@@ -874,12 +860,11 @@ let shadowed_rules ~locators (a : Analysis.t) =
                       ~index:idx)
               in
               findings :=
-                Diag.make ~file ?line Diag.Warning
-                  ~code:"netlint-shadowed-route-map-entry"
-                  (Printf.sprintf
-                     "route-map %s entry %d is shadowed by earlier entries \
-                      and can never match"
-                     rm.rm_name en.seq)
+                Printf.ksprintf (Diag.make ~file ?line Diag.Warning
+                  ~code:"netlint-shadowed-route-map-entry")
+                  "route-map %s entry %d is shadowed by earlier entries \
+                   and can never match"
+                  rm.rm_name en.seq
                 :: !findings)
             (shadowed_route_map_entries cfg rm))
         cfg.route_maps)
@@ -895,39 +880,47 @@ let cap_findings ~rule diags =
   else
     List.filteri (fun i _ -> i < finding_cap) diags
     @ [
-        Diag.make Diag.Info ~code:"netlint-truncated"
-          (Printf.sprintf "%s: showing %d of %d findings" rule finding_cap n);
+        Printf.ksprintf (Diag.make Diag.Info ~code:"netlint-truncated")
+          "%s: showing %d of %d findings" rule finding_cap n;
       ]
+
+(* The four families by name, in default run order. *)
+let families ?metrics () : (string * Lint.rule) list =
+  [
+    ("redistribution-loop", redistribution_loops ?metrics);
+    ("route-leak", leak_findings);
+    ("peer-consistency", peer_consistency);
+    ("shadowed-rules", shadowed_rules);
+  ]
+
+let all_rules = List.map fst (families ())
 
 let run_analysis ?trace ?metrics ?cancel ?(rules = all_rules) ?files
     (a : Analysis.t) =
-  List.iter
-    (fun r ->
-      if not (List.mem r all_rules) then
-        invalid_arg (Printf.sprintf "Netlint.run_analysis: unknown rule %S" r))
-    rules;
+  let families = families ?metrics () in
+  let selected =
+    List.map
+      (fun r ->
+        match List.assoc_opt r families with
+        | Some rule -> (r, rule)
+        | None -> invalid_arg (Printf.sprintf "Netlint.run_analysis: unknown rule %S" r))
+      rules
+  in
   let locators = Locator.of_files ?files () in
   Metrics.incr metrics "netlint.networks";
   let findings =
     List.concat_map
-      (fun rule ->
+      (fun (name, rule) ->
         Cancel.check ~site:"netlint.rule" cancel;
         Trace.span ~cat:"stage"
           ~args:[ ("network", Trace.String a.name) ]
           trace
-          ("netlint." ^ rule)
+          ("netlint." ^ name)
           (fun () ->
-            let fs =
-              match rule with
-              | "redistribution-loop" -> redistribution_loops ?metrics ~locators a
-              | "route-leak" -> leak_findings ~locators a
-              | "peer-consistency" -> peer_consistency ~locators a
-              | "shadowed-rules" -> shadowed_rules ~locators a
-              | _ -> assert false
-            in
-            Metrics.incr ~by:(List.length fs) metrics ("netlint." ^ rule);
-            cap_findings ~rule fs))
-      rules
+            let fs = rule locators a in
+            Metrics.incr ~by:(List.length fs) metrics ("netlint." ^ name);
+            cap_findings ~rule:name fs))
+      selected
   in
   let e, w, _ = Diag.counts findings in
   Metrics.incr ~by:e metrics "netlint.errors";

@@ -290,7 +290,7 @@ router ospf 1
       else check_order (seen_info || x.severity = Diag.Info) rest
   in
   check_bool "warnings first" true (check_order false f);
-  check_bool "render" true (String.length (Rd_core.Lint.render f) > 0)
+  check_bool "render" true (String.length (Diag.render f) > 0)
 
 let test_design_ospf_areas () =
   (* multi-area instance without a backbone area, and an area behind a
@@ -401,11 +401,11 @@ let defective =
 let test_render_and_json () =
   let diags = lint defective in
   check_bool "has errors" true (Diag.has_errors diags);
-  let table = Rd_core.Lint.render diags in
+  let table = Diag.render diags in
   check_bool "table mentions code" true
     (String.length table > 0
-    && Rd_util.Json.to_string (Rd_core.Lint.to_json diags) <> "[]");
-  match Rd_core.Lint.to_json diags with
+    && Rd_util.Json.to_string (Diag.to_json diags) <> "[]");
+  match Diag.to_json diags with
   | Rd_util.Json.List items ->
     check_int "one json item per diag" (List.length diags) (List.length items);
     List.iter
