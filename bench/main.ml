@@ -26,7 +26,16 @@ let section title = Printf.printf "\n%s\n%s\n%s\n" line title line
 
 let () =
   section "PAPER EXPERIMENT REGENERATION";
-  let nets = Rd_study.Population.build ~master_seed () in
+  (* The supervised study sweep, failing fast like [rdna study
+     --fail-fast]: the lowest net id's failure is re-raised. *)
+  let items =
+    List.map
+      (function
+        | Ok (i : Rd_study.Driver.study_item) -> i
+        | Error (f : Rd_study.Population.failure) -> Rd_util.Pool.reraise f.failure)
+      (Rd_study.Driver.sweep ~master_seed (Rd_study.Driver.study ()))
+  in
+  let nets = List.filter_map (fun (i : Rd_study.Driver.study_item) -> i.network) items in
   let routers =
     List.fold_left (fun acc (n : Rd_study.Population.network) -> acc + n.spec.n) 0 nets
   in
@@ -34,7 +43,7 @@ let () =
     master_seed;
   let find id = List.find (fun (n : Rd_study.Population.network) -> n.spec.net_id = id) nets in
   let net5 = find 5 and net15 = find 15 in
-  let stats = List.map Rd_study.Netstat.of_network nets in
+  let stats = List.map (fun (i : Rd_study.Driver.study_item) -> i.stat) items in
   section "Figure 4";
   print_string (Rd_study.Experiments.fig4 net5);
   section "Figure 8";

@@ -217,10 +217,10 @@ let close_sinks o (trace, metrics) =
 let inject_term =
   Arg.(value & opt (some string) None
        & info [ "inject-faults" ] ~docv:"SPEC"
-           ~doc:"Deterministic chaos: inject faults per $(docv) (e.g. \
-                 $(b,seed=7;study.network:raise:key=net4)); falls back to the \
-                 $(b,RDNA_FAULTS) environment variable.  See the Fault module for the \
-                 grammar.")
+           ~doc:("Deterministic chaos: inject faults per $(docv) (e.g. \
+                  $(b,seed=7;study.network:raise:key=net4)); falls back to the \
+                  $(b,RDNA_FAULTS) environment variable.  See the Fault module for the \
+                  grammar.  Sites: " ^ String.concat ", " Rd_util.Fault.sites ^ "."))
 
 let faults_of inject =
   match inject with

@@ -372,7 +372,7 @@ let run_analysis ?cancel ?faults ?(invariants = all_invariants) ?files (a : Anal
      additionally arms the ["crosscheck.network"] site (key = network
      name), the chaos handle used to delay or kill one network's
      oracle. *)
-  Rd_util.Fault.fault_point faults ~site:"crosscheck.network" ~key:a.name;
+  Rd_util.Fault.fault_point faults ~site:Rd_util.Fault.crosscheck_network ~key:a.name;
   Rd_util.Cancel.check ~site:"crosscheck.network" cancel;
   let r = Rd_reach.Reachability.compute ?cancel a.graph in
   let approx = approximated a in

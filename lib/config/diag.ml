@@ -13,14 +13,15 @@ let severity_to_string = function
   | Warning -> "warning"
   | Info -> "info"
 
-let make ?file ?line severity ~code message = { severity; code; file; line; message }
+let make ?file ?line severity ~code fmt =
+  Printf.ksprintf (fun message -> { severity; code; file; line; message }) fmt
 
 type collector = { default_file : string option; mutable rev : t list }
 
 let create ?file () = { default_file = file; rev = [] }
 
 let add c ?line severity ~code message =
-  c.rev <- make ?file:c.default_file ?line severity ~code message :: c.rev
+  c.rev <- { severity; code; file = c.default_file; line; message } :: c.rev
 
 let report c ?line severity ~code fmt = Printf.ksprintf (add c ?line severity ~code) fmt
 

@@ -24,8 +24,8 @@ type t = {
 val severity_to_string : severity -> string
 (** ["error"], ["warning"], ["info"]. *)
 
-val make : ?file:string -> ?line:int -> severity -> code:string -> string -> t
-(** Build a diagnostic value directly (no collector involved). *)
+val make : ?file:string -> ?line:int -> severity -> code:string -> ('a, unit, string, t) format4 -> 'a
+(** Format one diagnostic directly (no collector involved). *)
 
 (** {1 Collectors} *)
 

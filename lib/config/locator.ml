@@ -1,150 +1,97 @@
 open Rd_addr
 
 type kind = Acl | Route_map | Prefix_list
-type entry = { seq : int option; line : int }
-
-type neighbor = {
-  block : int;
-  peer : string;
-  line : int;
-  remote_as : bool;
-  peer_group : bool;
-  group : string option;
-}
-
+type entry = { name : string; seq : int option; line : int }
+type neighbor = { block : int; proto : string; peer : string; args : string list; line : int }
 type redistribution = { proto : string; source : string; args : string list; line : int }
 type address = { ifname : string; words : string list; line : int }
 
 type t = {
-  defs : (kind * string, int) Hashtbl.t;  (* first definition line *)
-  acl_clauses : (string, entry list ref) Hashtbl.t;  (* name -> clause lines, reversed *)
-  pl_entries : (string, entry list ref) Hashtbl.t;
-  rm_entries : (string, entry list ref) Hashtbl.t;
-  neighbors : (int, int) Hashtbl.t;  (* peer address (as int) -> first line *)
-  bgp_neighbors : (int * string, neighbor) Hashtbl.t;  (* (block, peer) *)
-  if_addrs : (string, int) Hashtbl.t;  (* interface name -> first ip-address line *)
-  (* in document order once [of_text] returns *)
-  mutable acl_blocks : (string * int) list;
-  mutable refs : (kind * string * int) list;
-  mutable redists : redistribution list;
-  mutable addresses : address list;
+  definitions : (kind * string * int) list;
+  acl_blocks : (string * int) list;
+  acl_clauses : entry list;
+  route_maps : entry list;
+  prefix_lists : entry list;
+  references : (kind * string * int) list;
+  neighbors : neighbor list;
+  redistributions : redistribution list;
+  addresses : address list;
 }
 
-let push tbl name e =
-  match Hashtbl.find_opt tbl name with
-  | Some r -> r := e :: !r
-  | None -> Hashtbl.add tbl name (ref [ e ])
+let empty =
+  { definitions = []; acl_blocks = []; acl_clauses = []; route_maps = []; prefix_lists = [];
+    references = []; neighbors = []; redistributions = []; addresses = [] }
 
-let first tbl key line = if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key line
+let rec route_map_refs = function
+  | "route-map" :: name :: _ -> [ (Route_map, name) ]
+  | _ :: tl -> route_map_refs tl
+  | [] -> []
 
-let rec route_map_arg = function
-  | "route-map" :: name :: _ -> Some name
-  | _ :: tl -> route_map_arg tl
-  | [] -> None
+(* [match ip address [prefix-list] N1 N2 ...] anywhere in a route-map line *)
+let rec match_refs = function
+  | "match" :: "ip" :: "address" :: "prefix-list" :: names ->
+    List.map (fun n -> (Prefix_list, n)) names
+  | "match" :: "ip" :: "address" :: names -> List.map (fun n -> (Acl, n)) names
+  | _ :: rest -> match_refs rest
+  | [] -> []
 
 (* The one mode-tracking walk over a file's lines: a top-level line opens
    a block and names its context, an indented line belongs to the block
-   the context names. *)
+   the context names.  Facts are consed from the last line back, so each
+   list comes out in document order. *)
 let of_text text =
-  let t =
-    {
-      defs = Hashtbl.create 16;
-      acl_clauses = Hashtbl.create 8;
-      pl_entries = Hashtbl.create 8;
-      rm_entries = Hashtbl.create 8;
-      neighbors = Hashtbl.create 16;
-      bgp_neighbors = Hashtbl.create 8;
-      if_addrs = Hashtbl.create 16;
-      acl_blocks = [];
-      refs = [];
-      redists = [];
-      addresses = [];
-    }
+  let context = ref [] and block = ref 0 in
+  let lines =
+    List.map
+      (fun (l : Lexer.line) ->
+        if l.indent = 0 then begin
+          incr block;
+          context := l.words
+        end;
+        (!block, !context, l))
+      (fst (Lexer.lines_of_string text))
   in
-  let context = ref [] in
-  let block = ref 0 in
-  let def kind name line = first t.defs (kind, name) line in
-  let add_ref kind name line = t.refs <- (kind, name, line) :: t.refs in
-  let top (l : Lexer.line) =
-    incr block;
-    context := l.words;
-    match l.words with
-    | "access-list" :: name :: _ ->
-      def Acl name l.lineno;
-      push t.acl_clauses name { seq = None; line = l.lineno }
-    | [ "ip"; "access-list"; ("standard" | "extended"); name ] ->
-      def Acl name l.lineno;
-      t.acl_blocks <- (name, l.lineno) :: t.acl_blocks
-    | "route-map" :: name :: rest ->
-      let seq = match rest with [ _action; n ] -> int_of_string_opt n | _ -> None in
-      def Route_map name l.lineno;
-      push t.rm_entries name { seq; line = l.lineno }
-    | "ip" :: "prefix-list" :: name :: rest ->
-      let seq = match rest with "seq" :: n :: _ -> int_of_string_opt n | _ -> None in
-      def Prefix_list name l.lineno;
-      push t.pl_entries name { seq; line = l.lineno }
-    | _ -> ()
+  let step (block, context, (l : Lexer.line)) t =
+    let line = l.lineno in
+    let def kind name t = { t with definitions = (kind, name, line) :: t.definitions } in
+    let refs l t = { t with references = List.map (fun (k, n) -> (k, n, line)) l @ t.references } in
+    if l.indent = 0 then
+      match l.words with
+      | "access-list" :: name :: _ ->
+        def Acl name { t with acl_clauses = { name; seq = None; line } :: t.acl_clauses }
+      | [ "ip"; "access-list"; ("standard" | "extended"); name ] ->
+        def Acl name { t with acl_blocks = (name, line) :: t.acl_blocks }
+      | "route-map" :: name :: rest ->
+        let seq = match rest with [ _action; n ] -> int_of_string_opt n | _ -> None in
+        def Route_map name { t with route_maps = { name; seq; line } :: t.route_maps }
+      | "ip" :: "prefix-list" :: name :: rest ->
+        let seq = match rest with "seq" :: n :: _ -> int_of_string_opt n | _ -> None in
+        def Prefix_list name { t with prefix_lists = { name; seq; line } :: t.prefix_lists }
+      | _ -> t
+    else
+      match (context, l.words) with
+      | "ip" :: "access-list" :: _ :: name :: _, ("permit" | "deny") :: _ ->
+        { t with acl_clauses = { name; seq = None; line } :: t.acl_clauses }
+      | "interface" :: _ :: _, "ip" :: "access-group" :: name :: _ -> refs [ (Acl, name) ] t
+      | "interface" :: ifname :: _, "ip" :: "address" :: words ->
+        { t with addresses = { ifname; words; line } :: t.addresses }
+      | "router" :: _ :: _, "distribute-list" :: name :: _ -> refs [ (Acl, name) ] t
+      | "router" :: proto :: _, "redistribute" :: source :: args ->
+        refs (route_map_refs args)
+          { t with redistributions = { proto; source; args; line } :: t.redistributions }
+      | "router" :: proto :: _, "neighbor" :: peer :: args ->
+        refs
+          (match args with
+           | "distribute-list" :: name :: _ -> [ (Acl, name) ]
+           | "prefix-list" :: name :: _ -> [ (Prefix_list, name) ]
+           | "route-map" :: name :: _ -> [ (Route_map, name) ]
+           | _ -> [])
+          { t with neighbors = { block; proto; peer; args; line } :: t.neighbors }
+      | "route-map" :: _, words -> refs (match_refs words) t
+      | "line" :: _, "access-class" :: name :: _ -> refs [ (Acl, name) ] t
+      | _ -> t
   in
-  let bgp_neighbor peer rest line =
-    let key = (!block, peer) in
-    let n =
-      match Hashtbl.find_opt t.bgp_neighbors key with
-      | Some n -> n
-      | None ->
-        { block = !block; peer; line; remote_as = false; peer_group = false; group = None }
-    in
-    Hashtbl.replace t.bgp_neighbors key
-      (match rest with
-       | "remote-as" :: _ -> { n with remote_as = true }
-       | [ "peer-group" ] -> { n with peer_group = true }
-       | "peer-group" :: group :: _ -> { n with group = Some group }
-       | _ -> n)
-  in
-  let router_sub proto (l : Lexer.line) =
-    match l.words with
-    | "distribute-list" :: name :: _ -> add_ref Acl name l.lineno
-    | "redistribute" :: source :: args ->
-      t.redists <- { proto; source; args; line = l.lineno } :: t.redists;
-      Option.iter (fun name -> add_ref Route_map name l.lineno) (route_map_arg args)
-    | "neighbor" :: peer :: rest -> (
-      Option.iter (fun a -> first t.neighbors (Ipv4.to_int a) l.lineno) (Ipv4.of_string peer);
-      if proto = "bgp" then bgp_neighbor peer rest l.lineno;
-      match rest with
-      | "distribute-list" :: name :: _ -> add_ref Acl name l.lineno
-      | "prefix-list" :: name :: _ -> add_ref Prefix_list name l.lineno
-      | "route-map" :: name :: _ -> add_ref Route_map name l.lineno
-      | _ -> ())
-    | _ -> ()
-  in
-  (* route-map bodies: [match ip address [prefix-list] N1 N2 ...] *)
-  let rec match_refs lineno = function
-    | "match" :: "ip" :: "address" :: "prefix-list" :: names ->
-      List.iter (fun n -> add_ref Prefix_list n lineno) names
-    | "match" :: "ip" :: "address" :: names -> List.iter (fun n -> add_ref Acl n lineno) names
-    | _ :: rest -> match_refs lineno rest
-    | [] -> ()
-  in
-  let sub (l : Lexer.line) =
-    match (!context, l.words) with
-    | "ip" :: "access-list" :: _ :: name :: _, ("permit" | "deny") :: _ ->
-      push t.acl_clauses name { seq = None; line = l.lineno }
-    | "interface" :: _ :: _, "ip" :: "access-group" :: name :: _ -> add_ref Acl name l.lineno
-    | "interface" :: ifname :: _, "ip" :: "address" :: words ->
-      first t.if_addrs ifname l.lineno;
-      t.addresses <- { ifname; words; line = l.lineno } :: t.addresses
-    | "router" :: proto :: _, _ -> router_sub proto l
-    | "route-map" :: _, words -> match_refs l.lineno words
-    | "line" :: _, "access-class" :: name :: _ -> add_ref Acl name l.lineno
-    | _ -> ()
-  in
-  List.iter
-    (fun (l : Lexer.line) -> if l.indent = 0 then top l else sub l)
-    (fst (Lexer.lines_of_string text));
-  t.acl_blocks <- List.rev t.acl_blocks;
-  t.refs <- List.rev t.refs;
-  t.redists <- List.rev t.redists;
-  t.addresses <- List.rev t.addresses;
-  t
+  List.fold_right step lines empty
 
 (* Each file is indexed on the first [find] that names it; a file no
    finding cites costs one table entry and is never lexed. *)
@@ -158,47 +105,36 @@ let of_files ?(files = []) () =
 let find table file lookup =
   Option.bind (Hashtbl.find_opt table file) (fun t -> lookup (Lazy.force t))
 
-(* ------------------------------------------------------------ facts --- *)
-
-let definition_line t kind name = Hashtbl.find_opt t.defs (kind, name)
-
-let definitions t kind =
-  Hashtbl.fold (fun (k, name) line acc -> if k = kind then (name, line) :: acc else acc) t.defs []
-
-let acl_blocks t = t.acl_blocks
-let references t = t.refs
-let redistributions t = t.redists
-let interface_addresses t = t.addresses
-let bgp_neighbors t = Hashtbl.fold (fun _ n acc -> n :: acc) t.bgp_neighbors []
-
-let route_map_entries t =
-  Hashtbl.fold (fun name r acc -> (name, List.rev !r) :: acc) t.rm_entries []
+let definition_line t kind name =
+  List.find_map (fun (k, n, line) -> if k = kind && n = name then Some line else None) t.definitions
 
 (* ------------------------------------------------------------ lines --- *)
 
-let entries tbl name =
-  match Hashtbl.find_opt tbl name with Some r -> List.rev !r | None -> []
+let named name es = List.filter (fun (e : entry) -> e.name = name) es
 
 let nth_entry es ~seq ~index =
-  let by_seq =
-    match seq with
-    | None -> None
-    | Some s -> List.find_opt (fun e -> e.seq = Some s) es
-  in
-  match by_seq with
+  match List.find_opt (fun (e : entry) -> seq <> None && e.seq = seq) es with
   | Some e -> Some e.line
   | None -> Option.map (fun (e : entry) -> e.line) (List.nth_opt es index)
 
-let neighbor_line t addr = Hashtbl.find_opt t.neighbors (Ipv4.to_int addr)
+let neighbor_line t addr =
+  List.find_map
+    (fun (n : neighbor) ->
+      match Ipv4.of_string n.peer with
+      | Some a when Ipv4.equal a addr -> Some n.line
+      | _ -> None)
+    t.neighbors
 
 let redistribute_line t ~proto ~source =
   List.find_map
-    (fun r -> if r.proto = proto && r.source = source then Some r.line else None)
-    t.redists
+    (fun (r : redistribution) -> if r.proto = proto && r.source = source then Some r.line else None)
+    t.redistributions
 
 let acl_clause_line t name i =
-  Option.map (fun (e : entry) -> e.line) (List.nth_opt (entries t.acl_clauses name) i)
+  Option.map (fun (e : entry) -> e.line) (List.nth_opt (named name t.acl_clauses) i)
 
-let prefix_list_line t name ~seq ~index = nth_entry (entries t.pl_entries name) ~seq ~index
-let route_map_line t name ~seq ~index = nth_entry (entries t.rm_entries name) ~seq ~index
-let interface_address_line t name = Hashtbl.find_opt t.if_addrs name
+let prefix_list_line t name ~seq ~index = nth_entry (named name t.prefix_lists) ~seq ~index
+let route_map_line t name ~seq ~index = nth_entry (named name t.route_maps) ~seq ~index
+
+let interface_address_line t name =
+  List.find_map (fun (a : address) -> if a.ifname = name then Some a.line else None) t.addresses

@@ -1,34 +1,47 @@
-(** The one text index of a configuration file.
+(** The one text index of a configuration file: the one walk of its
+    raw text outside the parser ({!Lexer.lines_of_string}, each indented
+    line read in the context of its top-level block).  The AST drops
+    physical positions; the index keeps, each with its line, the facts
+    lint findings cite.  [Rd_core.Lint]'s per-file rules are queries on
+    it; the design rules and [Rd_core.Netlint] look lines up through a
+    {!table}, which indexes a file on first lookup, so only the files
+    that findings cite are ever lexed.  Lookups are total: what the
+    index cannot resolve yields [None], and the finding goes out without
+    a line. *)
 
-    The AST deliberately drops physical positions — parsing normalizes
-    away line structure — but the lint rules must point their
-    diagnostics at the line an operator should edit: the [neighbor]
-    statement of a mismatched or unfiltered peering, the shadowed
-    [access-list] clause, the [redistribute] command closing a loop, the
-    reference to an undefined route-map.  A locator is the one pass over
-    a file's raw text outside the parser ({!Lexer.lines_of_string},
-    tracking the block each indented line belongs to).  It records, each
-    with its line:
-    - the definitions: [access-list] lines, [ip access-list] headers and
-      clauses, route-map [(name, seq)] entries, prefix-list entries;
-    - every reference to an ACL, route-map or prefix-list
-      ([access-group], [distribute-list], [access-class],
-      [match ip address [prefix-list]], [redistribute ... route-map] and
-      the per-neighbor filters);
-    - the [neighbor] statements of each BGP block, with remote-as,
-      peer-group and membership;
-    - every interface [ip address] and every [redistribute] line.
+type kind = Acl | Route_map | Prefix_list
 
-    [Rd_core.Lint]'s per-file rules are queries on one file's index; its
-    design rules and [Rd_core.Netlint] look lines up through a {!table},
-    where a file is indexed on first lookup, so only the files that
-    findings cite are ever lexed.  Lookups are total: anything the index
-    cannot resolve (synthetic configurations, entities introduced by a
-    transformation) simply yields [None] and the finding goes out
-    without a line. *)
+type entry = { name : string; seq : int option; line : int }
+(** An ACL clause ([seq] is [None]), route-map header or prefix-list line. *)
 
-type t
-(** A per-file index. *)
+type neighbor = { block : int; proto : string; peer : string; args : string list; line : int }
+(** [neighbor <peer> <args>] in the [block]-th top-level block, a
+    [router <proto>] block. *)
+
+type redistribution = { proto : string; source : string; args : string list; line : int }
+(** [redistribute <source> <args>] in a [router <proto>] block. *)
+
+type address = { ifname : string; words : string list; line : int }
+(** [ip address <words>] in an [interface <ifname>] block. *)
+
+(** A per-file index, every list in document order. *)
+type t = {
+  definitions : (kind * string * int) list;
+      (** every line defining a name: [access-list] lines, [ip access-list
+          standard|extended] headers, [route-map] headers, [ip
+          prefix-list] lines. *)
+  acl_blocks : (string * int) list;  (** the [ip access-list] headers. *)
+  acl_clauses : entry list;
+  route_maps : entry list;
+  prefix_lists : entry list;
+  references : (kind * string * int) list;
+      (** [access-group], [distribute-list], [access-class], [match ip
+          address [prefix-list]], [redistribute ... route-map] and
+          per-neighbor filters. *)
+  neighbors : neighbor list;
+  redistributions : redistribution list;
+  addresses : address list;
+}
 
 val of_text : string -> t
 (** Index one configuration file's raw text. *)
@@ -48,60 +61,8 @@ val find : table -> string -> (t -> int option) -> int option
 (** [find table file lookup] runs [lookup] on [file]'s index, indexing
     the file on first use; [None] when [files] did not name [file]. *)
 
-(** {1 Facts} *)
-
-type kind = Acl | Route_map | Prefix_list  (** what a name refers to. *)
-
-type entry = { seq : int option; line : int }
-(** One route-map header or prefix-list line, with its sequence number
-    when the text carries one. *)
-
-type neighbor = {
-  block : int;  (** the [router bgp] block, numbered per file. *)
-  peer : string;  (** address or peer-group name, as written. *)
-  line : int;  (** the peer's first [neighbor] statement in the block. *)
-  remote_as : bool;  (** a [neighbor <peer> remote-as] statement. *)
-  peer_group : bool;  (** [neighbor <peer> peer-group]: a template. *)
-  group : string option;  (** [neighbor <peer> peer-group <group>] (last wins). *)
-}
-
-type redistribution = {
-  proto : string;  (** the enclosing [router <proto>] block. *)
-  source : string;  (** first token after [redistribute]. *)
-  args : string list;  (** the tokens after it. *)
-  line : int;
-}
-
-type address = { ifname : string; words : string list; line : int }
-(** An interface's [ip address <words>] line. *)
-
 val definition_line : t -> kind -> string -> int option
-(** First line defining the name: an [access-list <name>] line or an
-    [ip access-list standard|extended <name>] header, a [route-map
-    <name>] header, an [ip prefix-list <name>] line. *)
-
-val definitions : t -> kind -> (string * int) list
-(** Every defined name of the kind with its {!definition_line}, in no
-    particular order. *)
-
-val acl_blocks : t -> (string * int) list
-(** [ip access-list standard|extended <name>] headers, document order. *)
-
-val route_map_entries : t -> (string * entry list) list
-(** Each route-map's headers in document order, route-maps in no
-    particular order. *)
-
-val references : t -> (kind * string * int) list
-(** Every reference to a named policy, document order. *)
-
-val bgp_neighbors : t -> neighbor list
-(** One record per (BGP block, peer), in no particular order. *)
-
-val redistributions : t -> redistribution list
-(** Every [redistribute] line of every router block, document order. *)
-
-val interface_addresses : t -> address list
-(** Every interface [ip address] line, secondaries too, document order. *)
+(** The first of the name's {!t.definitions}. *)
 
 (** {1 Lines} *)
 

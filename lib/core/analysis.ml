@@ -30,7 +30,7 @@ let run_stages ?trace ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default
      between stages. *)
   let stage n f =
     stage ?trace ~network:name n (fun () ->
-        Rd_util.Fault.fault_point faults ~site:("analysis." ^ n) ~key:name;
+        Rd_util.Fault.fault_point faults ~site:(Rd_util.Fault.analysis_site n) ~key:name;
         Rd_util.Cancel.check ~site:("analysis." ^ n) cancel;
         f ())
   in
@@ -52,7 +52,7 @@ let run_stages ?trace ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default
       ( [],
         diags
         @ [
-            Rd_config.Diag.make Rd_config.Diag.Error ~code:"budget-exceeded"
+            Rd_config.Diag.make Rd_config.Diag.Error ~code:"budget-exceeded" "%s"
               (Printexc.to_string e);
           ] )
   in
@@ -70,8 +70,8 @@ let drop_diag file (fl : Rd_util.Pool.failure) =
     | Some _ -> "budget-exceeded"
     | None -> "config-failed"
   in
-  Rd_config.Diag.make ~file Rd_config.Diag.Error ~code
-    (Printf.sprintf "configuration dropped: %s" (Printexc.to_string fl.exn))
+  Rd_config.Diag.make ~file Rd_config.Diag.Error ~code "configuration dropped: %s"
+    (Printexc.to_string fl.exn)
 
 let analyze ?trace ?metrics ?jobs ?faults ?cancel ?(limits = Rd_util.Limits.default) ~name
     files =
@@ -81,11 +81,11 @@ let analyze ?trace ?metrics ?jobs ?faults ?cancel ?(limits = Rd_util.Limits.defa
             Rd_util.Pool.parallel_map_results ?jobs ?trace ?metrics ?faults
               (fun (f, text) ->
                 let key = name ^ "/" ^ f in
-                Rd_util.Fault.fault_point faults ~site:"parse.file" ~key;
+                Rd_util.Fault.fault_point faults ~site:Rd_util.Fault.parse_file ~key;
                 Rd_util.Cancel.check ~site:"parse.file" cancel;
                 Rd_util.Limits.check ~site:"parse.config-bytes"
                   ~budget:limits.max_config_bytes (String.length text);
-                let text = Rd_util.Fault.corrupt faults ~site:"parse.bytes" ~key text in
+                let text = Rd_util.Fault.corrupt faults ~site:Rd_util.Fault.parse_bytes ~key text in
                 let ast, ds =
                   Rd_config.Parser.parse_with_diags ?metrics ?cancel ~file:f text
                 in

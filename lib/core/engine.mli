@@ -23,7 +23,7 @@
 
     Cache activity is observable through the engine's optional
     {!Rd_util.Metrics} registry ([cache.<store>.hits] / [.misses] /
-    [.evictions] / [.invalidations] counters, [cache.<store>.entries]
+    [.evictions] counters, [cache.<store>.entries]
     gauges) and {!Rd_util.Trace} sink ([cache.miss] spans); with both
     omitted the engine is silent and results are byte-identical. *)
 

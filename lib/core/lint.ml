@@ -12,124 +12,126 @@ let router_file (a : Analysis.t) r = fst a.topo.routers.(r)
    per device. *)
 
 let describe = function
-  | Locator.Acl -> "access-list"
-  | Route_map -> "route-map"
-  | Prefix_list -> "prefix-list"
+  | Locator.Acl -> ("access-list", "acl")
+  | Route_map -> ("route-map", "route-map")
+  | Prefix_list -> ("prefix-list", "prefix-list")
 
-let undefined_code = function
-  | Locator.Acl -> "lint-undefined-acl"
-  | Route_map -> "lint-undefined-route-map"
-  | Prefix_list -> "lint-undefined-prefix-list"
-
-let duplicates ~file loc =
+let duplicates ~file (loc : Locator.t) =
   List.filter_map
     (fun (name, line) ->
       match Locator.definition_line loc Acl name with
       | Some first when first < line ->
         Some
-          (Printf.ksprintf (Diag.make ~file ~line Diag.Warning ~code:"lint-duplicate-acl")
+          (Diag.make ~file ~line Diag.Warning ~code:"lint-duplicate-acl"
              "access-list %s redefined (first defined at line %d)" name first)
       | _ -> None)
-    (Locator.acl_blocks loc)
-  @ List.concat_map
-      (fun (name, entries) ->
-        let seen = Hashtbl.create 4 in
-        List.filter_map
-          (fun ({ seq; line } : Locator.entry) ->
-            match seq with
-            | Some s when Hashtbl.mem seen s ->
-              Some
-                (Printf.ksprintf
-                   (Diag.make ~file ~line Diag.Warning ~code:"lint-duplicate-route-map-seq")
-                   "route-map %s sequence %d redefined (first defined at line %d)" name s
-                   (Hashtbl.find seen s))
-            | Some s ->
-              Hashtbl.add seen s line;
-              None
-            | None -> None)
-          entries)
-      (Locator.route_map_entries loc)
+    loc.acl_blocks
+  @
+  let seen = Hashtbl.create 8 in
+  List.filter_map
+    (fun ({ name; seq; line } : Locator.entry) ->
+      match seq with
+      | Some s when Hashtbl.mem seen (name, s) ->
+        Some
+          (Diag.make ~file ~line Diag.Warning ~code:"lint-duplicate-route-map-seq"
+             "route-map %s sequence %d redefined (first defined at line %d)" name s
+             (Hashtbl.find seen (name, s)))
+      | Some s ->
+        Hashtbl.add seen (name, s) line;
+        None
+      | None -> None)
+    loc.route_maps
 
 (* Redistribution sources that need no metric when injected into OSPF:
    connected/static routes get a sensible default, other protocols land
    with an incomparable metric unless one is given. *)
 let metric_exempt_source = function "connected" | "static" -> true | _ -> false
 
-let redistribute_no_metric ~file loc =
+let redistribute_no_metric ~file (loc : Locator.t) =
   List.filter_map
-    (fun (r : Locator.redistribution) ->
-      if r.proto = "ospf" && (not (metric_exempt_source r.source)) && not (List.mem "metric" r.args)
+    (fun ({ proto; source; args; line } : Locator.redistribution) ->
+      if proto = "ospf" && (not (metric_exempt_source source)) && not (List.mem "metric" args)
       then
         Some
-          (Printf.ksprintf
-             (Diag.make ~file ~line:r.line Diag.Warning ~code:"lint-redistribute-no-metric")
-             "redistribute %s into OSPF without an explicit metric" r.source)
+          (Diag.make ~file ~line Diag.Warning ~code:"lint-redistribute-no-metric"
+             "redistribute %s into OSPF without an explicit metric" source)
       else None)
-    (Locator.redistributions loc)
+    loc.redistributions
 
-let undefined ~file loc =
+let undefined ~file (loc : Locator.t) =
   List.filter_map
     (fun (kind, name, line) ->
+      let noun, code = describe kind in
       if Locator.definition_line loc kind name = None then
         Some
-          (Printf.ksprintf (Diag.make ~file ~line Diag.Error ~code:(undefined_code kind))
-             "%s %s is referenced but never defined" (describe kind) name)
+          (Diag.make ~file ~line Diag.Error ~code:("lint-undefined-" ^ code)
+             "%s %s is referenced but never defined" noun name)
       else None)
-    (Locator.references loc)
+    loc.references
 
-let unused ~file loc =
-  let referenced = Hashtbl.create 16 in
-  List.iter
-    (fun (kind, name, _) -> Hashtbl.replace referenced (kind, name) ())
-    (Locator.references loc);
-  List.concat_map
-    (fun (kind, code) ->
-      List.filter_map
-        (fun (name, line) ->
-          if Hashtbl.mem referenced (kind, name) then None
-          else
-            Some
-              (Printf.ksprintf
-                 (Diag.make ~file ~line Diag.Warning ~code) "%s %s is defined but never applied"
-                 (describe kind) name))
-        (Locator.definitions loc kind))
-    [ (Locator.Acl, "lint-unused-acl"); (Route_map, "lint-unused-route-map") ]
+let unused ~file (loc : Locator.t) =
+  let seen = Hashtbl.create 16 in
+  List.iter (fun (kind, name, _) -> Hashtbl.replace seen (kind, name) ()) loc.references;
+  List.filter_map
+    (fun (kind, name, line) ->
+      let noun, code = describe kind in
+      if kind = Prefix_list || Hashtbl.mem seen (kind, name) then None
+      else begin
+        Hashtbl.add seen (kind, name) ();
+        Some
+          (Diag.make ~file ~line Diag.Warning ~code:("lint-unused-" ^ code)
+             "%s %s is defined but never applied" noun name)
+      end)
+    loc.definitions
 
-let neighbor_no_remote_as ~file loc =
-  let neighbors = Locator.bgp_neighbors loc in
-  (* A peer-group declaration is a template, not a session; a member
-     whose group supplies remote-as inherits it. *)
-  let group_covers (n : Locator.neighbor) =
-    match n.group with
-    | Some g ->
-      List.exists
-        (fun (m : Locator.neighbor) -> m.block = n.block && m.peer = g && m.remote_as)
-        neighbors
-    | None -> false
+(* A BGP neighbor needs remote-as, from its own statements or from the
+   peer-group it last joined; a peer-group declaration is a template,
+   not a session. *)
+let neighbor_no_remote_as ~file (loc : Locator.t) =
+  let bgp = List.filter (fun (n : Locator.neighbor) -> n.proto = "bgp") loc.neighbors in
+  let args_of (n : Locator.neighbor) peer =
+    List.filter_map
+      (fun (m : Locator.neighbor) ->
+        if m.block = n.block && m.peer = peer then Some m.args else None)
+      bgp
   in
+  let has_remote_as peer n =
+    List.exists (function "remote-as" :: _ -> true | _ -> false) (args_of n peer)
+  in
+  let seen = Hashtbl.create 8 in
   List.filter_map
     (fun (n : Locator.neighbor) ->
-      if n.remote_as || n.peer_group || group_covers n then None
-      else
-        Some
-          (Printf.ksprintf
-             (Diag.make ~file ~line:n.line Diag.Error ~code:"lint-neighbor-no-remote-as")
-             "BGP neighbor %s has no remote-as; the session cannot establish" n.peer))
-    neighbors
+      if Hashtbl.mem seen (n.block, n.peer) then None
+      else begin
+        Hashtbl.add seen (n.block, n.peer) ();
+        let args = args_of n n.peer in
+        let group =
+          List.fold_left (fun g -> function "peer-group" :: g :: _ -> Some g | _ -> g) None args
+        in
+        if
+          has_remote_as n.peer n
+          || List.mem [ "peer-group" ] args
+          || Option.fold ~none:false ~some:(fun g -> has_remote_as g n) group
+        then None
+        else
+          Some
+            (Diag.make ~file ~line:n.line Diag.Error ~code:"lint-neighbor-no-remote-as"
+               "BGP neighbor %s has no remote-as; the session cannot establish" n.peer)
+      end)
+    bgp
 
-let interface_overlap ~file loc =
+let interface_overlap ~file (loc : Locator.t) =
   let addrs =
     Array.of_list
       (List.filter_map
-         (fun (a : Locator.address) ->
-           match a.words with
-           | addr :: mask :: _ ->
-             Option.map
-               (fun p -> (a.ifname, p, a.line))
-               (Option.bind (Ipv4.of_string addr) (fun addr ->
-                    Option.bind (Ipv4.of_string mask) (Prefix.of_addr_mask addr)))
+         (fun ({ ifname; words; line } : Locator.address) ->
+           match words with
+           | a :: m :: _ ->
+             Option.bind (Ipv4.of_string a) (fun a ->
+                 Option.bind (Ipv4.of_string m) (Prefix.of_addr_mask a))
+             |> Option.map (fun p -> (ifname, p, line))
            | _ -> None)
-         (Locator.interface_addresses loc))
+         loc.addresses)
   in
   let acc = ref [] in
   Array.iteri
@@ -138,7 +140,7 @@ let interface_overlap ~file loc =
         let ifi, pi, _ = addrs.(i) in
         if Prefix.overlap pi pj then
           acc :=
-            Printf.ksprintf (Diag.make ~file ~line:lj Diag.Warning ~code:"lint-interface-overlap")
+            Diag.make ~file ~line:lj Diag.Warning ~code:"lint-interface-overlap"
               "interface %s address %s overlaps %s on interface %s" ifj (Prefix.to_string pj)
               (Prefix.to_string pi) ifi
             :: !acc
@@ -183,10 +185,10 @@ let unfiltered_peerings locators (t : Analysis.t) =
       match n with
       | Some n when n.nb_dlists = [] && n.nb_route_maps = [] && n.nb_prefix_lists = [] ->
         let file = router_file t p.router in
-        let line = Locator.find locators file (fun loc -> Locator.neighbor_line loc n.peer) in
         acc :=
-          Printf.ksprintf
-            (Diag.make ~file ?line Diag.Warning ~code:"lint-unfiltered-peering")
+          Diag.make ~file
+            ?line:(Locator.find locators file (fun loc -> Locator.neighbor_line loc n.peer))
+            Diag.Warning ~code:"lint-unfiltered-peering"
             "EBGP session to AS %d (peer %s) has no distribute-list, prefix-list or route-map"
             ep.remote_asn (Ipv4.to_string ep.peer_addr)
           :: !acc
@@ -200,12 +202,10 @@ let unfiltered_peerings locators (t : Analysis.t) =
         let file, cfg = t.topo.routers.(i.router) in
         match Ast.find_interface cfg i.name with
         | Some ifc when ifc.access_groups = [] ->
-          let line =
-            Locator.find locators file (fun loc -> Locator.interface_address_line loc i.name)
-          in
           acc :=
-            Printf.ksprintf
-              (Diag.make ~file ?line Diag.Warning ~code:"lint-unfiltered-edge-interface")
+            Diag.make ~file
+              ?line:(Locator.find locators file (fun loc -> Locator.interface_address_line loc i.name))
+              Diag.Warning ~code:"lint-unfiltered-edge-interface"
               "external-facing interface %s carries no packet filter" i.name
             :: !acc
         | _ -> ()
@@ -241,13 +241,12 @@ let incomplete_adjacencies locators (t : Analysis.t) =
                 List.find (fun (e : Rd_topo.Topology.iface) -> List.mem proto (covering e)) endpoints
               in
               let file = router_file t lonely.router in
-              let line =
-                Locator.find locators file (fun loc ->
-                    Locator.interface_address_line loc lonely.name)
-              in
               acc :=
-                Printf.ksprintf
-                  (Diag.make ~file ?line Diag.Warning ~code:"lint-half-covered-link")
+                Diag.make ~file
+                  ?line:
+                    (Locator.find locators file (fun loc ->
+                         Locator.interface_address_line loc lonely.name))
+                  Diag.Warning ~code:"lint-half-covered-link"
                   "link %s is covered by %s on only one endpoint — the adjacency cannot form"
                   (Prefix.to_string l.subnet_of_link)
                   (Ast.protocol_to_string proto)
@@ -272,8 +271,7 @@ let incomplete_adjacencies locators (t : Analysis.t) =
           && not (List.exists (fun (pid, _) -> pid = p.pid) t.graph.adjacency.igp_external_edges)
         then
           acc :=
-            Printf.ksprintf
-              (Diag.make ~file:(router_file t p.router) Diag.Info ~code:"lint-isolated-process")
+            Diag.make ~file:(router_file t p.router) Diag.Info ~code:"lint-isolated-process"
               "%s process %s has no adjacency (single-router instance)"
               (Ast.protocol_to_string p.protocol)
               (match p.proc_id with Some i -> string_of_int i | None -> "-")
@@ -293,13 +291,10 @@ let duplicate_addresses locators (t : Analysis.t) =
         match Hashtbl.find_opt seen key with
         | Some (r0, n0) when r0 <> i.router ->
           let file = router_file t i.router in
-          let line =
-            Locator.find locators file (fun loc -> Locator.interface_address_line loc i.name)
-          in
           acc :=
-            Printf.ksprintf
-              (Diag.make ~file ?line Diag.Warning ~code:"lint-duplicate-address")
-              "address %s on %s is also configured on %s:%s"
+            Diag.make ~file
+              ?line:(Locator.find locators file (fun loc -> Locator.interface_address_line loc i.name))
+              Diag.Warning ~code:"lint-duplicate-address" "address %s on %s is also configured on %s:%s"
               (Ipv4.to_string a) i.name (router_file t r0) n0
             :: !acc
         | Some _ -> ()
@@ -318,12 +313,12 @@ let unresolved_static_next_hops _locators (t : Analysis.t) =
           match s.sr_next_hop with
           | Ast.Nh_addr nh when not (List.exists (Prefix.mem nh) connected) ->
             Some
-              (Printf.ksprintf (Diag.make ~file Diag.Warning ~code:"lint-unresolved-next-hop")
+              (Diag.make ~file Diag.Warning ~code:"lint-unresolved-next-hop"
                  "static route to %s points at %s, which is on no connected subnet" dest
                  (Ipv4.to_string nh))
           | Ast.Nh_iface ifname when Ast.find_interface cfg ifname = None ->
             Some
-              (Printf.ksprintf (Diag.make ~file Diag.Warning ~code:"lint-unresolved-next-hop")
+              (Diag.make ~file Diag.Warning ~code:"lint-unresolved-next-hop"
                  "static route to %s uses undefined interface %s" dest ifname)
           | _ -> None)
         cfg.statics)
@@ -342,7 +337,7 @@ let shared_static_destinations _locators (t : Analysis.t) =
   Hashtbl.fold
     (fun dest routers acc ->
       if List.length routers >= 2 then
-        Printf.ksprintf (Diag.make Diag.Info ~code:"lint-shared-static-destination")
+        Diag.make Diag.Info ~code:"lint-shared-static-destination"
           "%d routers (%s) hold static routes to %s — avoid maintaining them simultaneously"
           (List.length routers)
           (String.concat ", " (List.sort compare routers))
@@ -357,7 +352,7 @@ let ospf_area_issues _locators (t : Analysis.t) =
     (fun (info : Rd_routing.Areas.t) ->
       if List.length info.areas >= 2 && not info.has_backbone then
         acc :=
-          Printf.ksprintf (Diag.make Diag.Warning ~code:"lint-ospf-no-backbone-area")
+          Diag.make Diag.Warning ~code:"lint-ospf-no-backbone-area"
             "OSPF instance %d spans %d areas but has no area 0 — inter-area routes cannot flow"
             info.inst_id (List.length info.areas)
           :: !acc;
@@ -369,8 +364,7 @@ let ospf_area_issues _locators (t : Analysis.t) =
               match List.filter (fun r -> List.mem r a.routers) info.abrs with
               | [ abr ] ->
                 acc :=
-                  Printf.ksprintf
-                    (Diag.make ~file:(router_file t abr) Diag.Info ~code:"lint-single-abr-area")
+                  Diag.make ~file:(router_file t abr) Diag.Info ~code:"lint-single-abr-area"
                     "OSPF area %d hangs off a single area border router" a.area
                   :: !acc
               | _ -> ())

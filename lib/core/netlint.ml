@@ -327,8 +327,8 @@ let redistribution_loops ?metrics locators (a : Analysis.t) =
                   Printf.sprintf "%s -> %s" s (inst_label insts i)
                 in
                 findings :=
-                  Printf.ksprintf (Diag.make ~file ?line severity
-                    ~code:"netlint-redistribution-loop")
+                  Diag.make ~file ?line severity
+                    ~code:"netlint-redistribution-loop"
                     "redistribution loop %s: %s can circulate and be \
                      re-redistributed (redistribution on %s): %s"
                     cycle_str (witnesses loopset)
@@ -442,7 +442,7 @@ let leak_findings locators (a : Analysis.t) =
         Locator.find locators file (fun loc ->
             Locator.neighbor_line loc l.leak_peer)
       in
-      Printf.ksprintf (Diag.make ~file ?line Diag.Warning ~code:"netlint-route-leak")
+      Diag.make ~file ?line Diag.Warning ~code:"netlint-route-leak"
         "route leak: %s originating in %s reach AS%d with no filter at \
          any hop: %s"
         (witnesses l.leak_prefixes)
@@ -496,23 +496,23 @@ let bgp_peer_findings locators (a : Analysis.t) =
                 in
                 if q_asns = [] then
                   findings :=
-                    Printf.ksprintf (Diag.make ~file ?line:(line ()) Diag.Warning
-                      ~code:"netlint-peer-one-sided")
+                    Diag.make ~file ?line:(line ()) Diag.Warning
+                      ~code:"netlint-peer-one-sided"
                       "neighbor %s: peer router %s runs no BGP process"
                       (Ipv4.to_string n.peer) (Lint.router_file a q)
                     :: !findings
                 else if not (List.mem n.remote_as q_asns) then
                   findings :=
-                    Printf.ksprintf (Diag.make ~file ?line:(line ()) Diag.Error
-                      ~code:"netlint-peer-as-mismatch")
+                    Diag.make ~file ?line:(line ()) Diag.Error
+                      ~code:"netlint-peer-as-mismatch"
                       "neighbor %s remote-as %d, but peer router %s is AS %s"
                       (Ipv4.to_string n.peer) n.remote_as (Lint.router_file a q)
                       (String.concat "/" (List.map string_of_int q_asns))
                     :: !findings
                 else if not (has_session_to q r) then
                   findings :=
-                    Printf.ksprintf (Diag.make ~file ?line:(line ()) Diag.Warning
-                      ~code:"netlint-peer-one-sided")
+                    Diag.make ~file ?line:(line ()) Diag.Warning
+                      ~code:"netlint-peer-one-sided"
                       "neighbor %s: peer router %s has no neighbor \
                        statement back toward %s"
                       (Ipv4.to_string n.peer) (Lint.router_file a q)
@@ -559,7 +559,7 @@ let ospf_area_findings locators (a : Analysis.t) =
                 Locator.interface_address_line loc ifc0.name)
           in
           findings :=
-            Printf.ksprintf (Diag.make ~file ?line Diag.Error ~code:"netlint-ospf-area-mismatch")
+            Diag.make ~file ?line Diag.Error ~code:"netlint-ospf-area-mismatch"
               "ospf area mismatch on %s: %s"
               (Prefix.to_string l.subnet_of_link)
               (String.concat ", "
@@ -615,7 +615,7 @@ let mask_findings locators (a : Analysis.t) =
                     Locator.interface_address_line loc ifc'.name)
               in
               findings :=
-                Printf.ksprintf (Diag.make ~file ?line Diag.Warning ~code:"netlint-mask-mismatch")
+                Diag.make ~file ?line Diag.Warning ~code:"netlint-mask-mismatch"
                   "subnet mask mismatch on a shared medium: %s overlaps %s"
                   (iface_str ifc') (iface_str ifc)
                 :: !findings
@@ -819,8 +819,8 @@ let shadowed_rules locators (a : Analysis.t) =
                     Locator.acl_clause_line loc acl.acl_name idx)
               in
               findings :=
-                Printf.ksprintf (Diag.make ~file ?line Diag.Warning
-                  ~code:"netlint-shadowed-acl-clause")
+                Diag.make ~file ?line Diag.Warning
+                  ~code:"netlint-shadowed-acl-clause"
                   "access-list %s clause %d is shadowed by earlier clauses \
                    and can never match"
                   acl.acl_name (idx + 1)
@@ -843,8 +843,8 @@ let shadowed_rules locators (a : Analysis.t) =
                 | `Unsatisfiable -> "has an unsatisfiable ge/le range"
               in
               findings :=
-                Printf.ksprintf (Diag.make ~file ?line Diag.Warning
-                  ~code:"netlint-shadowed-prefix-list-entry")
+                Diag.make ~file ?line Diag.Warning
+                  ~code:"netlint-shadowed-prefix-list-entry"
                   "prefix-list %s seq %d %s and can never match" pl.pl_name
                   e.Ast.pl_seq reason
                 :: !findings)
@@ -860,8 +860,8 @@ let shadowed_rules locators (a : Analysis.t) =
                       ~index:idx)
               in
               findings :=
-                Printf.ksprintf (Diag.make ~file ?line Diag.Warning
-                  ~code:"netlint-shadowed-route-map-entry")
+                Diag.make ~file ?line Diag.Warning
+                  ~code:"netlint-shadowed-route-map-entry"
                   "route-map %s entry %d is shadowed by earlier entries \
                    and can never match"
                   rm.rm_name en.seq
@@ -880,7 +880,7 @@ let cap_findings ~rule diags =
   else
     List.filteri (fun i _ -> i < finding_cap) diags
     @ [
-        Printf.ksprintf (Diag.make Diag.Info ~code:"netlint-truncated")
+        Diag.make Diag.Info ~code:"netlint-truncated"
           "%s: showing %d of %d findings" rule finding_cap n;
       ]
 
@@ -898,14 +898,11 @@ let all_rules = List.map fst (families ())
 let run_analysis ?trace ?metrics ?cancel ?(rules = all_rules) ?files
     (a : Analysis.t) =
   let families = families ?metrics () in
-  let selected =
-    List.map
-      (fun r ->
-        match List.assoc_opt r families with
-        | Some rule -> (r, rule)
-        | None -> invalid_arg (Printf.sprintf "Netlint.run_analysis: unknown rule %S" r))
-      rules
+  let rule r =
+    try List.assoc r families
+    with Not_found -> invalid_arg (Printf.sprintf "Netlint.run_analysis: unknown rule %S" r)
   in
+  let selected = List.map (fun r -> (r, rule r)) rules in
   let locators = Locator.of_files ?files () in
   Metrics.incr metrics "netlint.networks";
   let findings =

@@ -4,7 +4,7 @@
     design, this pass reasons about route *dataflow* across
     routers: it abstract-interprets prefix sets over the routing
     instance graph (paper §6.2) to find designs that are syntactically
-    fine on every router yet wrong as a whole.  Four rule families:
+    fine on every router yet wrong as a whole.  Four {!Lint.rule}s:
 
     - {b redistribution-loop}: an instance-graph cycle around which a
       non-empty prefix set can circulate and be re-redistributed, with
@@ -96,7 +96,8 @@ val run_analysis :
 (** Lint an analyzed network.  [rules] selects rule families (default
     {!all_rules}; unknown names raise [Invalid_argument]).  [files]
     supplies the raw configuration text so findings carry line numbers
-    (omitted: findings carry file names only).  Each family runs in a
+    (omitted: findings carry file names only), through one locator
+    table for every selected family.  Each family runs in a
     [netlint.<rule>] trace span and accumulates [netlint.*] metrics;
     [cancel] is polled between families.  Findings per family are
     capped at 20 per network with an explicit [netlint-truncated]

@@ -479,7 +479,7 @@ let run ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default)
   do
     changed := false;
     incr iterations;
-    Rd_util.Fault.fault_point faults ~site:"propagate.fixpoint";
+    Rd_util.Fault.fault_point faults ~site:Rd_util.Fault.propagate_fixpoint;
     Array.iter send flows;
     originate_aggregates ();
     originate_defaults ()

@@ -8,10 +8,16 @@ type 'a task = {
   run : Rd_util.Cancel.t option -> Population.spec -> 'a;
 }
 
-let sweep ?trace ?metrics ?faults ?cancel ?task_timeout ?retries ?jobs ?checkpoint
+(* Each network is an independent, per-spec-seeded unit, so the work
+   list maps across the domain pool.  Inside a pool worker the
+   per-network parse fan-out degrades to sequential (nested-pool guard),
+   keeping the domain count bounded by [jobs].  Each network's task
+   token is created inside its pool task, so a [task_timeout] clocks
+   from the moment that network's work starts. *)
+let sweep ?trace ?metrics ?faults ?cancel ?task_timeout ?(retries = 0) ?jobs ?checkpoint
     ?(resume = false) ?only ~master_seed t =
   let key spec = Checkpoint.key ~stage:t.stage ~salt:t.salt spec in
-  let run tok spec =
+  let run spec =
     let replayed =
       match checkpoint with
       | Some ck when resume -> Option.bind (Checkpoint.find ck (key spec)) t.of_json
@@ -20,12 +26,19 @@ let sweep ?trace ?metrics ?faults ?cancel ?task_timeout ?retries ?jobs ?checkpoi
     match replayed with
     | Some v -> v
     | None ->
-      let v = t.run tok spec in
+      let v = t.run (Rd_util.Cancel.task ?timeout:task_timeout cancel) spec in
       Option.iter (fun ck -> Checkpoint.save ck (key spec) (t.to_json v)) checkpoint;
       v
   in
-  Population.supervise ?jobs ?trace ?metrics ?faults ?cancel ?task_timeout ?retries run
-    (Population.wanted_specs ?only ~master_seed ())
+  let wanted = Population.wanted_specs ?only ~master_seed () in
+  List.map2
+    (fun spec -> function
+      | Ok v -> Ok v
+      | Error failure ->
+        Rd_util.Metrics.incr metrics "network.degraded";
+        Error { Population.spec; failure })
+    wanted
+    (Rd_util.Pool.parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ~retries run wanted)
 
 (* --- study -------------------------------------------------------------- *)
 

@@ -1,14 +1,18 @@
 (** The one study sweep behind every [--study] subcommand: [rdna study],
     [rdna crosscheck --study], [rdna whatif --study] (table and JSON)
-    and [rdna netlint --study].
+    and [rdna netlint --study], and behind the paper regeneration
+    ([bench/main.exe]).
 
-    {!sweep} iterates the study work list ({!Population.wanted_specs})
-    through {!Population.supervise}: a run-level {!Rd_util.Cancel}
-    token (deadline or SIGINT) fails queued networks fast and stops
-    in-flight ones at their next poll, an optional per-network
-    [task_timeout] derives a child token clocking from that network's
-    start, and every failure — including [Timed_out] — degrades to a
-    per-network {!Population.failure} row, never an escaping exception.
+    {!sweep} maps the study work list ({!Population.wanted_specs})
+    across the domain pool, byte-identical to a sequential sweep.  A
+    run-level {!Rd_util.Cancel} token (deadline or SIGINT) fails queued
+    networks fast and stops in-flight ones at their next poll, an
+    optional per-network [task_timeout] derives a child token clocking
+    from that network's start, and every failure — including [Timed_out] — degrades to a
+    per-network {!Population.failure} row (counted in [network.degraded]),
+    never an escaping exception; [retries] re-runs a failed network.  To
+    fail fast, a caller re-raises the lowest net id's failure
+    ({!Rd_util.Pool.reraise}) after every network was attempted.
 
     With a {!Checkpoint}, each completed network's result is persisted
     the moment it finishes; with [resume], the checkpoint is probed
@@ -53,8 +57,8 @@ val study :
   ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t -> ?jobs:int ->
   ?faults:Rd_util.Fault.t -> unit -> study_item task
 (** The study build ({!Population.build_network}), checkpointed as a
-    {!Netstat.t}.  A zero-failure, zero-checkpoint sweep carries the
-    same networks as {!Population.build}. *)
+    {!Netstat.t}.  Without a checkpoint every item carries its
+    [network]. *)
 
 val crosscheck :
   ?faults:Rd_util.Fault.t -> ?invariants:string list -> ?salt:string list -> unit ->

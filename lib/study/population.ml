@@ -83,7 +83,7 @@ let build_network ?trace ?metrics ?jobs ?faults ?cancel spec =
       trace "generate"
       (fun () -> generate_one spec)
   in
-  Rd_util.Fault.fault_point faults ~site:"study.network" ~key:spec.label;
+  Rd_util.Fault.fault_point faults ~site:Rd_util.Fault.study_network ~key:spec.label;
   Rd_util.Cancel.check ~site:"study.network" cancel;
   {
     spec;
@@ -98,33 +98,6 @@ let wanted_specs ?only ~master_seed () =
   | Some ids -> List.filter (fun s -> List.mem s.net_id ids) all
 
 type failure = { spec : spec; failure : Rd_util.Pool.failure }
-
-(* Each network is an independent, per-spec-seeded unit, so the work
-   list maps across the domain pool.  Inside a pool worker the
-   per-network parse fan-out degrades to sequential (nested-pool
-   guard), keeping the domain count bounded by [jobs].  Each network's
-   task token is created inside its pool task, so a [task_timeout]
-   clocks from the moment that network's work starts. *)
-let supervise ?jobs ?trace ?metrics ?faults ?cancel ?task_timeout ?(retries = 0) task wanted =
-  let results =
-    Rd_util.Pool.parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ~retries
-      (fun spec -> task (Rd_util.Cancel.task ?timeout:task_timeout cancel) spec)
-      wanted
-  in
-  List.map2
-    (fun spec -> function
-      | Ok v -> Ok v
-      | Error f ->
-        Rd_util.Metrics.incr metrics "network.degraded";
-        Error { spec; failure = f })
-    wanted results
-
-let build ?only ?trace ?metrics ?jobs ?faults ~master_seed () =
-  List.map
-    (function Ok n -> n | Error f -> Rd_util.Pool.reraise f.failure)
-    (supervise ?jobs ?trace ?metrics ?faults
-       (fun cancel -> build_network ?trace ?metrics ?jobs ?faults ?cancel)
-       (wanted_specs ?only ~master_seed ()))
 
 let partition results =
   List.partition_map

@@ -45,40 +45,6 @@ type failure = { spec : spec; failure : Rd_util.Pool.failure }
     exception, its site (when a fault/budget site is known), attempt
     count, and elapsed time. *)
 
-val supervise :
-  ?jobs:int -> ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t ->
-  ?faults:Rd_util.Fault.t -> ?cancel:Rd_util.Cancel.t -> ?task_timeout:float ->
-  ?retries:int -> (Rd_util.Cancel.t option -> spec -> 'a) -> spec list ->
-  ('a, failure) result list
-(** [supervise task wanted] runs [task token spec] for every spec on
-    [jobs] pool workers ({!Rd_util.Pool.parallel_map_results}) — the
-    one execution path behind {!build} and [Driver.sweep].  Results stay
-    in [wanted] order; each failure becomes a {!failure} row and bumps
-    the [network.degraded] metrics counter.  [retries] (default 0) re-runs a failed network up to that
-    many extra times.
-
-    [cancel] is the run-level token: tripping it (deadline or SIGINT)
-    stops in-flight tasks at their next poll and fails queued ones fast,
-    each as a [Timed_out] failure.  The [token] each task receives is
-    {!Rd_util.Cancel.task} of [cancel] with [task_timeout], created
-    inside the pool task so its budget clocks from that network's start
-    — one slow network degrades alone. *)
-
-val build :
-  ?only:int list -> ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t -> ?jobs:int ->
-  ?faults:Rd_util.Fault.t -> master_seed:int -> unit -> network list
-(** Build the population (or the networks whose ids are in [only]):
-    every requested network flows through the full text pipeline
-    ({!build_network}) under {!supervise}, in parallel on [jobs] pool
-    workers (default {!Rd_util.Pool.default_jobs}); because every
-    network is seeded from its own spec, the result is byte-identical to
-    a sequential ([jobs = 1]) build, in net-id order.  When any network
-    failed, re-raise the lowest net id's exception with its original
-    backtrace ({!Rd_util.Pool.reraise}).  Every network is attempted
-    first, so which failure escapes never depends on the schedule.
-    Callers that want the surviving networks and per-network failure
-    rows instead run [Driver.sweep] with [Driver.study]. *)
-
 val partition : ('a, failure) result list -> 'a list * failure list
 (** Split into (survivors, failures), both order-preserving. *)
 

@@ -124,13 +124,11 @@ let find_or_add ?metrics ?trace c k f =
     add ?metrics c k v;
     v
 
-let invalidate ?metrics c k =
+let invalidate c k =
   locked c (fun () ->
       if Hashtbl.mem c.table k then begin
         Hashtbl.remove c.table k;
-        c.invalidations <- c.invalidations + 1;
-        Metrics.incr metrics (counter c "invalidations");
-        set_entries metrics c
+        c.invalidations <- c.invalidations + 1
       end)
 
 let clear c =

@@ -73,9 +73,9 @@ val find_or_add :
     a [cache.miss] span (category ["cache"], with the store name and key
     as span arguments) when [trace] is given. *)
 
-val invalidate : ?metrics:Metrics.t -> 'a t -> key -> unit
-(** Drop one entry (a no-op when absent).  Bumps
-    [cache.<name>.invalidations] when an entry was dropped. *)
+val invalidate : 'a t -> key -> unit
+(** Drop one entry (a no-op when absent), counted in {!stats}'
+    [invalidations] when an entry was dropped. *)
 
 val clear : 'a t -> unit
 (** Drop every entry, adding the number dropped to {!stats}'

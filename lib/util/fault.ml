@@ -40,6 +40,25 @@ let seed t = t.seed
 
 let set_metrics t m = Mutex.protect t.mutex (fun () -> t.metrics <- m)
 
+(* -------------------------------------------------------------- sites --- *)
+
+let study_network = "study.network"
+let crosscheck_network = "crosscheck.network"
+let parse_file = "parse.file"
+let parse_bytes = "parse.bytes"
+let pool_pickup = "pool.pickup"
+let propagate_fixpoint = "propagate.fixpoint"
+let analysis_site stage = "analysis." ^ stage
+
+let sites =
+  [ study_network; crosscheck_network; parse_file; parse_bytes ]
+  @ List.map analysis_site [ "topology"; "catalog"; "instance-graph"; "blocks"; "filter-stats" ]
+  @ [ pool_pickup; propagate_fixpoint ]
+
+let site_matches ~clause_site ~site =
+  String.equal clause_site site
+  || String.starts_with ~prefix:(clause_site ^ ".") site
+
 (* ------------------------------------------------------- spec parsing --- *)
 
 let parse_clause part =
@@ -82,6 +101,11 @@ let parse_clause part =
     (match (!err, !kind) with
      | Some m, _ -> Error m
      | None, None -> Error (Printf.sprintf "fault clause %S: missing kind (raise|corrupt|delay=MS)" part)
+     | None, Some _
+       when not (List.exists (fun s -> site_matches ~clause_site:site ~site:s) sites) ->
+       Error
+         (Printf.sprintf "fault clause %S: unknown site %S (sites: %s)" part site
+            (String.concat ", " sites))
      | None, Some k ->
        Ok { c_site = site; c_kind = k; c_key = !key; c_p = !p; c_max = !max_fires })
   | _ -> Error (Printf.sprintf "fault clause %S: missing site" part)
@@ -141,10 +165,6 @@ let roll ~seed ~clause ~site ~key n =
   let h = splitmix64 (fnv64 (Printf.sprintf "%d|%d|%s|%s|%d" seed clause site key n)) in
   let bits = Int64.to_int (Int64.shift_right_logical h 11) in
   float_of_int bits /. 9007199254740992.0 (* 2^53 *)
-
-let site_matches ~clause_site ~site =
-  String.equal clause_site site
-  || String.starts_with ~prefix:(clause_site ^ ".") site
 
 (* The first matching clause of an accepted kind that passes its max and
    probability checks wins; its fire is logged and counted. *)

@@ -40,6 +40,28 @@
     (default 1); [max] caps fires per (site, key).  Example:
     [seed=7;study.network:raise:key=net4;parse.bytes:corrupt:p=0.01]. *)
 
+(** {2 Sites}
+
+    Every site the program marks is declared here, and call sites use
+    these names: {!of_spec} rejects a clause whose site is neither a
+    declared site nor a dotted prefix of one. *)
+
+val study_network : string
+val crosscheck_network : string
+val parse_file : string
+val parse_bytes : string
+val pool_pickup : string
+val propagate_fixpoint : string
+
+val analysis_site : string -> string
+(** ["analysis.<stage>"], declared for the stages ["topology"],
+    ["catalog"], ["instance-graph"], ["blocks"] and ["filter-stats"]. *)
+
+val sites : string list
+(** Every declared site; the [--inject-faults] help lists them. *)
+
+(** {2 Plans} *)
+
 type kind =
   | Raise  (** raise {!Injected} at the fault point. *)
   | Delay of float  (** sleep this many milliseconds at the fault point. *)
@@ -56,7 +78,9 @@ type t
 
 val of_spec : string -> (t, string) result
 (** Parse a spec (grammar above) into a plan.  [Error] carries a
-    human-readable description of the first malformed clause. *)
+    human-readable description of the first malformed clause; a clause
+    naming an unknown site is malformed, and its message lists
+    {!sites}. *)
 
 val from_env : unit -> (t option, string) result
 (** [of_spec] applied to the [RDNA_FAULTS] environment variable;

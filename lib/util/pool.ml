@@ -172,7 +172,7 @@ let reraise fl = Printexc.raise_with_backtrace fl.exn fl.backtrace
 let attempt ?cancel ?faults ~started ~k f x =
   match
     Cancel.check ~site:"pool.queued" cancel;
-    Fault.fault_point faults ~site:"pool.pickup";
+    Fault.fault_point faults ~site:Fault.pool_pickup;
     f x
   with
   | y -> Ok y

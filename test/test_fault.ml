@@ -42,8 +42,11 @@ let test_spec_parse_ok () =
   let f = plan "seed=7;study.network:raise:key=net4;parse.bytes:corrupt:p=0.01" in
   check_int "seed" 7 (Fault.seed f);
   check_int "no fires yet" 0 (List.length (Fault.injections f));
-  let f = plan "reach.fixpoint:delay=2.5:max=3" in
-  check_int "default seed" 0 (Fault.seed f)
+  let f = plan "propagate.fixpoint:delay=2.5:max=3" in
+  check_int "default seed" 0 (Fault.seed f);
+  (* a dotted prefix of a declared site names all the sites below it *)
+  ignore (plan "analysis:raise");
+  List.iter (fun site -> ignore (plan (site ^ ":raise"))) Fault.sites
 
 let test_spec_parse_errors () =
   let bad s =
@@ -52,13 +55,37 @@ let test_spec_parse_errors () =
     | Error e -> check_bool "message non-empty" true (String.length e > 0)
   in
   bad "";
-  bad "seed=x;a:raise";
+  bad "seed=x;study.network:raise";
   bad "siteonly";
-  bad "a:raise:p=2";
-  bad "a:raise:frob=1";
-  bad "a:raise:delay=5";
+  bad "study.network:raise:p=2";
+  bad "study.network:raise:frob=1";
+  bad "study.network:raise:delay=5";
   (* two kinds *)
-  bad "a:delay=-1"
+  bad "study.network:delay=-1";
+  (* a site no code visits: a misspelling, a site that is gone, a
+     non-dotted prefix *)
+  bad "study.netwrok:raise";
+  bad "reach.fixpoint:raise";
+  bad "analysisx:raise";
+  match Fault.of_spec "seed=2;study.netwrok:raise" with
+  | Error e ->
+    check_string "unknown site lists the sites"
+      ("fault clause \"study.netwrok:raise\": unknown site \"study.netwrok\" (sites: "
+      ^ String.concat ", " Fault.sites ^ ")")
+      e
+  | Ok _ -> Alcotest.fail "a misspelt site must not parse"
+
+let test_analysis_sites_fire () =
+  (* every declared analysis.<stage> site is one the analysis visits *)
+  let files = files_of 4 in
+  let analysis = List.filter (String.starts_with ~prefix:"analysis.") Fault.sites in
+  check_int "five stages" 5 (List.length analysis);
+  List.iter
+    (fun site ->
+      match Rd_core.Analysis.analyze ~faults:(plan (site ^ ":raise")) ~name:"net4" files with
+      | _ -> Alcotest.failf "%s never fired" site
+      | exception Fault.Injected (s, _) -> check_string "fired at its site" site s)
+    analysis
 
 let test_from_env () =
   let saved = Sys.getenv_opt "RDNA_FAULTS" in
@@ -82,11 +109,11 @@ let test_decisions_deterministic () =
   (* two fresh plans from the same spec make identical probabilistic
      decisions for the same keyed calls, regardless of call interleaving
      across keys *)
-  let spec = "seed=11;point:raise:p=0.5" in
+  let spec = "seed=11;study.network:raise:p=0.5" in
   let outcomes f keys =
     List.map
       (fun k ->
-        match Fault.fault_point (Some f) ~site:"point" ~key:k with
+        match Fault.fault_point (Some f) ~site:Fault.study_network ~key:k with
         | () -> false
         | exception Fault.Injected _ -> true)
       keys
@@ -98,7 +125,7 @@ let test_decisions_deterministic () =
   check_bool "some fired" true (List.exists Fun.id a);
   check_bool "some spared" true (List.exists not a);
   (* a different seed flips at least one decision *)
-  let c = outcomes (plan "seed=12;point:raise:p=0.5") keys in
+  let c = outcomes (plan "seed=12;study.network:raise:p=0.5") keys in
   check_bool "seed changes decisions" true (a <> c)
 
 let test_site_prefix_matching () =
@@ -143,12 +170,13 @@ let test_corrupt_at_parse_bytes () =
 
 let test_corrupt_changes_bytes_deterministically () =
   let text = String.concat "\n" (List.init 50 (fun i -> Printf.sprintf "line %d" i)) in
-  let c1 = Fault.corrupt (Some (plan "s:corrupt")) ~site:"s" ~key:"k" text in
-  let c2 = Fault.corrupt (Some (plan "s:corrupt")) ~site:"s" ~key:"k" text in
+  let corrupt spec = Fault.corrupt (Some (plan spec)) ~site:Fault.parse_bytes ~key:"k" text in
+  let c1 = corrupt "parse.bytes:corrupt" in
+  let c2 = corrupt "parse.bytes:corrupt" in
   check_bool "bytes changed" true (c1 <> text);
   check_string "corruption deterministic" c1 c2;
   check_int "length preserved" (String.length text) (String.length c1);
-  let c3 = Fault.corrupt (Some (plan "seed=1;s:corrupt")) ~site:"s" ~key:"k" text in
+  let c3 = corrupt "seed=1;parse.bytes:corrupt" in
   check_bool "seed varies corruption" true (c1 <> c3)
 
 let test_delay_is_invisible () =
@@ -206,7 +234,7 @@ let test_propagate_budget_degrades () =
 
 let test_study_degrades_one_network () =
   let only = [ 3; 4; 8 ] in
-  let clean = Rd_study.Population.build ~only ~jobs:2 ~master_seed:seed () in
+  let clean = Study_build.networks ~only ~jobs:2 ~master_seed:seed () in
   let metrics = Metrics.create () in
   let faults = plan "seed=5;study.network:raise:key=net4" in
   Fault.set_metrics faults (Some metrics);
@@ -276,12 +304,12 @@ let prop_supervised_map_matches_sequential =
     QCheck.(triple small_nat (int_bound 1000) (int_bound 3))
     (fun (n, fseed, denom) ->
       let input = List.init n (fun i -> i) in
-      let spec = Printf.sprintf "seed=%d;prop.item:raise:p=0.%d5" fseed denom in
+      let spec = Printf.sprintf "seed=%d;study.network:raise:p=0.%d5" fseed denom in
       let run jobs =
         let faults = plan spec in
         Pool.parallel_map_results ~jobs
           (fun x ->
-            Fault.fault_point (Some faults) ~site:"prop.item" ~key:(string_of_int x);
+            Fault.fault_point (Some faults) ~site:Fault.study_network ~key:(string_of_int x);
             (x * 7) + 1)
           input
       in
@@ -298,6 +326,7 @@ let () =
           Alcotest.test_case "parses" `Quick test_spec_parse_ok;
           Alcotest.test_case "rejects malformed" `Quick test_spec_parse_errors;
           Alcotest.test_case "RDNA_FAULTS env" `Quick test_from_env;
+          Alcotest.test_case "declared analysis sites fire" `Quick test_analysis_sites_fire;
         ] );
       ( "determinism",
         [

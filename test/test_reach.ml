@@ -364,7 +364,7 @@ let structural_fixpoint (g : Rd_routing.Instance_graph.t) =
   routes
 
 let test_worklist_matches_rounds_study () =
-  let nets = Rd_study.Population.build ~master_seed:2004 () in
+  let nets = Study_build.networks ~master_seed:2004 () in
   check_int "31 networks" 31 (List.length nets);
   List.iter
     (fun (n : Rd_study.Population.network) ->

@@ -12,7 +12,7 @@ let specs = Rd_study.Population.specs ~master_seed:seed
    the counters its build records. *)
 let population_metrics = Rd_util.Metrics.create ()
 
-let population = lazy (Rd_study.Population.build ~metrics:population_metrics ~master_seed:seed ())
+let population = lazy (Study_build.networks ~metrics:population_metrics ~master_seed:seed ())
 
 (* ----------------------------------------------------- population specs --- *)
 
@@ -169,8 +169,8 @@ let test_parallel_build_deterministic () =
   (* the domain-pool build must be byte-identical to the sequential one:
      same networks, same order, same analysis summaries *)
   let subset = [ 1; 4; 8; 10; 12 ] in
-  let seq = Rd_study.Population.build ~only:subset ~jobs:1 ~master_seed:seed () in
-  let par = Rd_study.Population.build ~only:subset ~jobs:4 ~master_seed:seed () in
+  let seq = Study_build.networks ~only:subset ~jobs:1 ~master_seed:seed () in
+  let par = Study_build.networks ~only:subset ~jobs:4 ~master_seed:seed () in
   check_int "same count" (List.length seq) (List.length par);
   List.iter2
     (fun (a : Rd_study.Population.network) (b : Rd_study.Population.network) ->
@@ -195,11 +195,11 @@ let test_traced_build_identical () =
      trace is valid Chrome trace_event JSON with one "analyze" span per
      network *)
   let subset = [ 1; 8; 15 ] in
-  let plain = Rd_study.Population.build ~only:subset ~jobs:2 ~master_seed:seed () in
+  let plain = Study_build.networks ~only:subset ~jobs:2 ~master_seed:seed () in
   let trace = Rd_util.Trace.create () in
   let metrics = Rd_util.Metrics.create () in
   let traced =
-    Rd_study.Population.build ~only:subset ~jobs:2 ~trace ~metrics ~master_seed:seed ()
+    Study_build.networks ~only:subset ~jobs:2 ~trace ~metrics ~master_seed:seed ()
   in
   List.iter2
     (fun (a : Rd_study.Population.network) (b : Rd_study.Population.network) ->
@@ -253,7 +253,7 @@ let test_fail_fast_build_lowest_net_id () =
         | Ok f -> f
         | Error e -> Alcotest.failf "fault spec: %s" e
       in
-      (match Rd_study.Population.build ~only:[ 3; 4; 8 ] ~jobs ~faults ~master_seed:seed () with
+      (match Study_build.networks ~only:[ 3; 4; 8 ] ~jobs ~faults ~master_seed:seed () with
        | _ -> Alcotest.fail "a failed network must abort the build"
        | exception (Rd_util.Fault.Injected _ as e) ->
          Alcotest.(check string)
@@ -334,7 +334,7 @@ let test_netstat_codec_roundtrip () =
   (* every per-network statistic survives JSON print + parse exactly —
      including floats, which the codec hex-encodes because the JSON
      printer's %.12g is lossy *)
-  let nets = Rd_study.Population.build ~only:small_subset ~jobs:1 ~master_seed:seed () in
+  let nets = Study_build.networks ~only:small_subset ~jobs:1 ~master_seed:seed () in
   let stats = List.map Rd_study.Netstat.of_network nets in
   let roundtripped =
     List.map

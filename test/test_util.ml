@@ -191,9 +191,9 @@ let test_pool_retry_recovers () =
      raises, its retry completes, so every item ends Ok and the retry is
      counted *)
   let metrics = Metrics.create () in
-  let faults = fault_plan "seed=3;task.run:raise:key=k5:max=1" in
+  let faults = fault_plan "seed=3;study.network:raise:key=k5:max=1" in
   let f x =
-    Fault.fault_point (Some faults) ~site:"task.run" ~key:(Printf.sprintf "k%d" x);
+    Fault.fault_point (Some faults) ~site:Fault.study_network ~key:(Printf.sprintf "k%d" x);
     x + 100
   in
   let results =
@@ -800,11 +800,11 @@ let test_cache_metrics_and_trace () =
   let k = Cache.key ~stage:"s" ~version:1 [ "x" ] in
   ignore (Cache.find_or_add ~metrics:m ~trace:tr c k (fun () -> 1));
   ignore (Cache.find_or_add ~metrics:m ~trace:tr c k (fun () -> 2));
-  Cache.invalidate ~metrics:m c k;
+  Cache.invalidate c k;
   let counter name = Option.value ~default:0 (Metrics.counter_value m name) in
   check_int "hit counter" 1 (counter "cache.probe.hits");
   check_int "miss counter" 1 (counter "cache.probe.misses");
-  check_int "invalidation counter" 1 (counter "cache.probe.invalidations");
+  check_int "invalidation counted" 1 (Cache.stats c).invalidations;
   check_bool "miss span recorded" true
     (List.exists (fun (s : Trace.span) -> s.name = "cache.miss") (Trace.spans tr))
 
