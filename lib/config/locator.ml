@@ -40,15 +40,12 @@ let rec match_refs = function
    the context names.  Facts are consed from the last line back, so each
    list comes out in document order. *)
 let of_text text =
-  let context = ref [] and block = ref 0 in
-  let lines =
-    List.map
-      (fun (l : Lexer.line) ->
-        if l.indent = 0 then begin
-          incr block;
-          context := l.words
-        end;
-        (!block, !context, l))
+  let _, lines =
+    List.fold_left_map
+      (fun (block, context) (l : Lexer.line) ->
+        let block, context = if l.indent = 0 then (block + 1, l.words) else (block, context) in
+        ((block, context), (block, context, l)))
+      (0, [])
       (fst (Lexer.lines_of_string text))
   in
   let step (block, context, (l : Lexer.line)) t =
