@@ -599,14 +599,23 @@ let test_driver_netlint_task_timeout () =
 
 let test_full_study_lints_clean () =
   (* every file of every study network lints without raising and without
-     error-severity findings (warnings are tolerated) *)
+     error-severity findings (warnings are tolerated); the networks' JSON
+     lint reports, one line each in net-id order, are pinned by
+     test/lint_study.sha1 *)
+  let report = Buffer.create (1 lsl 20) in
   List.iter
-    (fun (s : Rd_study.Population.spec) ->
-      let diags = Rd_core.Lint.lint_files (Rd_study.Population.generate_one s) in
+    (fun (n : Rd_study.Population.network) ->
+      let files = Rd_study.Population.generate_one n.spec in
+      let diags = Rd_core.Lint.lint_files files @ Rd_core.Lint.design ~files n.analysis in
       let errors = List.filter (fun (d : Rd_config.Diag.t) -> d.severity = Rd_config.Diag.Error) diags in
       if errors <> [] then
-        Alcotest.failf "%s: %s" s.label (Rd_config.Diag.to_string (List.hd errors)))
-    specs
+        Alcotest.failf "%s: %s" n.spec.label (Rd_config.Diag.to_string (List.hd errors));
+      Buffer.add_string report (Rd_util.Json.to_string (Rd_config.Diag.to_json diags));
+      Buffer.add_char report '\n')
+    (Lazy.force population);
+  Alcotest.(check string)
+    "report pinned" (String.trim (In_channel.with_open_bin "lint_study.sha1" In_channel.input_all))
+    (Rd_util.Sha1.hex_of_string (Buffer.contents report))
 
 let test_full_study_design_counts () =
   (* per-code design findings over the 31 networks, pinned to the counts
