@@ -277,8 +277,8 @@ let lint_cmd =
   let run dir json jobs =
     guard @@ fun () ->
     let files = load_dir dir in
-    let a = Rd_core.Analysis.analyze ~name:(Filename.basename dir) files in
-    let diags = Rd_core.Lint.lint_files ~jobs files @ Rd_core.Lint.design ~files a in
+    let a = Rd_core.Analysis.analyze ~jobs ~name:(Filename.basename dir) files in
+    let diags = Rd_core.Lint.run ~files a in
     if json then print_endline (Rd_util.Json.to_string (Rd_config.Diag.to_json diags))
     else begin
       print_string (Rd_config.Diag.render diags);
@@ -297,7 +297,7 @@ let lint_cmd =
              area hazards).  Exits non-zero if any error-severity finding is reported.")
     Term.(const run $ dir_arg
           $ json_term ~doc:"Emit diagnostics as a JSON array."
-          $ jobs_term ~doc:"Worker domains for parallel linting.")
+          $ jobs_term ~doc:"Worker domains for parsing the configurations.")
 
 (* --- anonymize ---------------------------------------------------------- *)
 

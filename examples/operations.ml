@@ -9,7 +9,7 @@ let () =
   print_string (Rd_core.Analysis.summary a);
 
   print_endline "\n=== design checks (vulnerability assessment / anomaly detection) ===";
-  print_string (Rd_config.Diag.render (Rd_core.Lint.design ~files a));
+  print_string (Rd_config.Diag.render (Rd_core.Lint.run ~files a));
 
   print_endline "\n=== what if the border router fails? ===";
   let d = Rd_core.Whatif.run a [ Rd_core.Whatif.Remove_router "ent-r0" ] in

@@ -2,12 +2,12 @@
     raw text outside the parser ({!Lexer.lines_of_string}, each indented
     line read in the context of its top-level block).  The AST drops
     physical positions; the index keeps, each with its line, the facts
-    lint findings cite.  [Rd_core.Lint]'s per-file rules are queries on
-    it; the design rules and [Rd_core.Netlint] look lines up through a
-    {!table}, which indexes a file on first lookup, so only the files
-    that findings cite are ever lexed.  Lookups are total: what the
-    index cannot resolve yields [None], and the finding goes out without
-    a line. *)
+    lint findings cite.  Every reader goes through a {!table}, which
+    indexes a file on first lookup: [Rd_core.Lint]'s per-file rules
+    are queries on each file's index, and its design rules and
+    [Rd_core.Netlint] look lines up in the files their findings cite.
+    Lookups are total: what the index cannot resolve yields [None], and
+    the finding goes out without a line. *)
 
 type kind = Acl | Route_map | Prefix_list
 
@@ -43,9 +43,6 @@ type t = {
   addresses : address list;
 }
 
-val of_text : string -> t
-(** Index one configuration file's raw text. *)
-
 type table
 (** Per-file indexes of one network, keyed by file name, each built on
     the first {!find} that names its file.  The indexing is a [Lazy.t],
@@ -57,7 +54,7 @@ val of_files : ?files:(string * string) list -> unit -> table
     on first lookup; a name given twice keeps its last text.  No
     [files], no index. *)
 
-val find : table -> string -> (t -> int option) -> int option
+val find : table -> string -> (t -> 'a option) -> 'a option
 (** [find table file lookup] runs [lookup] on [file]'s index, indexing
     the file on first use; [None] when [files] did not name [file]. *)
 

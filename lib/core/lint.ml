@@ -156,17 +156,11 @@ let file_rules =
     interface_overlap;
   ]
 
-let lint_config ~file text =
-  let _ast, parse_diags = Parser.parse_with_diags ~file text in
-  let loc = Locator.of_text text in
+let file_findings ~file loc =
   let line_of (d : Diag.t) = Option.value d.line ~default:0 in
-  parse_diags
-  @ List.stable_sort
-      (fun a b -> Int.compare (line_of a) (line_of b))
-      (List.concat_map (fun rule -> rule ~file loc) file_rules)
-
-let lint_files ?jobs files =
-  List.concat (Rd_util.Pool.parallel_map ?jobs (fun (f, text) -> lint_config ~file:f text) files)
+  List.stable_sort
+    (fun a b -> Int.compare (line_of a) (line_of b))
+    (List.concat_map (fun rule -> rule ~file loc) file_rules)
 
 (* ------------------------------------------------------ design rules --- *)
 
@@ -378,8 +372,29 @@ let design_rules : rule list =
     shared_static_destinations; ospf_area_issues;
   ]
 
-let design ?files (t : Analysis.t) =
-  let locators = Locator.of_files ?files () in
+let design locators (t : Analysis.t) =
   let all = List.concat_map (fun rule -> rule locators t) design_rules in
   let warnings, infos = List.partition (fun (d : Diag.t) -> d.severity = Diag.Warning) all in
   warnings @ infos
+
+(* ------------------------------------------------------------- entry --- *)
+
+(* One locator table serves both families; it holds only the files the
+   analysis kept, so a dropped file shows its drop diagnostic and is
+   never lexed.  Parse diagnostics come from the analysis, keyed by the
+   file the parser stamped on them. *)
+let run ~files (a : Analysis.t) =
+  let kept = Hashtbl.create 64 in
+  List.iter (fun (f, _) -> Hashtbl.replace kept f ()) a.configs;
+  let locators = Locator.of_files ~files:(List.filter (fun (f, _) -> Hashtbl.mem kept f) files) () in
+  let parse_diags = Hashtbl.create 64 in
+  List.iter
+    (fun (d : Diag.t) -> Option.iter (fun f -> Hashtbl.add parse_diags f d) d.file)
+    (List.rev a.diags);
+  List.concat_map
+    (fun (file, _) ->
+      Hashtbl.find_all parse_diags file
+      @ Option.value ~default:[]
+          (Locator.find locators file (fun loc -> Some (file_findings ~file loc))))
+    files
+  @ design locators a

@@ -1,20 +1,21 @@
 (** Config-lint: the catalogue of per-file and design diagnostics,
     reported as {!Rd_config.Diag} values, and the rule shape
-    {!Netlint} shares.
+    {!Netlint} shares.  {!run} lints an analyzed network: each file is
+    parsed once, by {!Analysis.analyze}, and its text is indexed once,
+    in the one {!Rd_config.Locator.table} both families read.
 
     Two families share one code space:
-    - {b per-file} rules ({!lint_config}, {!lint_files}) are queries on
-      one configuration's {!Rd_config.Locator} index, the one walk of
-      its text outside the parser, so every finding points at a
-      concrete [file:line].  The pass folds in the parser's own
-      [parse-*] diagnostics (malformed/unmodelled lines).
-    - {b design} rules ({!design}) reason about the routing design
-      derived from the whole network: the operational checks of the
-      paper's §8.1.  Each is a {!rule}, the shape of {!Netlint}'s rule
-      families too.  They report Warnings and Infos only.  A finding
-      about one BGP neighbor or one interface is anchored to its line
-      when the raw texts are supplied; a finding about a whole process,
-      an area or several routers has no line.
+    - {b per-file} rules are queries on one configuration's
+      {!Rd_config.Locator} index, the one walk of its text outside the
+      parser, so every finding points at a concrete [file:line].  Each
+      file's findings follow the parser's own [parse-*] diagnostics
+      (malformed/unmodelled lines), taken from the analysis.
+    - {b design} rules reason about the routing design derived from the
+      whole network: the operational checks of the paper's §8.1.  Each
+      is a {!rule}, the shape of {!Netlint}'s rule families too.  They
+      report Warnings and Infos only.  A finding about one BGP neighbor
+      or one interface is anchored to its line; a finding about a whole
+      process, an area or several routers has no line.
 
     Codes (stable), with severity, family and paper section:
     - [lint-undefined-acl] (Error, per-file, §8.1): an access-group,
@@ -76,16 +77,11 @@ type rule = Rd_config.Locator.table -> Analysis.t -> Rd_config.Diag.t list
 val router_file : Analysis.t -> int -> string
 (** The configuration file of the router with this index. *)
 
-val lint_config : file:string -> string -> Rd_config.Diag.t list
-(** Lint one configuration file: the parser's diagnostics followed by
-    per-file rule findings in line order.  Never raises on any input. *)
-
-val lint_files : ?jobs:int -> (string * string) list -> Rd_config.Diag.t list
-(** Lint a network's (file name, text) pairs; fans out across the domain
-    pool, result in file order. *)
-
-val design : ?files:(string * string) list -> Analysis.t -> Rd_config.Diag.t list
-(** The six design rules over an analyzed network, Warnings first, each
-    naming the implicated router's file.  [files] are the (file name,
-    text) pairs the analysis was built from; with them, neighbor and
-    interface findings carry the line (one locator table per call). *)
+val run : files:(string * string) list -> Analysis.t -> Rd_config.Diag.t list
+(** [run ~files a] where [a] was analyzed from the (file name, text)
+    pairs [files]: for each file in order, its diagnostics from
+    [a.diags] (the parser's, or the one that dropped it from the
+    analysis) and then, unless it was dropped, its per-file findings in
+    line order; after every file, the design findings, Warnings first.
+    A file missing from [files] gets no per-file findings and its
+    design findings no line.  Never raises on any analysis. *)

@@ -7,7 +7,22 @@ open Rd_config
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let lint text = Rd_core.Lint.lint_config ~file:"t.cfg" text
+(* The design family's codes (lint.mli); every other code a lint run
+   reports is a parse diagnostic or a per-file finding. *)
+let design_codes =
+  [
+    "lint-unfiltered-peering"; "lint-unfiltered-edge-interface"; "lint-half-covered-link";
+    "lint-duplicate-address"; "lint-unresolved-next-hop"; "lint-ospf-no-backbone-area";
+    "lint-isolated-process"; "lint-shared-static-destination"; "lint-single-abr-area";
+  ]
+
+let is_design (d : Diag.t) = List.mem d.code design_codes
+
+(* [rdna lint] over (file name, text) pairs. *)
+let lint_net ?jobs files = Rd_core.Lint.run ~files (Rd_core.Analysis.analyze ?jobs ~name:"t" files)
+
+(* One file's parse diagnostics and per-file findings. *)
+let lint text = List.filter (fun d -> not (is_design d)) (lint_net [ ("t.cfg", text) ])
 
 let find code diags = List.filter (fun (d : Diag.t) -> d.code = code) diags
 
@@ -158,8 +173,11 @@ let test_interface_disjoint_clean () =
 
 let analyze files = Rd_core.Analysis.analyze ~name:"t" files
 
+let design files = List.filter is_design (lint_net files)
+
 (* Assert exactly one design finding with [code] on [file]: at [line] when
-   the texts are supplied, without a line when they are not. *)
+   the texts are supplied, without a line when they are not (no texts,
+   no per-file findings either). *)
 let assert_design_line ~code ~file ~line files =
   let a = analyze files in
   List.iter
@@ -169,7 +187,7 @@ let assert_design_line ~code ~file ~line files =
         check_bool (code ^ " file") true (d.file = Some file);
         Alcotest.(check (option int)) (code ^ " line") expected d.line
       | ds -> Alcotest.failf "expected exactly one %s, got %d" code (List.length ds))
-    [ (Rd_core.Lint.design ~files a, Some line); (Rd_core.Lint.design a, None) ]
+    [ (Rd_core.Lint.run ~files a, Some line); (Rd_core.Lint.run ~files:[] a, None) ]
 
 let edge =
   {|interface Serial0/0
@@ -183,7 +201,7 @@ let test_design_unfiltered_peering () =
   let files = [ ("edge", edge) ] in
   assert_design_line ~code:"lint-unfiltered-peering" ~file:"edge" ~line:5 files;
   assert_design_line ~code:"lint-unfiltered-edge-interface" ~file:"edge" ~line:2 files;
-  match find "lint-unfiltered-peering" (Rd_core.Lint.design (analyze files)) with
+  match find "lint-unfiltered-peering" (design files) with
   | [ d ] ->
     Alcotest.(check string) "message names every filter"
       "EBGP session to AS 7018 (peer 192.0.2.2) has no distribute-list, prefix-list or route-map"
@@ -207,7 +225,7 @@ access-list 10 permit any
 |} );
     ]
   in
-  let diags = Rd_core.Lint.design ~files (analyze files) in
+  let diags = design files in
   assert_none ~code:"lint-unfiltered-peering" diags;
   assert_none ~code:"lint-unfiltered-edge-interface" diags
 
@@ -245,7 +263,7 @@ ip route 192.170.0.0 255.255.0.0 NoSuchIface0
 |} );
     ]
   in
-  let found = find "lint-unresolved-next-hop" (Rd_core.Lint.design ~files (analyze files)) in
+  let found = find "lint-unresolved-next-hop" (design files) in
   check_int "two unresolved" 2 (List.length found);
   check_bool "no line" true (List.for_all (fun (d : Diag.t) -> d.line = None) found)
 
@@ -260,7 +278,7 @@ ip route 198.18.0.0 255.255.0.0 10.0.%s.2
       nh nh
   in
   let files = [ ("x", mk "1"); ("y", mk "2") ] in
-  match find "lint-shared-static-destination" (Rd_core.Lint.design ~files (analyze files)) with
+  match find "lint-shared-static-destination" (design files) with
   | [ d ] -> check_bool "several routers, no file" true (d.file = None && d.line = None)
   | ds -> Alcotest.failf "expected one shared destination, got %d" (List.length ds)
 
@@ -279,7 +297,7 @@ router ospf 1
 |} );
     ]
   in
-  let f = Rd_core.Lint.design ~files (analyze files) in
+  let f = design files in
   let is sev (d : Diag.t) = d.severity = sev in
   check_bool "has warnings" true (List.exists (is Diag.Warning) f);
   check_bool "has infos" true (List.exists (is Diag.Info) f);
@@ -325,7 +343,7 @@ router ospf 1
     ]
   in
   check_int "no-backbone flagged" 1
-    (List.length (find "lint-ospf-no-backbone-area" (Rd_core.Lint.design (analyze no_backbone))));
+    (List.length (find "lint-ospf-no-backbone-area" (design no_backbone)));
   let single_abr =
     [
       ( "abr",
@@ -356,7 +374,7 @@ router ospf 1
     ]
   in
   match
-    find "lint-single-abr-area" (Rd_core.Lint.design ~files:single_abr (analyze single_abr))
+    find "lint-single-abr-area" (design single_abr)
   with
   | [ d ] -> check_bool "on the ABR, no line" true (d.file = Some "abr" && d.line = None)
   | ds -> Alcotest.failf "expected one single-ABR area, got %d" (List.length ds)
@@ -364,7 +382,7 @@ router ospf 1
 let test_design_clean_generated () =
   let net = Rd_gen.Archetype.generate Rd_gen.Archetype.Enterprise ~seed:41 ~n:20 ~index:3 () in
   let files = Rd_gen.Builder.to_texts net in
-  let f = Rd_core.Lint.design ~files (Rd_core.Analysis.analyze ~name:"e" files) in
+  let f = design files in
   (* a generated textbook network has no duplicate addresses and no
      unresolved next hops *)
   assert_none ~code:"lint-duplicate-address" f;
@@ -376,13 +394,29 @@ let test_parse_diags_included () =
   let diags = lint "interface Ethernet0\n ip address 10.1.1.300 255.255.255.0\n" in
   assert_one ~code:"parse-bad-address" ~line:2 ~severity:Diag.Error diags
 
+let test_dropped_file_reported () =
+  (* a file over the analysis's byte budget is dropped from the network:
+     lint reports the drop as an error on that file and lints it no
+     further, while the other files are linted as usual *)
+  let big = String.make (Rd_util.Limits.default.max_config_bytes + 1) '!' in
+  let diags = lint_net [ ("big.cfg", big); ("t.cfg", "access-list 10 permit any\n") ] in
+  match diags with
+  | [ drop; unused ] ->
+    Alcotest.(check string) "drop code" "budget-exceeded" drop.code;
+    check_bool "drop on the file" true (drop.file = Some "big.cfg" && drop.line = None);
+    check_bool "an error" true (Diag.has_errors diags);
+    Alcotest.(check string) "other file linted" "lint-unused-acl" unused.code
+  | ds -> Alcotest.failf "expected two findings, got %d" (List.length ds)
+
 (* ------------------------------------------- generated networks are clean --- *)
 
 let test_generated_networks_clean () =
   List.iter
     (fun arch ->
       let net = Rd_gen.Archetype.generate arch ~seed:11 ~n:12 ~index:1 () in
-      let diags = Rd_core.Lint.lint_files ~jobs:2 (Rd_gen.Builder.to_texts net) in
+      let diags =
+        List.filter (fun d -> not (is_design d)) (lint_net ~jobs:2 (Rd_gen.Builder.to_texts net))
+      in
       if diags <> [] then
         Alcotest.failf "generated %s network has findings: %s"
           (Rd_gen.Archetype.to_string arch)
@@ -436,8 +470,7 @@ let fixture_report () =
     Sys.readdir dir |> Array.to_list |> List.sort compare
     |> List.map (fun f -> (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
   in
-  Rd_core.Lint.lint_files files
-  @ Rd_core.Lint.design ~files (Rd_core.Analysis.analyze ~name:dir files)
+  Rd_core.Lint.run ~files (Rd_core.Analysis.analyze ~name:dir files)
 
 let test_fixture_every_code () =
   let diags = fixture_report () in
@@ -523,6 +556,7 @@ let () =
       ( "integration",
         [
           Alcotest.test_case "parse diags included" `Quick test_parse_diags_included;
+          Alcotest.test_case "dropped file reported" `Quick test_dropped_file_reported;
           Alcotest.test_case "generated networks clean" `Quick test_generated_networks_clean;
           Alcotest.test_case "render and json" `Quick test_render_and_json;
           Alcotest.test_case "stable order" `Quick test_stable_order;
