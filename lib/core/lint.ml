@@ -214,16 +214,10 @@ let incomplete_adjacencies locators (t : Analysis.t) =
     (fun (l : Rd_topo.Topology.link) ->
       let endpoints = l.endpoints in
       if List.length endpoints >= 2 then begin
-        let covering (e : Rd_topo.Topology.iface) =
-          match e.address with
-          | None -> []
-          | Some (a, _) ->
-            List.filter_map
-              (fun pid ->
-                let p = t.catalog.processes.(pid) in
-                if p.protocol <> Ast.Bgp && Rd_routing.Process.covers p a then Some p.protocol
-                else None)
-              t.catalog.by_router.(e.router)
+        let covering e =
+          List.filter_map
+            (fun (p : Rd_routing.Process.t) -> if p.protocol <> Ast.Bgp then Some p.protocol else None)
+            (Rd_routing.Process.covering t.catalog e)
         in
         let protos = List.map covering endpoints in
         let all_protos = List.sort_uniq compare (List.concat protos) in

@@ -535,19 +535,12 @@ let ospf_area_findings locators (a : Analysis.t) =
               match ifc.address with
               | None -> None
               | Some (addr, _) ->
-                List.fold_left
-                  (fun found pid ->
-                    match found with
-                    | Some _ -> found
-                    | None ->
-                      let p = cat.processes.(pid) in
-                      if p.protocol = Ast.Ospf && Process.covers p addr then
-                        match Process.area_on p addr with
-                        | Some area -> Some (ifc, area)
-                        | None -> None
-                      else None)
-                  None
-                  cat.by_router.(ifc.router))
+                List.find_map
+                  (fun (p : Process.t) ->
+                    if p.protocol = Ast.Ospf then
+                      Option.map (fun area -> (ifc, area)) (Process.area_on p addr)
+                    else None)
+                  (Process.covering cat ifc))
             l.endpoints
         in
         let distinct = List.sort_uniq compare (List.map snd areas) in

@@ -19,14 +19,12 @@ let origins_bulk_direct (g : Instance_graph.t) =
   (* Subnets of interfaces covered by member processes. *)
   Array.iter
     (fun (ifc : Rd_topo.Topology.iface) ->
-      match (ifc.address, ifc.subnet) with
-      | Some (a, _), Some s ->
+      match ifc.subnet with
+      | Some s ->
         List.iter
-          (fun pid ->
-            let p = catalog.processes.(pid) in
-            if Process.covers p a then add g.assignment.of_process.(pid) s)
-          catalog.by_router.(ifc.router)
-      | _ -> ())
+          (fun (p : Process.t) -> add g.assignment.of_process.(p.pid) s)
+          (Process.covering catalog ifc)
+      | None -> ())
     catalog.topo.ifaces;
   (* BGP network statements and aggregate-addresses originate prefixes
      into the instance. *)

@@ -44,18 +44,14 @@ let igp_adjacencies (catalog : Process.catalog) =
       catalog.processes
   in
   let covering_procs (endpoint : Rd_topo.Topology.iface) =
-    match endpoint.address with
-    | None -> []
-    | Some (a, _) ->
-      List.filter_map
-        (fun pid ->
-          let p = catalog.processes.(pid) in
-          (* a passive interface advertises its subnet but forms no
-             adjacency *)
-          let passive = Hashtbl.mem passive_ifaces.(pid) endpoint.name in
-          if p.protocol <> Ast.Bgp && (not passive) && Process.covers p a then Some (p, a)
-          else None)
-        catalog.by_router.(endpoint.router)
+    List.filter_map
+      (fun (p : Process.t) ->
+        (* a passive interface advertises its subnet but forms no
+           adjacency *)
+        if p.protocol <> Ast.Bgp && not (Hashtbl.mem passive_ifaces.(p.pid) endpoint.name) then
+          Option.map (fun (a, _) -> (p, a)) endpoint.address
+        else None)
+      (Process.covering catalog endpoint)
   in
   let acc = ref [] in
   List.iter
@@ -126,17 +122,11 @@ let igp_external (catalog : Process.catalog) =
   let acc = ref [] in
   Array.iter
     (fun (i : Rd_topo.Topology.iface) ->
-      match (i.address, Rd_topo.Topology.facing_of topo i.router i.if_index) with
-      | Some (a, _), Rd_topo.Topology.External ->
+      match (i.subnet, Rd_topo.Topology.facing_of topo i.router i.if_index) with
+      | Some s, Rd_topo.Topology.External ->
         List.iter
-          (fun pid ->
-            let p = catalog.processes.(pid) in
-            if p.protocol <> Ast.Bgp && Process.covers p a then begin
-              match i.subnet with
-              | Some s -> acc := (pid, s) :: !acc
-              | None -> ()
-            end)
-          catalog.by_router.(i.router)
+          (fun (p : Process.t) -> if p.protocol <> Ast.Bgp then acc := (p.pid, s) :: !acc)
+          (Process.covering catalog i)
       | _ -> ())
     topo.ifaces;
   !acc

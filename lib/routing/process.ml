@@ -57,6 +57,16 @@ let covers t a =
       | Ast.Net_mask _ -> false)
     t.ast.networks
 
+let covering catalog (i : Rd_topo.Topology.iface) =
+  match i.address with
+  | None -> []
+  | Some (a, _) ->
+    List.filter_map
+      (fun pid ->
+        let p = catalog.processes.(pid) in
+        if covers p a then Some p else None)
+      catalog.by_router.(i.router)
+
 let area_on t a =
   let rec go = function
     | [] -> None

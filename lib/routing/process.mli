@@ -25,14 +25,18 @@ type catalog = {
 }
 
 val build : Rd_topo.Topology.t -> catalog
-(** Collect every routing process of every router, with its
-    interface coverage resolved against the topology. *)
+(** Collect every routing process of every router; {!covering}
+    resolves their interface coverage against the topology. *)
 
 val covers : t -> Ipv4.t -> bool
 (** Whether the process's network statements associate it with an
     interface bearing this address (paper §2.2: the most common way a
     process attaches to interfaces).  BGP [network ... mask] statements
     announce prefixes rather than attach interfaces and never cover. *)
+
+val covering : catalog -> Rd_topo.Topology.iface -> t list
+(** The processes on the interface's router that {!covers} its address,
+    in config order; none for an interface without an address. *)
 
 val area_on : t -> Ipv4.t -> int option
 (** For OSPF: the area of the network statement covering the address. *)

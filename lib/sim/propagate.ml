@@ -211,15 +211,14 @@ let run ?metrics ?faults ?cancel ?(limits = Rd_util.Limits.default)
   (* Seed process RIBs: covered connected subnets + BGP network statements. *)
   Array.iter
     (fun (ifc : Rd_topo.Topology.iface) ->
-      match (ifc.address, ifc.subnet) with
-      | Some (a, _), Some s ->
+      match ifc.subnet with
+      | Some s ->
         List.iter
-          (fun pid ->
-            let p = catalog.processes.(pid) in
-            if p.protocol <> Ast.Bgp && Process.covers p a then
-              ignore (install tables.(pid) (Rib.mk s (Rib.Proto (p.protocol, `Internal)))))
-          catalog.by_router.(ifc.router)
-      | _ -> ())
+          (fun (p : Process.t) ->
+            if p.protocol <> Ast.Bgp then
+              ignore (install tables.(p.pid) (Rib.mk s (Rib.Proto (p.protocol, `Internal)))))
+          (Process.covering catalog ifc)
+      | None -> ())
     catalog.topo.ifaces;
   Array.iter
     (fun (p : Process.t) ->
