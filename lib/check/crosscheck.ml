@@ -520,23 +520,6 @@ let report_to_json (r : report) =
 let report_of_json j =
   let open Rd_util.Json in
   let ( let* ) = Option.bind in
-  let str = function String s -> Some s | _ -> None in
-  let int = function Int i -> Some i | _ -> None in
-  let bool = function Bool b -> Some b | _ -> None in
-  let list_of f = function
-    | List l ->
-      List.fold_right
-        (fun x acc ->
-          let* acc = acc in
-          let* x = f x in
-          Some (x :: acc))
-        l (Some [])
-    | _ -> None
-  in
-  let field k f j =
-    let* v = member k j in
-    f v
-  in
   let severity v =
     let* s = str v in
     match s with
@@ -562,9 +545,9 @@ let report_of_json j =
   let* instances = field "instances" int j in
   let* converged = field "converged" bool j in
   let* approx = field "approx" bool j in
-  let* checked = field "checked" (list_of str) j in
-  let* skipped = field "skipped" (list_of skip) j in
-  let* violations = field "violations" (list_of violation) j in
+  let* checked = field "checked" (list str) j in
+  let* skipped = field "skipped" (list skip) j in
+  let* violations = field "violations" (list violation) j in
   Some { network; routers; instances; converged; approx; checked; skipped; violations }
 
 let to_json reports =

@@ -668,26 +668,20 @@ let summary_to_json ?(exact = false) s =
         if exact then Json.String (Printf.sprintf "%h" s.seconds) else Json.Float s.seconds );
     ]
 
-(* [Some] of every element's decoding, or [None] if any fails. *)
-let decode_all f l =
-  let decoded = List.filter_map f l in
-  if List.length decoded = List.length l then Some decoded else None
+let ( let* ) = Option.bind
 
 let summary_of_json j =
-  let ( let* ) = Option.bind in
-  let field k f = Option.bind (Json.member k j) f in
-  let int = function Json.Int i -> Some i | _ -> None in
-  let str = function Json.String s -> Some s | _ -> None in
-  let strings = function Json.List l -> decode_all str l | _ -> None in
-  let* label = field "label" str in
+  let field k f = Json.field k f j in
+  let strings = Json.list Json.str in
+  let* label = field "label" Json.str in
   let* changes = field "changes" strings in
-  let* instances_before = field "instances_before" int in
-  let* instances_after = field "instances_after" int in
-  let* split = field "split_instances" int in
-  let* lost_pairs = field "lost_pairs" int in
+  let* instances_before = field "instances_before" Json.int in
+  let* instances_after = field "instances_after" Json.int in
+  let* split = field "split_instances" Json.int in
+  let* lost_pairs = field "lost_pairs" Json.int in
   let* touched = field "touched_files" strings in
   let* warnings = field "warnings" strings in
-  let* seconds = field "seconds" (fun v -> Option.bind (str v) float_of_string_opt) in
+  let* seconds = field "seconds" (fun v -> Option.bind (Json.str v) float_of_string_opt) in
   Some
     { label; changes; instances_before; instances_after; split; lost_pairs; touched; warnings;
       seconds }
@@ -700,10 +694,9 @@ let whatif_json ?exact network summaries =
     ]
 
 let whatif_of_json j =
-  match (Json.member "network" j, Json.member "scenarios" j) with
-  | Some (Json.String network), Some (Json.List l) ->
-    Option.map (fun summaries -> (network, summaries)) (decode_all summary_of_json l)
-  | _ -> None
+  let* network = Json.field "network" Json.str j in
+  let* summaries = Json.field "scenarios" (Json.list summary_of_json) j in
+  Some (network, summaries)
 
 let whatif_table networks =
   let row network s =

@@ -92,30 +92,10 @@ let to_json t =
 (* Total decoding: any shape surprise is [None], never an exception. *)
 let ( let* ) = Option.bind
 
-let str = function J.String s -> Some s | _ -> None
-let int = function J.Int i -> Some i | _ -> None
-let bool = function J.Bool b -> Some b | _ -> None
-let list = function J.List l -> Some l | _ -> None
-
-let all_or_none f l =
-  List.fold_right
-    (fun x acc ->
-      let* acc = acc in
-      let* x = f x in
-      Some (x :: acc))
-    l (Some [])
-
-let pair_of_json j =
-  let* l = list j in
-  match l with
-  | [ J.Int a; J.Int b ] -> Some (a, b)
-  | _ -> None
+let pair_of_json = function J.List [ J.Int a; J.Int b ] -> Some (a, b) | _ -> None
 
 let roles_of_json j =
-  let field k =
-    let* v = J.member k j in
-    pair_of_json v
-  in
+  let field k = J.field k pair_of_json j in
   let* ospf = field "ospf" in
   let* eigrp = field "eigrp" in
   let* rip = field "rip" in
@@ -123,36 +103,29 @@ let roles_of_json j =
   let* ebgp_sessions = field "ebgp_sessions" in
   Some { Rd_core.Roles.ospf; eigrp; rip; isis; ebgp_sessions }
 
-let census_item j =
-  let* l = list j in
-  match l with
-  | [ J.String ty; J.Int c ] -> Some (Rd_topo.Itype.of_string ty, c)
+let census_item = function
+  | J.List [ J.String ty; J.Int c ] -> Some (Rd_topo.Itype.of_string ty, c)
   | _ -> None
 
 let of_json j =
-  let field k f =
-    let* v = J.member k j in
-    f v
-  in
-  let* label = field "label" str in
-  let* arch = field "arch" str in
-  let* net_id = field "net_id" int in
-  let* routers = field "routers" int in
-  let* summary = field "summary" str in
+  let field k f = J.field k f j in
+  let* label = field "label" J.str in
+  let* arch = field "arch" J.str in
+  let* net_id = field "net_id" J.int in
+  let* routers = field "routers" J.int in
+  let* summary = field "summary" J.str in
   let* roles = field "roles" roles_of_json in
-  let* uses_bgp = field "uses_bgp" bool in
-  let* census = field "census" (fun v -> let* l = list v in all_or_none census_item l) in
+  let* uses_bgp = field "uses_bgp" J.bool in
+  let* census = field "census" (J.list census_item) in
   let* filter_internal_pct =
     match J.member "filter_internal_pct" j with
     | Some J.Null -> Some None
     | Some v -> ( match float_of_json v with Some f -> Some (Some f) | None -> None)
     | None -> None
   in
-  let* design = field "design" (fun v -> let* s = str v in design_of_string s) in
-  let* bgp_into_igp = field "bgp_into_igp" bool in
-  let* ibgp_completeness =
-    field "ibgp_completeness" (fun v -> let* l = list v in all_or_none float_of_json l)
-  in
+  let* design = field "design" (fun v -> Option.bind (J.str v) design_of_string) in
+  let* bgp_into_igp = field "bgp_into_igp" J.bool in
+  let* ibgp_completeness = field "ibgp_completeness" (J.list float_of_json) in
   Some
     {
       label;

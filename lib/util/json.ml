@@ -264,3 +264,15 @@ let of_string s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
+
+let field key f j = Option.bind (member key j) f
+let str = function String s -> Some s | _ -> None
+let int = function Int i -> Some i | _ -> None
+let bool = function Bool b -> Some b | _ -> None
+
+let list f = function
+  | List l ->
+    List.fold_right
+      (fun x acc -> match (f x, acc) with Some x, Some acc -> Some (x :: acc) | _ -> None)
+      l (Some [])
+  | _ -> None

@@ -28,3 +28,20 @@ val of_string : string -> (t, string) result
 val member : string -> t -> t option
 (** [member key (Obj fields)] looks up a field; [None] on non-objects
     and missing keys. *)
+
+(** {1 Total decoding}
+
+    Accessors for decoders that must never raise, such as checkpoint
+    payload readers: any shape surprise is [None]. *)
+
+val field : string -> (t -> 'a option) -> t -> 'a option
+(** [field key f j] decodes [j]'s [key] member with [f]; [None] when
+    [j] has no such member or [f] rejects it. *)
+
+val str : t -> string option
+val int : t -> int option
+val bool : t -> bool option
+
+val list : (t -> 'a option) -> t -> 'a list option
+(** [list f (List l)] is [Some] of every element's decoding, in order,
+    or [None] if any element fails; [None] on a non-list. *)

@@ -327,6 +327,36 @@ let test_scorecard () =
 
 (* ------------------------------------------------- netstat + checkpoint --- *)
 
+let test_whatif_codec_malformed () =
+  (* a what-if checkpoint record reads back exactly; a malformed entry
+     or a foreign object reads as a miss *)
+  let s : Rd_study.Experiments.scenario_summary =
+    {
+      label = "remove r1"; changes = [ "remove router r1" ]; instances_before = 3;
+      instances_after = 4; split = 1; lost_pairs = 2; touched = [ "r1.cfg" ]; warnings = [];
+      seconds = 0.1;
+    }
+  in
+  let j = Rd_study.Experiments.whatif_json ~exact:true "net4" [ s; s ] in
+  check_bool "round trip" true (Rd_study.Experiments.whatif_of_json j = Some ("net4", [ s; s ]));
+  let open Rd_util.Json in
+  let malformed =
+    match j with
+    | Obj fields ->
+      Obj
+        (List.map
+           (function
+             | "scenarios", List [ ok; Obj bad ] ->
+               let bad = ("split_instances", String "1") :: List.remove_assoc "split_instances" bad in
+               ("scenarios", List [ ok; Obj bad ])
+             | field -> field)
+           fields)
+    | _ -> Alcotest.fail "whatif_json is not an object"
+  in
+  check_bool "malformed entry is None" true (Rd_study.Experiments.whatif_of_json malformed = None);
+  check_bool "wrong shape is None" true
+    (Rd_study.Experiments.whatif_of_json (Obj [ ("x", Int 1) ]) = None)
+
 (* Small, fast networks: net4 (6 routers), net10 (4), net12 (12), net26 (9). *)
 let small_subset = [ 4; 10; 12; 26 ]
 
@@ -681,6 +711,7 @@ let () =
       ( "checkpoint",
         [
           Alcotest.test_case "netstat codec roundtrip" `Quick test_netstat_codec_roundtrip;
+          Alcotest.test_case "whatif codec malformed" `Quick test_whatif_codec_malformed;
           Alcotest.test_case "study resume byte-identical" `Quick
             test_driver_study_resume_identical;
           Alcotest.test_case "crosscheck resume byte-identical" `Quick
