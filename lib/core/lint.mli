@@ -83,5 +83,6 @@ val run : files:(string * string) list -> Analysis.t -> Rd_config.Diag.t list
     [a.diags] (the parser's, or the one that dropped it from the
     analysis) and then, unless it was dropped, its per-file findings in
     line order; after every file, the design findings, Warnings first.
-    A file missing from [files] gets no per-file findings and its
-    design findings no line.  Never raises on any analysis. *)
+    This is the report [rdna lint] prints.  A file of the analysis that
+    [files] omits contributes neither, and the design findings on it
+    carry no line; so [run ~files:[] a] is the design findings alone. *)
